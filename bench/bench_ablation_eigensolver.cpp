@@ -3,8 +3,8 @@
 // The paper spends "most of the running time … on lots of matrix
 // multiplications about the graph spectrum calculation". This bench
 // compares the two Fiedler backends (restarted Lanczos vs shifted power
-// iteration) across graph sizes, on both the serial and the pool-backed
-// SpMV, and reports accuracy (residual) alongside time.
+// iteration) across graph sizes and reports accuracy (residual)
+// alongside time.
 #include <benchmark/benchmark.h>
 
 #include "graph/generators.hpp"
@@ -58,20 +58,6 @@ void BM_FiedlerShiftedPower(benchmark::State& state) {
 // Lanczos is visible already at these sizes.
 BENCHMARK(BM_FiedlerShiftedPower)->Arg(100)->Arg(250)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
-
-void BM_FiedlerLanczosPooled(benchmark::State& state) {
-  const graph::WeightedGraph g =
-      connected_graph(static_cast<std::size_t>(state.range(0)));
-  parallel::ThreadPool pool;
-  spectral::FiedlerOptions opts;
-  opts.pool = &pool;
-  for (auto _ : state) {
-    const spectral::FiedlerResult r = spectral::fiedler_pair(g, opts);
-    benchmark::DoNotOptimize(r.value);
-  }
-}
-BENCHMARK(BM_FiedlerLanczosPooled)->Arg(400)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

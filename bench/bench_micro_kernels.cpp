@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the kernels the figures are
-// built from: CSR SpMV (serial vs pool), label propagation,
+// built from: CSR SpMV, label propagation,
 // compression, the three cut algorithms, and Algorithm 2's greedy.
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "mec/greedy.hpp"
 #include "mec/offloader.hpp"
 #include "mincut/bipartitioner.hpp"
-#include "parallel/parallel_spmv.hpp"
 #include "spectral/bipartitioner.hpp"
 #include "support/workloads.hpp"
 
@@ -43,22 +42,6 @@ void BM_SpmvSerial(benchmark::State& state) {
                           static_cast<std::int64_t>(lap.nonzeros()));
 }
 BENCHMARK(BM_SpmvSerial)->Arg(1000)->Arg(5000);
-
-void BM_SpmvPooled(benchmark::State& state) {
-  const graph::WeightedGraph g =
-      bench_graph(static_cast<std::size_t>(state.range(0)));
-  const linalg::SparseMatrix lap = linalg::laplacian(g);
-  parallel::ThreadPool pool;
-  const linalg::LinearOperator op =
-      parallel::make_parallel_operator(lap, pool);
-  linalg::Vec x(g.num_nodes(), 1.0);
-  linalg::Vec y(g.num_nodes(), 0.0);
-  for (auto _ : state) {
-    op.apply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_SpmvPooled)->Arg(1000)->Arg(5000);
 
 void BM_LabelPropagation(benchmark::State& state) {
   const graph::WeightedGraph g =

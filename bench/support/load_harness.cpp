@@ -12,9 +12,11 @@ namespace mecoff::bench {
 
 double LoadOutcome::percentile(double q) const {
   if (latencies.empty()) return 0.0;
+  std::vector<double> sorted = latencies;
   const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(latencies.size() - 1));
-  return latencies[rank];
+      q * static_cast<double>(sorted.size() - 1));
+  std::nth_element(sorted.begin(), sorted.begin() + rank, sorted.end());
+  return sorted[rank];
 }
 
 namespace {
@@ -143,11 +145,13 @@ LoadOutcome run_load(serve::SolveService& service,
           const std::size_t begin = share * (seg - 1) / segments;
           const std::size_t end = share * seg / segments;
           for (std::size_t i = begin; i < end; ++i) {
-            if (options.open_loop_rate_hz > 0.0) {
-              // Open loop: request i fires at i / rate on this client's
-              // clock regardless of how long earlier requests took.
-              const double due =
-                  static_cast<double>(i) / options.open_loop_rate_hz;
+            // Open loop: request i is due at i / rate on this client's
+            // clock regardless of how long earlier requests took.
+            const bool open_loop = options.open_loop_rate_hz > 0.0;
+            const double due =
+                open_loop ? static_cast<double>(i) / options.open_loop_rate_hz
+                          : 0.0;
+            if (open_loop) {
               const double now = pace.elapsed_seconds();
               if (due > now)
                 std::this_thread::sleep_for(
@@ -165,7 +169,13 @@ LoadOutcome run_load(serve::SolveService& service,
             }
             const serve::SolveResponse& response = r.value();
             classify(response, tally);
-            tally.counts.latencies.push_back(response.latency_seconds);
+            // Open-loop latency runs from the scheduled send, so a stall
+            // is also charged to the requests queued behind it (no
+            // coordinated omission). The wedge check stays on service
+            // time: it flags the slow response, not its victims.
+            tally.counts.latencies.push_back(
+                open_loop ? pace.elapsed_seconds() - due
+                          : response.latency_seconds);
             if (options.wedge_seconds > 0.0 &&
                 response.latency_seconds > options.wedge_seconds)
               ++tally.counts.wedged;

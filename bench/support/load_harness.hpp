@@ -56,12 +56,14 @@ struct LoadOptions {
   /// total/clients (+1 for the first total%clients clients).
   std::size_t total_requests = 100;
   /// Open-loop pacing per client in requests/second; 0 = closed loop
-  /// (next request as soon as the previous answers).
+  /// (next request as soon as the previous answers). In open loop a
+  /// request's latency runs from its scheduled send time.
   double open_loop_rate_hz = 0.0;
   /// Per-request deadline budget handed to the service; negative = the
   /// service default.
   double deadline_seconds = -1.0;
-  /// A response slower than this counts as wedged; <= 0 disables.
+  /// A response whose service time exceeds this counts as wedged;
+  /// <= 0 disables.
   double wedge_seconds = 0.0;
   /// Split every client's share into this many chunks with a full
   /// cross-client barrier after each: at a boundary ALL clients are
@@ -87,7 +89,7 @@ struct LoadOutcome {
   std::size_t requests = 0;   ///< responses received (== issued)
   std::size_t errors = 0;     ///< Result errors (malformed input only)
   std::size_t mismatches = 0; ///< full-quality placement != reference
-  std::size_t wedged = 0;     ///< slower than wedge_seconds
+  std::size_t wedged = 0;     ///< service time over wedge_seconds
   /// Per-provenance response counts (sum == requests).
   std::size_t solved = 0;
   std::size_t hits = 0;
@@ -98,14 +100,17 @@ struct LoadOutcome {
   /// Responses with the degraded flag set (any provenance).
   std::size_t degraded = 0;
   double wall_seconds = 0.0;
-  /// All response latencies, sorted ascending.
+  /// All response latencies (run_load sorts them ascending). Closed
+  /// loop: the service time. Open loop: completion minus the request's
+  /// scheduled send time, which includes any wait behind a stall.
   std::vector<double> latencies;
   /// One cumulative sample per segment boundary (empty when
   /// LoadOptions::segments == 1 and no on_segment/timeline is wired).
   std::vector<SegmentSample> samples;
 
-  /// Latency percentile over `latencies` (nearest-rank at
-  /// q * (n - 1), the same definition bench_serve always printed).
+  /// Latency percentile over `latencies` in any order (nearest-rank
+  /// at q * (n - 1) of the sorted samples, the same definition
+  /// bench_serve always printed).
   [[nodiscard]] double percentile(double q) const;
 };
 

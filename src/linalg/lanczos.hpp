@@ -1,8 +1,8 @@
 // Lanczos iteration with full reorthogonalization for the smallest
 // eigenpairs of a symmetric operator. This is the paper's "graph
 // spectrum calculation": the Fiedler pair (λ₂, v₂) of each compressed
-// sub-graph Laplacian. The operator is abstracted so the mini-Spark
-// engine can substitute a parallel SpMV (the Fig. 9 "with Spark" path).
+// sub-graph Laplacian. The operator is abstracted so a caller can pick
+// the SpMV kernel (see SpmvKernel).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Compressed-sparse-row matrix. Graph Laplacians at the paper's scales
 // (up to 5000 nodes, ~40k edges) are extremely sparse; CSR SpMV is the
-// workhorse of the Lanczos solver and the kernel the mini-Spark engine
-// parallelizes for the Fig. 9 experiment.
+// workhorse of the Lanczos solver. It always runs serially: the
+// pipeline parallelizes across sub-graphs, never inside one matvec.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +60,9 @@ class SparseMatrix {
   void multiply_into(std::span<const double> x, std::span<double> y,
                      SpmvKernel kernel = SpmvKernel::kNaive) const;
 
-  /// Rows [begin, end) of y = A·x — the unit of work the parallel
-  /// engine distributes. Rows are computed independently, so any
-  /// [begin, end) chunking of the same kernel is bit-identical to one
-  /// full-range call.
+  /// Rows [begin, end) of y = A·x. Rows are computed independently,
+  /// so any [begin, end) chunking of the same kernel is bit-identical
+  /// to one full-range call.
   void multiply_rows(std::span<const double> x, std::span<double> y,
                      std::size_t begin, std::size_t end,
                      SpmvKernel kernel = SpmvKernel::kNaive) const;

@@ -1,6 +1,5 @@
 #include "lpa/pipeline.hpp"
 
-#include <future>
 #include <map>
 
 #include "common/contracts.hpp"
@@ -86,28 +85,9 @@ CompressionPipelineResult compress_application(
     for (std::size_t c = 0; c < out.components.size(); ++c)
       process_component(c);
   } else {
-    // "create new process" per sub-graph (Line 6): one pool task each,
-    // under a fresh group. The grouped wait_and_help keeps this safe
-    // when compress_application itself runs inside a pool task (the
-    // parallel per-user solve), and the deferred rethrow keeps later
-    // tasks from touching this frame's closures after an early failure
-    // unwinds it.
-    const parallel::ThreadPool::TaskGroup group = pool->make_group();
-    std::vector<std::future<void>> futures;
-    futures.reserve(out.components.size());
-    for (std::size_t c = 0; c < out.components.size(); ++c)
-      futures.push_back(
-          pool->submit_to(group, [&, c] { process_component(c); }));
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        pool->wait_and_help(f, group);
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    // "create new process" per sub-graph (Line 6). Inside a pooled
+    // per-user solve this runs inline: users are the parallel level.
+    pool->parallel_for(0, out.components.size(), process_component);
   }
   return out;
 }

@@ -1,7 +1,8 @@
 // Algorithm 1 end-to-end: remove unoffloadable functions, split at
 // component boundaries, then run label propagation + compression per
-// component — one task per component on the mini-Spark engine, matching
-// the paper's "All propagation processes will be executed in parallel".
+// component — one parallel_for index per component on the mini-Spark
+// engine, matching the paper's "All propagation processes will be
+// executed in parallel".
 #pragma once
 
 #include <vector>

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <exception>
-#include <future>
+#include <functional>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -28,11 +27,9 @@ std::string PipelineOffloader::name() const {
 
 std::unique_ptr<graph::Bipartitioner> PipelineOffloader::make_cutter() const {
   switch (options_.backend) {
-    case CutBackend::kSpectral: {
-      spectral::SpectralOptions opts = options_.spectral;
-      opts.fiedler.pool = options_.pool;
-      return std::make_unique<spectral::SpectralBipartitioner>(opts);
-    }
+    case CutBackend::kSpectral:
+      return std::make_unique<spectral::SpectralBipartitioner>(
+          options_.spectral);
     case CutBackend::kMaxFlow:
       return std::make_unique<mincut::MaxFlowBipartitioner>(options_.maxflow);
     case CutBackend::kKernighanLin:
@@ -63,6 +60,31 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
            total_timer.elapsed_seconds() >= deadline_seconds;
   };
 
+  // Fan fn over [0, n): on the pool when there is one, else a plain
+  // loop. parallel_for runs inline when nested, so only the outermost
+  // level with more than one index fans out: distinct users in a
+  // multi-user solve, sub-graphs in a single-user one.
+  const auto for_each_index =
+      [this](std::size_t n, const std::function<void(std::size_t)>& fn) {
+        if (options_.pool != nullptr) {
+          options_.pool->parallel_for(0, n, fn);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) fn(i);
+        }
+      };
+
+  // What one sub-graph's cut produces. Each index of the cut loop
+  // writes only its own slot.
+  struct ComponentCut {
+    std::vector<Part> parts;
+    linalg::Vec fiedler_vector;  ///< only when collecting
+    bool nonconverged = false;
+    bool kl_fallback = false;
+    bool all_remote = false;
+    bool warm_seeded = false;
+    bool warm_rejected = false;
+  };
+
   // Everything one per-user task produces. Tasks write only their own
   // slot; stats are merged on the calling thread after the join, so
   // SolveStats accumulation is race-free by construction.
@@ -80,15 +102,10 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     std::size_t warm_rejected = 0;
   };
 
-  // Parts for one user, computed from scratch. Each invocation builds
-  // its own cutter: every backend seeds a fresh RNG per bipartition()
-  // call, so a private cutter yields the same cuts as the serial
-  // shared-cutter path while keeping tasks free of shared mutable
-  // state.
+  // Parts for one user, computed from scratch.
   const auto solve_user = [&](std::size_t u) {
     MECOFF_TRACE_SPAN_ARG("mec.solve_user", u);
     UserSolve out;
-    const std::unique_ptr<graph::Bipartitioner> cutter = make_cutter();
     const UserApp& user = system.users[u];
     const std::vector<bool> mask =
         user.unoffloadable.empty()
@@ -108,43 +125,47 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
 
     Stopwatch cut_timer;
     MECOFF_TRACE_SPAN_ARG("mec.cut", u);
-    std::vector<Part>& parts = out.parts;
+    std::vector<ComponentCut> cuts(pipeline.components.size());
 
-    // The terminal leg of the fallback chain: the whole sub-graph as
-    // one uncut all-remote part (the greedy may still retreat it to
-    // the device as a unit).
-    const auto push_all_remote = [&](std::size_t c) {
-      const lpa::CompressedComponent& comp = pipeline.components[c];
-      Part part;
-      part.user = u;
-      part.group = c;
-      for (graph::NodeId super = 0;
-           super < comp.compression.compressed.num_nodes(); ++super) {
-        for (const graph::NodeId orig : pipeline.original_members(c, super)) {
-          part.nodes.push_back(orig);
-          part.weight += user.graph.node_weight(orig);
-        }
-      }
-      if (!part.nodes.empty()) parts.push_back(std::move(part));
-      ++out.fallback_all_remote;
-    };
-
-    // Non-convergence is only observable on the spectral backend.
-    auto* spectral_cutter =
-        options_.backend == CutBackend::kSpectral
-            ? static_cast<spectral::SpectralBipartitioner*>(cutter.get())
-            : nullptr;
-    std::unique_ptr<kl::KernighanLinBipartitioner> kl_fallback;
-    if (options_.collect_fiedler_vectors)
-      out.fiedler_vectors.resize(pipeline.components.size());
-
-    for (std::size_t c = 0; c < pipeline.components.size(); ++c) {
+    // Algorithm 1's per-sub-graph process. Each call builds its own
+    // cutter and KL fallback: every backend seeds a fresh RNG per
+    // bipartition() call, so private cutters yield the same cuts as
+    // one shared cutter while keeping sub-graphs free of shared
+    // mutable state.
+    const auto cut_component = [&](std::size_t c) {
       MECOFF_TRACE_SPAN_ARG("mec.cut.component", c);
+      ComponentCut& result = cuts[c];
       const lpa::CompressedComponent& comp = pipeline.components[c];
+
+      // The terminal leg of the fallback chain: the whole sub-graph as
+      // one uncut all-remote part (the greedy may still retreat it to
+      // the device as a unit).
+      const auto all_remote = [&] {
+        Part part;
+        part.user = u;
+        part.group = c;
+        for (graph::NodeId super = 0;
+             super < comp.compression.compressed.num_nodes(); ++super) {
+          for (const graph::NodeId orig :
+               pipeline.original_members(c, super)) {
+            part.nodes.push_back(orig);
+            part.weight += user.graph.node_weight(orig);
+          }
+        }
+        if (!part.nodes.empty()) result.parts.push_back(std::move(part));
+        result.all_remote = true;
+      };
+
       if (deadline_expired()) {
-        push_all_remote(c);
-        continue;
+        all_remote();
+        return;
       }
+      const std::unique_ptr<graph::Bipartitioner> cutter = make_cutter();
+      // Non-convergence is only observable on the spectral backend.
+      auto* spectral_cutter =
+          options_.backend == CutBackend::kSpectral
+              ? static_cast<spectral::SpectralBipartitioner*>(cutter.get())
+              : nullptr;
       // Warm hint for this component: the previous solve's Fiedler
       // vector, usable only while compression kept the same shape (a
       // perturbation can merge or split supernodes — then the dimension
@@ -156,30 +177,27 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
         const linalg::Vec& hint = warm->fiedler_vectors[u][c];
         if (hint.size() == comp.compression.compressed.num_nodes()) {
           spectral_cutter->set_warm_start(&hint);
-          ++out.warm_seeded;
+          result.warm_seeded = true;
         } else {
-          ++out.warm_rejected;
+          result.warm_rejected = true;
         }
       }
       graph::Bipartition cut =
           cutter->bipartition(comp.compression.compressed);
       if (spectral_cutter != nullptr && options_.collect_fiedler_vectors)
-        out.fiedler_vectors[c] = spectral_cutter->last_fiedler_vector();
+        result.fiedler_vector = spectral_cutter->last_fiedler_vector();
       if (spectral_cutter != nullptr && !spectral_cutter->last_converged()) {
         // Fallback chain: a below-tolerance Fiedler vector is a guess,
         // not a cut — recut combinatorially (KL) while budget remains,
         // else degrade the sub-graph to all-remote.
-        ++out.spectral_nonconverged;
-        if (!deadline_expired()) {
-          if (kl_fallback == nullptr)
-            kl_fallback = std::make_unique<kl::KernighanLinBipartitioner>(
-                options_.kl);
-          cut = kl_fallback->bipartition(comp.compression.compressed);
-          ++out.fallback_kl_cuts;
-        } else {
-          push_all_remote(c);
-          continue;
+        result.nonconverged = true;
+        if (deadline_expired()) {
+          all_remote();
+          return;
         }
+        cut = kl::KernighanLinBipartitioner(options_.kl).bipartition(
+            comp.compression.compressed);
+        result.kl_fallback = true;
       }
 
       // One part per non-empty cut side, in ORIGINAL node ids.
@@ -240,7 +258,20 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
           sides[1].initially_local = true;
       }
       for (Part& part : sides)
-        if (!part.nodes.empty()) parts.push_back(std::move(part));
+        if (!part.nodes.empty()) result.parts.push_back(std::move(part));
+    };
+    for_each_index(cuts.size(), cut_component);
+
+    // Merge in component order, so part order is the serial loop's.
+    for (ComponentCut& cut : cuts) {
+      for (Part& part : cut.parts) out.parts.push_back(std::move(part));
+      if (options_.collect_fiedler_vectors)
+        out.fiedler_vectors.push_back(std::move(cut.fiedler_vector));
+      out.spectral_nonconverged += cut.nonconverged ? 1 : 0;
+      out.fallback_kl_cuts += cut.kl_fallback ? 1 : 0;
+      out.fallback_all_remote += cut.all_remote ? 1 : 0;
+      out.warm_seeded += cut.warm_seeded ? 1 : 0;
+      out.warm_rejected += cut.warm_rejected ? 1 : 0;
     }
     out.cut_seconds = cut_timer.elapsed_seconds();
     MECOFF_HISTOGRAM_RECORD("mec.user.cut_seconds", out.cut_seconds);
@@ -254,32 +285,12 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   const std::size_t distinct =
       period > 0 ? std::min(period, num_users) : num_users;
 
-  // Algorithm 1's "in parallel": one independent task per distinct
-  // user. Compression and the cut are per-user; only the final greedy
-  // couples users, so tasks never touch shared state. The pool's
-  // help-while-wait makes the nested fan-out (this task → component
-  // compression → Lanczos SpMV) deadlock-free on the shared pool.
+  // Algorithm 1's "in parallel": one index per distinct user.
+  // Compression and the cut are per-user; only the final greedy
+  // couples users, so indices never touch shared state.
   std::vector<UserSolve> solved(distinct);
-  if (options_.pool != nullptr && distinct > 1) {
-    const parallel::ThreadPool::TaskGroup group = options_.pool->make_group();
-    std::vector<std::future<void>> futures;
-    futures.reserve(distinct);
-    for (std::size_t u = 0; u < distinct; ++u)
-      futures.push_back(options_.pool->submit_to(
-          group, [&, u] { solved[u] = solve_user(u); }));
-    std::exception_ptr first_error;
-    for (std::future<void>& f : futures) {
-      try {
-        options_.pool->wait_and_help(f, group);
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    for (std::size_t u = 0; u < distinct; ++u) solved[u] = solve_user(u);
-  }
+  for_each_index(distinct,
+                 [&](std::size_t u) { solved[u] = solve_user(u); });
 
   // Merge in user order on this thread: part order — and therefore the
   // greedy's tie-breaking and the final scheme — is bit-identical to

@@ -64,11 +64,13 @@ struct PipelineOptions {
   mincut::MaxFlowCutOptions maxflow;
   kl::KlOptions kl;
   GreedyOptions greedy;
-  /// Execution engine: the per-user solve stage (compression + cut)
-  /// fans out one task per distinct user, and each of those reuses the
-  /// same pool for component compression and the spectral SpMV (the
-  /// pool is reentrant). null = fully serial (Fig. 9's "without Spark"
-  /// configuration). Schemes are bit-identical either way.
+  /// Execution engine for the per-user solve stage (compression +
+  /// cut). A multi-user solve fans out one parallel_for index per
+  /// distinct user; a single-user solve fans out over its sub-graphs
+  /// instead (LPA compression, then the cut). Nested levels run inline
+  /// and every kernel stays serial. null = fully serial (Fig. 9's
+  /// "without Spark" configuration). Schemes are bit-identical either
+  /// way.
   parallel::ThreadPool* pool = nullptr;
   /// When > 0, users i and i mod period carry IDENTICAL graphs (the
   /// make_uniform_system layout): compression and cuts run once per

@@ -1,7 +1,10 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <exception>
+#include <memory>
 
 #include "common/contracts.hpp"
 
@@ -12,6 +15,75 @@ namespace {
 // startup; in_worker_thread() compares it against `this`, so threads of
 // one pool are non-workers to every other pool.
 thread_local ThreadPool* tl_owner_pool = nullptr;
+// True while the calling thread runs the indices of a fanned-out
+// parallel_for; any parallel_for it starts meanwhile runs inline.
+thread_local bool tl_in_section = false;
+
+// The shared state of one parallel_for call. The caller and its helper
+// tasks each hold a shared_ptr, so a helper that starts after the call
+// returned still reads valid, exhausted state.
+struct Section {
+  Section(std::size_t first, std::size_t last,
+          const std::function<void(std::size_t)>& body)
+      : next(first), end(last), total(last - first), fn(&body) {}
+
+  /// Claim and run indices until none are left, then report how many
+  /// ran. A thread that claimed nothing touches nothing but `next`.
+  void claim_and_run() EXCLUDES(section_mutex) {
+    std::size_t ran = 0;
+    std::size_t failed = SIZE_MAX;
+    std::exception_ptr failure;
+    for (std::size_t i = next++; i < end; i = next++) {
+      try {
+        (*fn)(i);
+      } catch (...) {
+        // Indices are claimed in increasing order, so the first
+        // failure is this thread's lowest.
+        if (failure == nullptr) {
+          failed = i;
+          failure = std::current_exception();
+        }
+      }
+      ++ran;
+    }
+    if (ran == 0) return;
+    const MutexLock lock(section_mutex);
+    done += ran;
+    // Exceptions are moved, never copied, so the one that propagates is
+    // released on the caller's thread. exception_ptr counts references
+    // inside the uninstrumented C++ runtime; a release by a late helper
+    // would look to TSAN like a race with the caller's catch block.
+    if (failed < error_index) {
+      error_index = failed;
+      error = std::move(failure);
+    }
+    if (done == total) finished.notify_one();
+  }
+
+  /// Block until every index has run; rethrow the lowest failure.
+  void wait() EXCLUDES(section_mutex) {
+    std::exception_ptr failure;
+    {
+      const MutexLock lock(section_mutex);
+      while (done < total) finished.wait(section_mutex);
+      failure = std::move(error);
+    }
+    if (failure != nullptr) std::rethrow_exception(failure);
+  }
+
+  std::atomic<std::size_t> next;
+  const std::size_t end;
+  const std::size_t total;
+  /// The caller's function. Dereferenced only for a claimed index, and
+  /// the caller does not return before every claimed index has run.
+  const std::function<void(std::size_t)>* const fn;
+  Mutex section_mutex;
+  CondVar finished;
+  std::size_t done GUARDED_BY(section_mutex) = 0;
+  std::size_t error_index GUARDED_BY(section_mutex) = SIZE_MAX;
+  std::exception_ptr error GUARDED_BY(section_mutex);
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -33,38 +105,12 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::in_worker_thread() const { return tl_owner_pool == this; }
 
-void ThreadPool::enqueue(Task task) {
+void ThreadPool::enqueue(std::function<void()> task) {
   {
     const MutexLock lock(mutex_);
     queue_.push_back(std::move(task));
   }
   cv_.notify_one();
-  note_activity();
-}
-
-bool ThreadPool::pop_task_locked(TaskGroup group, std::function<void()>& out) {
-  auto it = queue_.begin();
-  if (group != kNoGroup) {
-    // First queued task of this group; the scan is O(queue length)
-    // but queues stay short (≈3×threads chunks per section).
-    it = std::find_if(queue_.begin(), queue_.end(),
-                      [group](const Task& t) { return t.group == group; });
-  }
-  if (it == queue_.end()) return false;
-  out = std::move(it->fn);
-  queue_.erase(it);
-  return true;
-}
-
-bool ThreadPool::try_run_one(TaskGroup group) {
-  std::function<void()> fn;
-  {
-    const MutexLock lock(mutex_);
-    if (!pop_task_locked(group, fn)) return false;
-  }
-  fn();
-  note_activity();
-  return true;
 }
 
 void ThreadPool::worker_loop() {
@@ -78,57 +124,28 @@ void ThreadPool::worker_loop() {
       // wakeups are handled the same way.
       while (!stopping_ && queue_.empty()) cv_.wait(mutex_);
       if (queue_.empty()) return;  // stopping and drained
-      fn = std::move(queue_.front().fn);
+      fn = std::move(queue_.front());
       queue_.pop_front();
     }
     fn();
-    note_activity();
   }
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_for_chunks(begin, end,
-                      [&fn](std::size_t lo, std::size_t hi) {
-                        for (std::size_t i = lo; i < hi; ++i) fn(i);
-                      });
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
   MECOFF_EXPECTS(begin <= end);
-  if (begin == end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks =
-      std::min(total, std::max<std::size_t>(1, 3 * thread_count()));
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
-
-  const TaskGroup group = make_group();
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    futures.push_back(submit_to(group, [&fn, lo, hi] { fn(lo, hi); }));
+  const auto section = std::make_shared<Section>(begin, end, fn);
+  if (end - begin > 1 && !tl_in_section && !in_worker_thread()) {
+    const std::size_t helpers = std::min(thread_count(), end - begin - 1);
+    for (std::size_t h = 0; h < helpers; ++h)
+      enqueue([section] { section->claim_and_run(); });
+    tl_in_section = true;
+    section->claim_and_run();
+    tl_in_section = false;
+  } else {
+    section->claim_and_run();
   }
-  // Wait for EVERY chunk before rethrowing: the chunks reference `fn`
-  // (the caller's frame), so propagating the first exception while
-  // later chunks are still running would leave them touching a
-  // destroyed closure. The grouped wait_and_help makes this safe from
-  // inside a pool task: a waiting worker runs this section's own
-  // chunks itself instead of blocking on work stuck behind it.
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      wait_and_help(f, group);
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  section->wait();
 }
 
 }  // namespace mecoff::parallel

@@ -1,31 +1,29 @@
 // Fixed-size worker pool. This is the execution backend of the
-// mini-Spark engine (the repo's stand-in for the paper's Spark cluster):
-// the per-user solve stage, per-subgraph label propagation and the
-// blocked SpMV inside Lanczos all fan out over it.
+// mini-Spark engine (the repo's stand-in for the paper's Spark
+// cluster).
 //
-// The pool is REENTRANT: a task running on a worker may itself submit
-// work to the same pool and block on it (via wait_and_help or the
-// parallel_for family). A waiting worker "helps" — it drains and runs
-// queued tasks until its futures resolve — so nested parallel sections
-// (outer per-user solve → inner component compression → Lanczos SpMV
-// chunks) share one pool without deadlocking, even with a single
-// worker thread.
+// ONE LEVEL OF PARALLELISM. parallel_for is the pool's only fork-join,
+// and it never nests. The calling thread runs indices itself; idle
+// workers join through helper tasks that claim the remaining indices
+// from the call's shared state. A call made on one of this pool's
+// workers, from inside another fanned-out parallel_for, or over a
+// single index runs every index inline on the calling thread. So no
+// thread ever waits for work queued behind itself, and a helper that
+// starts after the call returned finds nothing left to claim.
 //
-// Help is scoped by TASK GROUP: a parallel section tags its
-// submissions with a fresh group and waits on that group only, so a
-// helping thread never pulls an unrelated outer-level task onto its
-// stack (TBB-arena style). That bounds help-recursion to the logical
-// nesting depth of parallel sections and keeps per-stage timers
-// meaningful, instead of growing the stack with whatever happened to
-// be queued.
+// Callers fan out at the coarsest independent unit: the distinct users
+// of PipelineOffloader::solve, or the sub-graphs of a single-user
+// solve (LPA compression and the per-component cut, Algorithm 1's
+// per-sub-graph process). Kernels such as SpMV and Lanczos stay
+// serial: the pipeline only eigensolves compressed sub-graphs of a few
+// dozen nodes, and per-matvec fan-out measured slower than serial.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -35,12 +33,6 @@ namespace mecoff::parallel {
 
 class ThreadPool {
  public:
-  /// Tag tying one parallel section's submissions together. A grouped
-  /// wait_and_help only runs tasks of that group while waiting.
-  using TaskGroup = std::uint64_t;
-  /// The ungrouped default; an ungrouped wait helps ANY queued task.
-  static constexpr TaskGroup kNoGroup = 0;
-
   /// `threads == 0` means hardware_concurrency() (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
 
@@ -55,141 +47,46 @@ class ThreadPool {
   /// True when the calling thread is one of THIS pool's workers.
   [[nodiscard]] bool in_worker_thread() const;
 
-  /// A fresh group id for one parallel section's submissions.
-  [[nodiscard]] TaskGroup make_group() {
-    return next_group_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Pop and run one queued task of `group` on the calling thread
-  /// (kNoGroup = any task). Returns false when no eligible task was
-  /// queued. Safe from any thread; the task runs outside the lock, so
-  /// the caller must not already hold it (the mutex is non-reentrant).
-  bool try_run_one(TaskGroup group = kNoGroup) EXCLUDES(mutex_);
-
   /// Enqueue a task; the future resolves with its result (or exception).
   template <typename F>
   auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-    return submit_to(kNoGroup, std::forward<F>(task));
-  }
-
-  /// submit() under a group tag, for a later grouped wait_and_help.
-  template <typename F>
-  auto submit_to(TaskGroup group, F&& task)
-      -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     auto packaged =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(task));
     std::future<R> future = packaged->get_future();
-    enqueue(Task{group, [packaged] { (*packaged)(); }});
+    enqueue([packaged] { (*packaged)(); });
     return future;
   }
 
-  /// Block until `future` is ready. From a worker thread of this pool
-  /// the wait helps: queued tasks of `group` run on the calling thread
-  /// while it waits, which is what makes nested submit-and-wait safe —
-  /// the section that submitted the work can always execute it itself.
-  /// A task the future depends on that is already running on another
-  /// worker is covered by induction (that worker helps its own waits),
-  /// so waiting here can only add latency, never deadlock. Contract for
-  /// grouped waits: the future's task was submitted to `group` (or is
-  /// already running). From a non-worker thread this is a plain
-  /// blocking wait.
-  ///
-  /// When no eligible task is queued the helper parks on idle_cv_ until
-  /// the pool's activity counter moves (a submission or a completion)
-  /// instead of polling at a fixed period — a worker blocked behind a
-  /// long task costs a futex wait, not a spinning core. The park is
-  /// still bounded by an exponential backoff (50µs → 1ms): activity is
-  /// bumped without holding the waiters' mutex, so a notification can
-  /// land in the unlockable window between the snapshot check and the
-  /// wait; the timeout turns that rare missed wake into at most one
-  /// backoff period of extra latency. Schemes are bit-identical either
-  /// way — this changes when threads WAKE, never what they compute.
-  template <typename R>
-  void wait_and_help(const std::future<R>& future,
-                     TaskGroup group = kNoGroup) {
-    using namespace std::chrono_literals;
-    if (!in_worker_thread()) {
-      future.wait();
-      return;
-    }
-    constexpr std::chrono::microseconds kMinBackoff{50};
-    constexpr std::chrono::microseconds kMaxBackoff{1000};
-    std::chrono::microseconds backoff = kMinBackoff;
-    std::uint64_t seen = activity_.load(std::memory_order_acquire);
-    while (future.wait_for(0s) == std::future_status::timeout) {
-      if (try_run_one(group)) {
-        seen = activity_.load(std::memory_order_acquire);
-        backoff = kMinBackoff;
-        continue;
-      }
-      wait_for_activity(seen, backoff);
-      seen = activity_.load(std::memory_order_acquire);
-      backoff = std::min(backoff * 2, kMaxBackoff);
-    }
+  /// make_group() and submit_to() exist only because perfbench/ still
+  /// calls them: submit_to() is submit() and ignores the group.
+  using TaskGroup = std::uint64_t;
+  [[nodiscard]] TaskGroup make_group() const { return 0; }
+  template <typename F>
+  auto submit_to(TaskGroup /*group*/, F&& task)
+      -> std::future<std::invoke_result_t<F>> {
+    return submit(std::forward<F>(task));
   }
 
-  /// Run fn(i) for i in [begin, end), partitioned into ~3×threads chunks
-  /// and executed on the pool; blocks until all chunks finish.
-  /// Exceptions from chunks propagate (first one wins). Reentrant: may
-  /// be called from inside a pool task.
+  /// Run fn(i) for every i in [begin, end); returns once all have run.
+  /// Each index runs exactly once, on the calling thread or on a
+  /// worker that joined through a helper task (see the file comment
+  /// for when the call runs inline instead). When indices throw, every
+  /// index still runs and the exception of the lowest throwing index
+  /// propagates.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Like parallel_for but hands each worker a [chunk_begin, chunk_end)
-  /// range — cheaper for tight loops like SpMV rows.
-  void parallel_for_chunks(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
  private:
-  struct Task {
-    TaskGroup group = kNoGroup;
-    std::function<void()> fn;
-  };
-
   void worker_loop() EXCLUDES(mutex_);
 
   /// Push under the lock, notify outside it.
-  void enqueue(Task task) EXCLUDES(mutex_);
-
-  /// Bump the activity epoch and wake parked helpers. Called after
-  /// every submission and every task completion.
-  void note_activity() noexcept {
-    activity_.fetch_add(1, std::memory_order_acq_rel);
-    idle_cv_.notify_all();
-  }
-
-  /// Park until the activity epoch differs from `seen`, work appears in
-  /// the queue, or `timeout` elapses — whichever is first. Helpers call
-  /// this instead of a fixed-period poll; see wait_and_help.
-  void wait_for_activity(std::uint64_t seen,
-                         std::chrono::microseconds timeout) EXCLUDES(mutex_) {
-    const MutexLock lock(mutex_);
-    if (activity_.load(std::memory_order_acquire) != seen) return;
-    if (!queue_.empty()) return;
-    idle_cv_.wait_for(mutex_, timeout);
-  }
-
-  /// Extract the first queued task of `group` (kNoGroup = any) into
-  /// `out`; false when none is eligible. REQUIRES(mutex_) is what makes
-  /// try_run_one's lock discipline a compile-time fact under clang:
-  /// drop the annotation and the guarded queue_ access below no longer
-  /// typechecks under -Werror=thread-safety.
-  bool pop_task_locked(TaskGroup group, std::function<void()>& out)
-      REQUIRES(mutex_);
+  void enqueue(std::function<void()> task) EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar cv_;
-  /// Wakes helpers parked in wait_for_activity (distinct from cv_ so a
-  /// completion does not stampede every idle worker).
-  CondVar idle_cv_;
-  std::deque<Task> queue_ GUARDED_BY(mutex_);
-  std::atomic<TaskGroup> next_group_{1};
-  /// Monotone epoch, bumped on every submission and completion. Read
-  /// lock-free; wait_for_activity pairs it with mutex_ + idle_cv_.
-  std::atomic<std::uint64_t> activity_{0};
+  std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
   bool stopping_ GUARDED_BY(mutex_) = false;
 };
 

@@ -76,11 +76,6 @@ SolveService::SolveService(SolveServiceOptions options)
   if (options_.shards == 0) options_.shards = 1;
   if (options_.hedge_fraction <= 0.0 || options_.hedge_fraction > 1.0)
     options_.hedge_fraction = 0.5;
-  if (options_.pool != nullptr) {
-    shard_groups_.reserve(options_.shards);
-    for (std::size_t s = 0; s < options_.shards; ++s)
-      shard_groups_.push_back(options_.pool->make_group());
-  }
 }
 
 SolveResponse SolveService::degrade_response(const SolveRequest& request,
@@ -408,16 +403,14 @@ std::vector<mec::Placement> SolveService::run_cold_solve(
     return std::move(scheme.placement.front());
   };
 
-  // Shard cold solves across the pool's task groups by fingerprint.
-  // The calling thread is external (threading contract), so a plain
-  // future wait is correct — and if the contract is violated and we
-  // ARE on a pool worker, solving inline is the safe degradation.
+  // One pool task per cold solve; every parallel_for inside it runs
+  // inline on that worker. The calling thread is external (threading
+  // contract), so a plain future wait is correct — and if the contract
+  // is violated and we ARE on a pool worker, solving inline is the
+  // safe degradation.
   parallel::ThreadPool* pool = options_.pool;
   if (pool == nullptr || pool->in_worker_thread()) return solve_now();
-  const parallel::ThreadPool::TaskGroup group = shard_groups_[shard];
-  std::future<std::vector<mec::Placement>> future =
-      pool->submit_to(group, std::move(solve_now));
-  return future.get();
+  return pool->submit(std::move(solve_now)).get();
 }
 
 bool SolveService::brownout_shed_decision(std::size_t in_flight_now) {

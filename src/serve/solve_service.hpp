@@ -8,10 +8,10 @@
 //
 //   ingest   solve(SolveRequest) — called concurrently from external
 //            threads (an HTTP worker, the CLI, a bench driver);
-//   shard    cold solves are dispatched to one of `shards` task groups
-//            on the shared reentrant ThreadPool, so the pool's grouped
-//            help discipline keeps independent solves from stealing
-//            each other's nested work;
+//   shard    cold solves map to one of `shards` logical shards by
+//            fingerprint (the unit the fault injector kills and
+//            stalls); each cold solve is one task on the shared
+//            ThreadPool, and everything inside it runs inline;
 //   cache    a content-addressed SchemeCache keyed by the canonical
 //            request fingerprint, with single-flight semantics —
 //            concurrent identical requests ride one solve (the online
@@ -65,7 +65,7 @@
 // variable; parking a pool worker there could starve the very solve it
 // is waiting on. External callers (HTTP workers, main threads, bench
 // clients) are always safe; the cold solve itself runs ON the pool via
-// submit_to + a plain future wait.
+// submit + a plain future wait.
 //
 // Metrics (all through the obs facade, compiled out with it):
 //   serve.solve.requests / cache_hits / cache_misses / coalesced /
@@ -168,11 +168,11 @@ struct BrownoutOptions {
 };
 
 struct SolveServiceOptions {
-  /// Execution engine for cold solves (and their nested parallelism).
+  /// Execution engine for cold solves: one pool task per cold solve.
   /// null = solve on the calling thread.
   parallel::ThreadPool* pool = nullptr;
-  /// Worker groups cold solves are sharded across (keyed by
-  /// fingerprint). At least 1.
+  /// Logical shards cold solves map to (keyed by fingerprint): the
+  /// unit the fault injector kills and stalls. At least 1.
   std::size_t shards = 4;
   SchemeCache::Options cache;
   /// Admission hard cap: requests beyond this many concurrently
@@ -301,8 +301,6 @@ class SolveService {
   SolveServiceOptions options_;
   Fingerprint config_seed_;
   SchemeCache cache_;
-  /// One task group per shard, minted from the pool at construction.
-  std::vector<parallel::ThreadPool::TaskGroup> shard_groups_;
   std::atomic<std::size_t> admission_limit_;
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> in_flight_{0};

@@ -8,7 +8,6 @@
 #include "linalg/laplacian.hpp"
 #include "linalg/power_iteration.hpp"
 #include "obs/obs.hpp"
-#include "parallel/parallel_spmv.hpp"
 
 namespace mecoff::spectral {
 
@@ -20,28 +19,17 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
 
   const linalg::SparseMatrix lap = linalg::laplacian(g);
   const linalg::LinearOperator op =
-      options.pool != nullptr
-          ? parallel::make_parallel_operator(lap, *options.pool,
-                                             options.spmv_kernel)
-          : linalg::make_operator(lap, options.spmv_kernel);
+      linalg::make_operator(lap, options.spmv_kernel);
 
   FiedlerResult out;
   if (options.backend == EigenBackend::kDensePowerNaive) {
-    // Explicit dense Laplacian; every matvec is a full O(n²) row sweep
-    // (optionally row-parallel on the pool).
+    // Explicit dense Laplacian; every matvec is a full O(n²) row sweep.
     const linalg::DenseMatrix dense = linalg::dense_laplacian(g);
     const std::size_t n = g.num_nodes();
     linalg::LinearOperator dense_op{
-        n, [&dense, &options, n](std::span<const double> x,
-                                 std::span<double> y) {
-          const auto rows = [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t r = lo; r < hi; ++r)
-              y[r] = linalg::dot(dense.row(r), x);
-          };
-          if (options.pool != nullptr)
-            options.pool->parallel_for_chunks(0, n, rows);
-          else
-            rows(0, n);
+        n, [&dense, n](std::span<const double> x, std::span<double> y) {
+          for (std::size_t r = 0; r < n; ++r)
+            y[r] = linalg::dot(dense.row(r), x);
         }};
     linalg::PowerOptions popt;
     popt.tolerance = options.tolerance;

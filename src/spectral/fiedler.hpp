@@ -10,15 +10,19 @@
 //    deflation — simpler, slower; kept for the eigensolver ablation and
 //    as an independent oracle in tests.
 //
-// When a thread pool is supplied, SpMV row blocks run on it — the
-// "with Spark" configuration of Fig. 9.
+// Every backend runs serially on the calling thread. Fig. 9's "with
+// Spark" configuration parallelizes across sub-graphs instead (see
+// PipelineOptions::pool); no matvec fans out.
 #pragma once
 
 #include <optional>
 
 #include "graph/weighted_graph.hpp"
 #include "linalg/lanczos.hpp"
-#include "parallel/thread_pool.hpp"
+
+namespace mecoff::parallel {
+class ThreadPool;
+}  // namespace mecoff::parallel
 
 namespace mecoff::spectral {
 
@@ -28,16 +32,16 @@ enum class EigenBackend {
   /// Shifted power iteration on an explicitly formed DENSE Laplacian
   /// (O(n²) per matvec) — a deliberately naive backend reproducing the
   /// eigensolver the paper times in Fig. 9 ("lots of matrix
-  /// multiplications about the graph spectrum calculation"); the pool
-  /// parallelizes the dense matvec rows, standing in for the paper's
-  /// Spark acceleration. Never use this outside runtime studies.
+  /// multiplications about the graph spectrum calculation"). Never use
+  /// this outside runtime studies.
   kDensePowerNaive,
 };
 
 struct FiedlerOptions {
   EigenBackend backend = EigenBackend::kLanczos;
   double tolerance = 1e-8;
-  /// Execution engine for the SpMV kernel; null = serial.
+  /// Nothing reads this field: every solve is serial. It stays
+  /// declared only because perfbench/ still sets it.
   parallel::ThreadPool* pool = nullptr;
   /// SpMV summation order (linalg::SpmvKernel). kNaive replays the
   /// seed's bits exactly; kBlocked is the tiled 4-wide hot-path kernel

@@ -3,8 +3,8 @@
 
 Exercises the gate's full contract against synthetic fixtures: the
 metrics path (regression), the soak-trajectory path (exact vs
-presence-only tolerance assignment, zero-invariant enforcement even
-under --update), and the actionable exit-2 diagnostics for missing or
+presence-only tolerance assignment, zero-invariant and percentile-order
+enforcement even under --update), and the actionable exit-2 diagnostics for missing or
 unparseable baselines. Registered as the `bench_gate_selftest` ctest
 (label: lint); stdlib only, all fixtures built in a temp dir.
 """
@@ -27,14 +27,15 @@ METRICS_STDOUT = """some human table
 """
 
 def trajectory_stdout(requests=100, mismatches=0, wall=0.5, hits=90,
-                      sample_requests=50):
+                      sample_requests=50, p50=0.0004):
     doc = {
         "schema": "mecoff.soak_trajectory.v1",
         "title": "bench_soak",
         "phases": [
             {"name": "steady", "clients": 4, "requests": requests,
              "errors": 0, "mismatches": mismatches, "wedged": 0,
-             "hits": hits, "wall_seconds": wall, "p99_seconds": 0.001,
+             "hits": hits, "wall_seconds": wall, "p50_seconds": p50,
+             "p95_seconds": 0.0009, "p99_seconds": 0.001,
              "samples": [
                  {"segment": 1, "requests": sample_requests,
                   "hits": hits // 2, "wall_seconds": wall / 2},
@@ -163,6 +164,36 @@ def main():
         failures += not check(
             "invariant violation blocks --update",
             p.returncode == 1 and
+            not os.path.exists(os.path.join(tmp, "never_written.json")),
+            p.stdout)
+
+        # Percentiles out of order (p50 > p95) fail, even under
+        # --update, for trajectory phases and quantile instruments.
+        unsorted_soak = write("soak_unsorted.out",
+                              trajectory_stdout(p50=0.002))
+        p = run_gate([unsorted_soak, soak_base])
+        failures += not check("phase p50 > p95 fails the gate",
+                              p.returncode == 1 and
+                              "phases.steady: percentiles out of order"
+                              in p.stdout, p.stdout)
+        p = run_gate(["--update", unsorted_soak,
+                      os.path.join(tmp, "never_written.json")])
+        failures += not check(
+            "phase p50 > p95 blocks --update",
+            p.returncode == 1 and
+            not os.path.exists(os.path.join(tmp, "never_written.json")),
+            p.stdout)
+        unsorted_metrics = write(
+            "metrics_unsorted.out",
+            '[metrics] {"quantiles":{"serve.solve.latency":{"count":9,'
+            '"sum":0.1,"window":9,"p50":0.01,"p95":0.03,"p99":0.02}}}\n')
+        p = run_gate(["--update", unsorted_metrics,
+                      os.path.join(tmp, "never_written.json")])
+        failures += not check(
+            "quantile p95 > p99 blocks --update",
+            p.returncode == 1 and
+            "quantiles.serve.solve.latency: percentiles out of order"
+            in p.stdout and
             not os.path.exists(os.path.join(tmp, "never_written.json")),
             p.stdout)
 

@@ -1,12 +1,17 @@
 // Experiment-configuration smoke tests: tiny versions of the paper
 // benches asserted as tests, so a change that silently breaks the
 // figure workloads (generator tuning, parameters, pipeline wiring)
-// fails CI instead of only skewing bench output.
+// fails CI instead of only skewing bench output. The LoadHarness tests
+// pin how the serving benches measure latency.
 #include <gtest/gtest.h>
 
 #include "common/stopwatch.hpp"
 #include "lpa/pipeline.hpp"
 #include "mec/costs.hpp"
+#include "serve/fault_injector.hpp"
+#include "serve/solve_service.hpp"
+#include "sim/fault_script.hpp"
+#include "support/load_harness.hpp"
 #include "support/workloads.hpp"
 
 namespace mecoff::bench {
@@ -81,6 +86,47 @@ TEST(ExperimentsSmoke, SolveStaysFastAtScale) {
   const mec::OffloadingScheme scheme = offloader.solve(system);
   EXPECT_LT(timer.elapsed_seconds(), 5.0);
   EXPECT_TRUE(scheme.valid_for(system));
+}
+
+TEST(LoadHarness, PercentileIsCorrectForSamplesInAnyOrder) {
+  LoadOutcome outcome;
+  outcome.latencies = {0.129, 0.090, 0.010, 0.050, 0.070};
+  EXPECT_EQ(outcome.percentile(0.0), 0.010);
+  EXPECT_EQ(outcome.percentile(0.5), 0.070);
+  EXPECT_EQ(outcome.percentile(0.95), 0.090);
+  EXPECT_EQ(outcome.percentile(1.0), 0.129);
+}
+
+TEST(LoadHarness, OpenLoopLatencyRunsFromTheScheduledSend) {
+  // One client at 1000 req/s. The injector stalls the first request's
+  // cold solve for 90 ms; the nine cache hits behind it were due at
+  // 1..9 ms, so each one's latency is at least 81 ms although its own
+  // service time is microseconds.
+  serve::FaultInjector::Options fault_options;
+  fault_options.shards = 1;
+  fault_options.latency_scale_seconds = 0.1;
+  serve::FaultInjector injector(fault_options);
+  sim::FaultScript script;
+  script.degrade_link(1, 0, 0.9);
+  injector.arm(script);
+  serve::SolveServiceOptions options;
+  options.shards = 1;
+  options.injector = &injector;
+  serve::SolveService service(options);
+  const std::vector<serve::SolveRequest> requests{
+      {make_user(paper_scales().front(), 5), paper_params()}};
+
+  LoadOptions load;
+  load.clients = 1;
+  load.total_requests = 10;
+  load.open_loop_rate_hz = 1000.0;
+  load.wedge_seconds = 0.04;
+  const LoadOutcome outcome = run_load(service, requests, {}, load);
+  ASSERT_EQ(outcome.requests, 10u);
+  EXPECT_EQ(outcome.hits, 9u);
+  EXPECT_GE(outcome.percentile(0.0), 0.08);
+  // The wedge check stays on service time: only the stalled solve.
+  EXPECT_EQ(outcome.wedged, 1u);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
-#include "linalg/cg.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "linalg/laplacian.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -196,37 +195,6 @@ TEST(Laplacian, QuadraticFormMatchesExplicitMultiply) {
   for (double& v : q) v = rng.uniform(-2.0, 2.0);
   const Vec lq = lap.multiply(q);
   EXPECT_NEAR(laplacian_quadratic_form(g, q), dot(q, lq), 1e-9);
-}
-
-TEST(ConjugateGradient, SolvesSpdSystem) {
-  // Diagonal SPD system.
-  const SparseMatrix m = SparseMatrix::from_triplets(
-      3, 3, {{0, 0, 2.0}, {1, 1, 4.0}, {2, 2, 8.0}});
-  const LinearOperator op = make_operator(m);
-  const CgResult r = conjugate_gradient(op, Vec{2.0, 4.0, 8.0}, {});
-  ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-8);
-  EXPECT_NEAR(r.x[1], 1.0, 1e-8);
-  EXPECT_NEAR(r.x[2], 1.0, 1e-8);
-}
-
-TEST(ConjugateGradient, SolvesSingularLaplacianWithDeflation) {
-  const graph::WeightedGraph g = graph::cycle_graph(8);
-  const SparseMatrix lap = laplacian(g);
-  const LinearOperator op = make_operator(lap);
-
-  // Right-hand side orthogonal to the null space (constants).
-  Vec b(8, 0.0);
-  b[0] = 1.0;
-  b[4] = -1.0;
-
-  CgOptions opts;
-  opts.deflate = {constant_unit(8)};
-  const CgResult r = conjugate_gradient(op, b, opts);
-  ASSERT_TRUE(r.converged);
-  // Check L x = b (up to the null-space component).
-  const Vec lx = lap.multiply(r.x);
-  EXPECT_LT(max_abs_diff(lx, b), 1e-7);
 }
 
 }  // namespace

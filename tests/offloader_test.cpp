@@ -140,6 +140,35 @@ TEST(PipelineOffloader, MultiUserSolveScalesAndStaysValid) {
   EXPECT_EQ(scheme.placement.size(), 40u);
 }
 
+// Solves `system` serially and on a pool; both must agree on every
+// result a caller can observe. Returns the serial solver's artifacts
+// (the next warm start).
+PipelineOffloader::SolveArtifacts expect_pooled_matches_serial(
+    const MecSystem& system, const PipelineOptions& serial_opts,
+    const PipelineOffloader::WarmStart* warm = nullptr) {
+  parallel::ThreadPool pool(3);
+  PipelineOptions pool_opts = serial_opts;
+  pool_opts.pool = &pool;
+  PipelineOffloader serial(serial_opts);
+  PipelineOffloader pooled(pool_opts);
+  const OffloadingScheme a = serial.solve(system, warm);
+  const OffloadingScheme b = pooled.solve(system, warm);
+  EXPECT_EQ(a.placement, b.placement);
+  const PipelineOffloader::SolveStats& sa = serial.last_stats();
+  const PipelineOffloader::SolveStats& sb = pooled.last_stats();
+  EXPECT_EQ(sa.final_objective, sb.final_objective);
+  EXPECT_EQ(sa.num_parts, sb.num_parts);
+  EXPECT_EQ(sa.spectral_nonconverged, sb.spectral_nonconverged);
+  EXPECT_EQ(sa.fallback_kl_cuts, sb.fallback_kl_cuts);
+  EXPECT_EQ(sa.fallback_all_remote, sb.fallback_all_remote);
+  EXPECT_EQ(sa.warm_fiedler_seeded, sb.warm_fiedler_seeded);
+  EXPECT_EQ(sa.warm_fiedler_rejected, sb.warm_fiedler_rejected);
+  EXPECT_EQ(sa.warm_greedy_won, sb.warm_greedy_won);
+  EXPECT_EQ(serial.last_artifacts().fiedler_vectors,
+            pooled.last_artifacts().fiedler_vectors);
+  return serial.last_artifacts();
+}
+
 TEST(PipelineOffloader, WorksWithThreadPool) {
   parallel::ThreadPool pool(3);
   MecSystem system{default_params(), {netgen_user(30)}};
@@ -152,6 +181,46 @@ TEST(PipelineOffloader, WorksWithThreadPool) {
       PipelineOffloader(pool_opts).solve(system);
   // Same partition decision regardless of execution engine.
   EXPECT_EQ(serial.placement, parallel_s.placement);
+
+  // A single user with several sub-graphs: the pool fans out over the
+  // sub-graphs (compression and cut) instead of over users.
+  graph::NetgenParams p;
+  p.nodes = 240;
+  p.edges = 960;
+  p.components = 6;
+  p.seed = 31;
+  UserApp user;
+  user.graph = graph::netgen_style(p);
+  const MecSystem split{default_params(), {user}};
+  PipelineOptions opts = options_for(CutBackend::kSpectral);
+  opts.collect_fiedler_vectors = true;
+  const PipelineOffloader::SolveArtifacts cold =
+      expect_pooled_matches_serial(split, opts);
+  ASSERT_EQ(cold.fiedler_vectors.size(), 1u);
+  ASSERT_GE(cold.fiedler_vectors[0].size(), 4u);
+
+  // Warm start from the cold artifacts, one hint of the wrong
+  // dimension (rejected), the rest seeded.
+  PipelineOffloader::WarmStart warm;
+  warm.scheme = PipelineOffloader(opts).solve(split);
+  warm.fiedler_vectors = cold.fiedler_vectors;
+  warm.fiedler_vectors[0][1].push_back(0.0);
+  expect_pooled_matches_serial(split, opts, &warm);
+  PipelineOffloader warm_probe(opts);
+  (void)warm_probe.solve(split, &warm);
+  EXPECT_GT(warm_probe.last_stats().warm_fiedler_seeded, 0u);
+  EXPECT_GT(warm_probe.last_stats().warm_fiedler_rejected, 0u);
+
+  // Forced non-convergence: an unreachable tolerance stalls every
+  // eigensolve, and KL recuts each sub-graph.
+  PipelineOptions stalled = opts;
+  stalled.spectral.fiedler.backend = spectral::EigenBackend::kShiftedPower;
+  stalled.spectral.fiedler.tolerance = 0.0;
+  stalled.spectral.fiedler.max_iterations = 50;
+  expect_pooled_matches_serial(split, stalled);
+  PipelineOffloader stalled_probe(stalled);
+  (void)stalled_probe.solve(split);
+  EXPECT_GE(stalled_probe.last_stats().fallback_kl_cuts, 4u);
 }
 
 TEST(PipelineOffloader, ParallelSolveMatchesSerialOnDistinctUsers) {

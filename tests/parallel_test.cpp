@@ -1,20 +1,16 @@
-// Unit tests for the mini-Spark engine: thread pool, datasets, and the
-// parallel SpMV operator the Fig. 9 experiment depends on.
+// Unit tests for the mini-Spark engine: the thread pool and its one
+// fork-join, parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <numeric>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
-#include "common/rng.hpp"
-#include "graph/generators.hpp"
-#include "linalg/laplacian.hpp"
-#include "linalg/vector_ops.hpp"
-#include "parallel/dataset.hpp"
-#include "parallel/parallel_spmv.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mecoff::parallel {
@@ -61,32 +57,22 @@ TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPool, ParallelForChunksPartitionExactly) {
-  ThreadPool pool(3);
-  std::mutex mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for_chunks(10, 110, [&](std::size_t lo, std::size_t hi) {
-    const std::scoped_lock lock(mutex);
-    chunks.emplace_back(lo, hi);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t expect = 10;
-  for (const auto& [lo, hi] : chunks) {
-    EXPECT_EQ(lo, expect);
-    EXPECT_GT(hi, lo);
-    expect = hi;
-  }
-  EXPECT_EQ(expect, 110u);
-}
-
 TEST(ThreadPool, ParallelForExceptionPropagates) {
+  // Every index still runs, and the exception of the lowest throwing
+  // index propagates, whichever thread ran it.
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 10,
-                                 [](std::size_t i) {
-                                   if (i == 3)
-                                     throw std::runtime_error("bad");
-                                 }),
-               std::runtime_error);
+  std::vector<std::atomic<int>> hits(10);
+  try {
+    pool.parallel_for(0, 10, [&](std::size_t i) {
+      ++hits[i];
+      if (i == 3) throw std::runtime_error("bad 3");
+      if (i == 7) throw std::runtime_error("bad 7");
+    });
+    FAIL() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "bad 3");
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // Runs `body` on a fresh thread and fails fast if it does not finish
@@ -118,65 +104,6 @@ TEST(ThreadPool, WorkerIdentityIsPerPool) {
   EXPECT_FALSE(pool.submit([&] { return other.in_worker_thread(); }).get());
 }
 
-TEST(ThreadPool, TryRunOneDrainsQueueFromAnyThread) {
-  // Keep the single worker busy so submissions pile up, then drain them
-  // from the test thread.
-  ThreadPool pool(1);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> started;
-  auto blocker = pool.submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();  // the worker holds the blocker, not the queue
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 5; ++i)
-    futures.push_back(pool.submit([&ran] { ++ran; }));
-  while (pool.try_run_one()) {
-  }
-  EXPECT_EQ(ran.load(), 5);
-  release.set_value();
-  blocker.get();
-  for (auto& f : futures) f.get();
-}
-
-TEST(ThreadPool, TryRunOneRespectsTaskGroups) {
-  ThreadPool pool(1);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> started;
-  auto blocker = pool.submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();
-
-  const ThreadPool::TaskGroup mine = pool.make_group();
-  const ThreadPool::TaskGroup other = pool.make_group();
-  std::atomic<int> mine_ran{0};
-  std::atomic<int> other_ran{0};
-  std::vector<std::future<void>> futures;
-  futures.push_back(pool.submit_to(other, [&] { ++other_ran; }));
-  futures.push_back(pool.submit_to(mine, [&] { ++mine_ran; }));
-  futures.push_back(pool.submit_to(other, [&] { ++other_ran; }));
-  futures.push_back(pool.submit_to(mine, [&] { ++mine_ran; }));
-
-  // Grouped draining runs ONLY that group's tasks, regardless of queue
-  // position; the rest stay queued for the workers.
-  while (pool.try_run_one(mine)) {
-  }
-  EXPECT_EQ(mine_ran.load(), 2);
-  EXPECT_EQ(other_ran.load(), 0);
-  while (pool.try_run_one()) {
-  }
-  EXPECT_EQ(other_ran.load(), 2);
-  release.set_value();
-  blocker.get();
-  for (auto& f : futures) f.get();
-}
-
 // Regression for the shutdown-drain contract under contention: the
 // destructor sets stopping_ and joins, but workers must keep popping
 // until the queue is empty (worker_loop re-checks the queue after the
@@ -201,9 +128,8 @@ TEST(ThreadPool, DestructionDrainsBacklogEveryTaskRunsOnce) {
 }
 
 // Regression for the nested-pool deadlock: a worker that called
-// parallel_for used to block in future::get() on chunks queued behind
-// itself, so any nesting on a 1-thread pool hung forever. With
-// help-while-wait the waiting worker runs those chunks itself.
+// parallel_for used to block on chunks queued behind itself, so any
+// nesting on a 1-thread pool hung. A call on a worker now runs inline.
 TEST(ThreadPool, NestedParallelForOnSingleThreadCompletes) {
   std::atomic<int> hits{0};
   const bool finished = completes_within(std::chrono::seconds(60), [&] {
@@ -216,29 +142,25 @@ TEST(ThreadPool, NestedParallelForOnSingleThreadCompletes) {
 }
 
 TEST(ThreadPool, DoublyNestedParallelSectionsComplete) {
-  // The shape the parallel solve produces: outer per-user task →
-  // parallel_for over components → parallel_for_chunks over SpMV rows,
-  // all on one shared pool.
+  // The shapes the solve produces, three levels deep on one shared
+  // pool: submitted tasks (one per served solve) and an external
+  // parallel_for (users), each over components, each over rows.
   std::atomic<int> hits{0};
   const bool finished = completes_within(std::chrono::seconds(60), [&] {
     ThreadPool pool(2);
-    std::vector<std::future<void>> users;
-    for (int u = 0; u < 4; ++u) {
-      users.push_back(pool.submit([&] {
-        pool.parallel_for(0, 4, [&](std::size_t) {
-          pool.parallel_for_chunks(0, 8, [&](std::size_t lo, std::size_t hi) {
-            hits += static_cast<int>(hi - lo);
-          });
-        });
-      }));
-    }
-    for (auto& f : users) {
-      pool.wait_and_help(f);
-      f.get();
-    }
+    const auto components = [&](std::size_t) {
+      pool.parallel_for(0, 4, [&](std::size_t) {
+        pool.parallel_for(0, 8, [&](std::size_t) { ++hits; });
+      });
+    };
+    std::vector<std::future<void>> solves;
+    for (std::size_t s = 0; s < 4; ++s)
+      solves.push_back(pool.submit([&, s] { components(s); }));
+    pool.parallel_for(0, 4, components);
+    for (auto& f : solves) f.get();
   });
   ASSERT_TRUE(finished) << "doubly nested sections deadlocked";
-  EXPECT_EQ(hits.load(), 4 * 4 * 8);
+  EXPECT_EQ(hits.load(), 2 * 4 * 4 * 8);
 }
 
 TEST(ThreadPool, NestedExceptionStillPropagates) {
@@ -248,138 +170,115 @@ TEST(ThreadPool, NestedExceptionStillPropagates) {
       if (i == 5) throw std::runtime_error("inner");
     });
   });
-  EXPECT_THROW((pool.wait_and_help(outer), outer.get()), std::runtime_error);
+  EXPECT_THROW(outer.get(), std::runtime_error);
+  // The same from an external caller, one level down.
+  EXPECT_THROW(pool.parallel_for(0, 2,
+                                 [&](std::size_t) {
+                                   pool.parallel_for(0, 8, [](std::size_t i) {
+                                     if (i == 5)
+                                       throw std::runtime_error("inner");
+                                   });
+                                 }),
+               std::runtime_error);
 }
 
-TEST(ThreadPool, WaitAndHelpFromNonWorkerBlocksUntilReady) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 7; });
-  pool.wait_and_help(f);
-  EXPECT_EQ(f.get(), 7);
-}
-
-// Regression for the idle busy-wait: wait_and_help with nothing to
-// help must park on the activity condition and still wake promptly
-// when a worker completes the awaited task. The bound is generous (the
-// backoff caps at 1ms), but a regression to an unnotified sleep or a
-// spin would show up as either a large latency or a burned core — the
-// former is what we can assert portably.
-TEST(ThreadPool, WaitAndHelpWakesPromptlyOnWorkerCompletion) {
-  ThreadPool pool(2);
-  const ThreadPool::TaskGroup group = pool.make_group();
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  // The task the waiter cares about: blocks until the gate opens.
-  auto f = pool.submit_to(group, [opened] {
-    opened.wait();
-    return 42;
+// Runs an inner parallel_for, recording the ids of the threads that
+// ran its indices.
+void record_inner(ThreadPool& pool, std::mutex& mutex,
+                  std::set<std::thread::id>& ids) {
+  pool.parallel_for(0, 32, [&](std::size_t) {
+    // Long enough that idle workers would join a fanned-out call.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const std::scoped_lock lock(mutex);
+    ids.insert(std::this_thread::get_id());
   });
-  // Open the gate from a side thread after the waiter has had time to
-  // exhaust the help queue and park.
-  std::thread opener([&gate] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    gate.set_value();
-  });
-  const auto start = std::chrono::steady_clock::now();
-  pool.wait_and_help(f, group);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  opener.join();
-  EXPECT_EQ(f.get(), 42);
-  // ~100ms gate + wake latency; anything near seconds is a lost wake.
-  EXPECT_LT(elapsed, 2.0);
 }
 
-TEST(Dataset, ParallelizeAndCollectPreservesElements) {
-  ThreadPool pool(3);
-  std::vector<int> items(50);
-  std::iota(items.begin(), items.end(), 0);
-  const auto ds = Dataset<int>::parallelize(items, pool, 4);
-  EXPECT_EQ(ds.size(), 50u);
-  EXPECT_EQ(ds.num_partitions(), 4u);
-  auto collected = ds.collect();
-  std::sort(collected.begin(), collected.end());
-  EXPECT_EQ(collected, items);
-}
-
-TEST(Dataset, MapTransformsEveryElement) {
-  ThreadPool pool(2);
-  const auto ds = Dataset<int>::parallelize({1, 2, 3, 4}, pool, 2);
-  const auto doubled = ds.map([](const int& x) { return 2 * x; });
-  auto out = doubled.collect();
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<int>{2, 4, 6, 8}));
-}
-
-TEST(Dataset, MapChangesElementType) {
-  ThreadPool pool(2);
-  const auto ds = Dataset<int>::parallelize({1, 22, 333}, pool);
-  const auto strs =
-      ds.map([](const int& x) { return std::to_string(x); });
-  auto out = strs.collect();
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<std::string>{"1", "22", "333"}));
-}
-
-TEST(Dataset, FilterKeepsMatching) {
-  ThreadPool pool(2);
-  std::vector<int> items(20);
-  std::iota(items.begin(), items.end(), 0);
-  const auto ds = Dataset<int>::parallelize(items, pool, 3);
-  const auto evens = ds.filter([](const int& x) { return x % 2 == 0; });
-  EXPECT_EQ(evens.size(), 10u);
-}
-
-TEST(Dataset, ReduceSums) {
-  ThreadPool pool(3);
-  std::vector<int> items(100);
-  std::iota(items.begin(), items.end(), 1);
-  const auto ds = Dataset<int>::parallelize(items, pool, 7);
-  const auto sum = ds.reduce([](int a, int b) { return a + b; });
-  ASSERT_TRUE(sum.has_value());
-  EXPECT_EQ(*sum, 5050);
-}
-
-TEST(Dataset, ReduceEmptyIsNullopt) {
-  ThreadPool pool(2);
-  const auto ds = Dataset<int>::parallelize({}, pool);
-  EXPECT_FALSE(ds.reduce([](int a, int b) { return a + b; }).has_value());
-}
-
-TEST(Dataset, ForEachPartitionSeesAllElements) {
-  ThreadPool pool(2);
-  const auto ds = Dataset<int>::parallelize({1, 2, 3, 4, 5}, pool, 2);
-  std::atomic<int> total{0};
-  ds.for_each_partition(
-      [&](std::size_t, const std::vector<int>& part) {
-        int local = 0;
-        for (int v : part) local += v;
-        total += local;
-      });
-  EXPECT_EQ(total.load(), 15);
-}
-
-TEST(ParallelSpmv, MatchesSerialOperator) {
-  graph::NetgenParams p;
-  p.nodes = 300;
-  p.edges = 1200;
-  p.seed = 31;
-  const graph::WeightedGraph g = graph::netgen_style(p);
-  const linalg::SparseMatrix lap = linalg::laplacian(g);
-
+TEST(ThreadPool, ParallelForOnWorkerRunsInline) {
   ThreadPool pool(4);
-  const linalg::LinearOperator serial = linalg::make_operator(lap);
-  const linalg::LinearOperator par = make_parallel_operator(lap, pool);
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  const std::thread::id worker = pool.submit([&] {
+    record_inner(pool, mutex, ids);
+    return std::this_thread::get_id();
+  }).get();
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(*ids.begin(), worker);
+}
 
-  Rng rng(17);
-  linalg::Vec x(g.num_nodes());
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  linalg::Vec ys(g.num_nodes(), 0.0);
-  linalg::Vec yp(g.num_nodes(), 0.0);
-  serial.apply(x, ys);
-  par.apply(x, yp);
-  EXPECT_LT(linalg::max_abs_diff(ys, yp), 1e-12);
+TEST(ThreadPool, ParallelForInsideParallelForRunsInline) {
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::vector<std::set<std::thread::id>> inner(2);
+  std::vector<std::thread::id> outer(2);
+  pool.parallel_for(0, 2, [&](std::size_t i) {
+    outer[i] = std::this_thread::get_id();
+    record_inner(pool, mutex, inner[i]);
+  });
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(inner[i].size(), 1u) << "outer index " << i;
+    EXPECT_EQ(*inner[i].begin(), outer[i]);
+  }
+}
+
+TEST(ThreadPool, ParallelForOverOneIndexRunsInlineAndLetsTheNextLevelFanOut) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  std::atomic<int> ran_elsewhere{0};
+  pool.parallel_for(3, 4, [&](std::size_t i) {
+    EXPECT_EQ(i, 3u);
+    const std::thread::id caller = std::this_thread::get_id();
+    ran_on = caller;
+    // A single-index call is not a parallel level, so this one fans
+    // out: the caller holds one index until a worker has run the other.
+    pool.parallel_for(0, 2, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        ++ran_elsewhere;
+        return;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (ran_elsewhere.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    });
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_GE(ran_elsewhere.load(), 1);
+}
+
+// The caller claims indices itself, so a parallel_for from an external
+// thread finishes even while every worker is busy. Helpers that start
+// after it returned must find nothing left: the function is destroyed
+// before the workers are released, and under ASan any late call is a
+// use-after-free.
+TEST(ThreadPool, ParallelForCompletesWhileWorkersAreBusyAndLateHelpersStayOut) {
+  std::atomic<int> calls{0};
+  auto fn = std::make_unique<std::function<void(std::size_t)>>(
+      [&calls](std::size_t) { ++calls; });
+  {
+    ThreadPool pool(2);
+    std::promise<void> release;
+    const std::shared_future<void> gate = release.get_future().share();
+    std::atomic<std::size_t> parked_count{0};
+    std::vector<std::future<void>> parked;
+    for (std::size_t w = 0; w < pool.thread_count(); ++w) {
+      parked.push_back(pool.submit([gate, &parked_count] {
+        ++parked_count;
+        gate.wait();
+      }));
+    }
+    while (parked_count.load() < pool.thread_count())
+      std::this_thread::yield();
+
+    const bool finished = completes_within(
+        std::chrono::seconds(60), [&] { pool.parallel_for(0, 8, *fn); });
+    EXPECT_TRUE(finished) << "parallel_for waited on parked workers";
+    if (finished) fn.reset();
+    release.set_value();
+    for (auto& f : parked) f.get();
+  }  // ~ThreadPool runs the queued late helpers before joining
+  EXPECT_EQ(calls.load(), 8);
 }
 
 }  // namespace

@@ -39,8 +39,6 @@
 #include "mec/model.hpp"
 #include "mec/offloader.hpp"
 #include "mec/scheme.hpp"
-#include "parallel/parallel_spmv.hpp"
-#include "parallel/thread_pool.hpp"
 #include "serve/fingerprint.hpp"
 #include "serve/scheme_cache.hpp"
 #include "serve/solve_service.hpp"
@@ -277,22 +275,6 @@ TEST(ResolveSpmvTest, NaiveKernelIsBitCompatibleDefault) {
     double sum = 0.0;
     for (const auto& [c, v] : rows[r]) sum += v * x[c];
     EXPECT_EQ(y_default[r], sum) << "row " << r;
-  }
-}
-
-TEST(ResolveSpmvTest, PooledBlockedBitIdenticalToSerialBlocked) {
-  parallel::ThreadPool pool(4);
-  for (const std::size_t n : {1u, 5u, 63u, 64u, 65u, 200u}) {
-    const linalg::SparseMatrix m = random_csr(n, n, 0.3, 0xcafe + n, n / 2);
-    const linalg::Vec x = random_vec(n, 0xd00d + n);
-    linalg::Vec serial(n, 0.0);
-    m.multiply_into(x, serial, linalg::SpmvKernel::kBlocked);
-    const linalg::LinearOperator op = parallel::make_parallel_operator(
-        m, pool, linalg::SpmvKernel::kBlocked);
-    linalg::Vec pooled(n, 0.0);
-    op.apply(x, pooled);
-    for (std::size_t r = 0; r < n; ++r)
-      EXPECT_EQ(serial[r], pooled[r]) << "n=" << n << " row=" << r;
   }
 }
 

@@ -67,6 +67,8 @@ TEST(Fiedler, BackendsAgree) {
   EXPECT_NEAR(a.value, b.value, 1e-3 * (1.0 + a.value));
 }
 
+// FiedlerOptions::pool is no longer read (every eigensolve is serial);
+// while the field exists, setting it must not change the result.
 TEST(Fiedler, PoolBackendMatchesSerial) {
   graph::NetgenParams p;
   p.nodes = 120;

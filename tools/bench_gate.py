@@ -44,6 +44,8 @@ A trajectory document's `invariants_zero` list names flattened keys
 that must be EXACTLY zero in the candidate (unanswered requests,
 placement mismatches, wedged responses). They are enforced on every
 run, `--update` included — a broken soak can never become the baseline.
+So is percentile order: every trajectory phase and quantile instrument
+must satisfy p50 <= p95 <= p99.
 
 `--update` rewrites the baseline from the candidate, assigning
 tolerances by the default policy: timing-like metrics (names containing
@@ -77,6 +79,11 @@ _TIMING_PATTERN = re.compile(
 _TRAJECTORY_EXACT = re.compile(
     r"(^|\.)(requests|clients|errors|mismatches|wedged|unanswered)$"
 )
+
+# A trajectory phase's or quantile instrument's percentiles:
+# phases.<name>.p95_seconds, quantiles.<name>.p95.
+_PERCENTILE_KEY = re.compile(r"^((?:phases|quantiles)\..*)\.p(50|95|99)"
+                             r"(?:_seconds)?$")
 
 
 def read_metrics(path):
@@ -160,6 +167,23 @@ def check_invariants(doc, flat):
     return failures
 
 
+def check_percentile_order(flat):
+    """Instruments whose p50 > p95 or p95 > p99, as failure strings."""
+    groups = {}
+    for key, value in flat.items():
+        match = _PERCENTILE_KEY.match(key)
+        if match:
+            groups.setdefault(match.group(1), {})[match.group(2)] = value
+    failures = []
+    for name, quantiles in sorted(groups.items()):
+        present = [(p, quantiles[p]) for p in ("50", "95", "99")
+                   if p in quantiles]
+        if any(lo[1] > hi[1] for lo, hi in zip(present, present[1:])):
+            shown = ", ".join(f"p{p}={v}" for p, v in present)
+            failures.append(f"{name}: percentiles out of order ({shown})")
+    return failures
+
+
 def update_baseline(flat, path):
     metrics = {
         key: {"value": flat[key], "tol": default_tolerance(key)}
@@ -223,10 +247,11 @@ def main(argv):
         print(f"bench_gate: cannot read candidate: {err}", file=sys.stderr)
         return 2
     # Invariants gate every run, --update included: a soak run with
-    # unanswered/mismatched/wedged requests can never become a baseline.
-    violations = check_invariants(doc, flat)
+    # unanswered/mismatched/wedged requests, or percentiles out of
+    # order, can never become a baseline.
+    violations = check_invariants(doc, flat) + check_percentile_order(flat)
     if violations:
-        print(f"bench_gate: FAIL ({len(violations)} zero-invariant "
+        print(f"bench_gate: FAIL ({len(violations)} invariant "
               f"violations)")
         for violation in violations:
             print(f"  {violation}")
