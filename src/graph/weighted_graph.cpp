@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -88,17 +87,28 @@ WeightedGraph GraphBuilder::build() {
   data->node_weights = std::move(node_weights_);
   node_weights_.clear();
 
-  // Merge parallel edges by canonical (min, max) endpoint key.
-  std::map<std::pair<NodeId, NodeId>, double> merged;
-  for (const Edge& e : raw_edges_) {
-    const auto key = std::minmax(e.u, e.v);
-    merged[{key.first, key.second}] += e.weight;
+  // Merge parallel edges by canonical (min, max) endpoint key, in place:
+  // orient, sort by endpoints, then sum each run of parallel copies from
+  // 0.0. The sort is stable, so copies sum in insertion order, and it is
+  // skipped when the edges already arrive sorted (every extraction from a
+  // WeightedGraph over ascending node ids).
+  for (Edge& e : raw_edges_)
+    if (e.v < e.u) std::swap(e.u, e.v);
+  const auto by_endpoints = [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  if (!std::is_sorted(raw_edges_.begin(), raw_edges_.end(), by_endpoints))
+    std::stable_sort(raw_edges_.begin(), raw_edges_.end(), by_endpoints);
+  std::size_t merged = 0;
+  for (const Edge e : raw_edges_) {  // a copy: slot `merged` may be e's
+    if (merged == 0 || raw_edges_[merged - 1].u != e.u ||
+        raw_edges_[merged - 1].v != e.v)
+      raw_edges_[merged++] = Edge{e.u, e.v, 0.0};
+    raw_edges_[merged - 1].weight += e.weight;
   }
+  raw_edges_.resize(merged);
+  data->edges = std::move(raw_edges_);
   raw_edges_.clear();
-
-  data->edges.reserve(merged.size());
-  for (const auto& [key, weight] : merged)
-    data->edges.push_back(Edge{key.first, key.second, weight});
 
   // Build CSR adjacency (each undirected edge appears in both lists).
   const std::size_t n = data->node_weights.size();

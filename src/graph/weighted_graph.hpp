@@ -29,8 +29,8 @@ struct Adjacency {
   EdgeId edge;
 };
 
-/// An undirected edge (u < v is NOT guaranteed; endpoints are stored in
-/// insertion order).
+/// An undirected edge. A built graph stores each edge once, as
+/// (min, max): u < v always holds.
 struct Edge {
   NodeId u;
   NodeId v;
@@ -63,7 +63,8 @@ class WeightedGraph {
   /// Sum of incident edge weights of `v` (the "volume" contribution).
   [[nodiscard]] double weighted_degree(NodeId v) const;
 
-  /// All undirected edges, in insertion order.
+  /// All undirected edges, sorted by (u, v) with u < v; EdgeIds index
+  /// this order.
   [[nodiscard]] std::span<const Edge> edges() const {
     return data_ ? std::span<const Edge>(data_->edges)
                  : std::span<const Edge>();
@@ -102,7 +103,8 @@ class WeightedGraph {
 ///
 /// - Self-loops are rejected (a function does not communicate with itself
 ///   over the network).
-/// - Parallel edges are merged by summing weights.
+/// - Parallel edges are merged by summing weights from 0.0 in insertion
+///   order (so a -0.0 weight is stored as +0.0).
 /// - Node and edge weights must be non-negative and finite.
 class GraphBuilder {
  public:

@@ -7,6 +7,7 @@
 #include <queue>
 
 #include "common/contracts.hpp"
+#include "obs/obs.hpp"
 
 namespace mecoff::mec {
 
@@ -130,12 +131,14 @@ GreedyResult generate_scheme(const MecSystem& system,
   // moving set's size, not the user's whole graph.
   std::vector<std::uint64_t> in_move_epoch;
   std::uint64_t move_epoch = 0;
+  std::size_t delta_evaluations = 0;
   const auto cross_delta = [&](const std::vector<std::size_t>& move) {
     const std::size_t user_index = parts[move.front()].user;
     const UserApp& user = system.users[user_index];
     if (in_move_epoch.size() < user.graph.num_nodes())
       in_move_epoch.resize(user.graph.num_nodes(), 0);
     ++move_epoch;
+    ++delta_evaluations;
     for (const std::size_t i : move)
       for (const graph::NodeId v : parts[i].nodes)
         in_move_epoch[v] = move_epoch;
@@ -172,8 +175,9 @@ GreedyResult generate_scheme(const MecSystem& system,
   };
 
   // Cached separable delta and moving weight per candidate; only a
-  // commit by the SAME user can change them, so they are refreshed
-  // exactly then. kInvalid marks exhausted candidates.
+  // commit by the SAME user that moves one of its parts or a neighbour
+  // of one of its parts can change them, so they are refreshed exactly
+  // then. kInvalid marks exhausted candidates.
   constexpr double kInvalid = std::numeric_limits<double>::infinity();
   std::vector<double> cand_sep(num_candidates, kInvalid);
   std::vector<double> cand_weight(num_candidates, 0.0);
@@ -270,6 +274,19 @@ GreedyResult generate_scheme(const MecSystem& system,
                                          // float; pops skip it safely
   };
 
+  // Parts a commit touched: the moved parts and every part adjacent to
+  // a moved node, stamped with the commit's epoch. A candidate without a
+  // touched part keeps its move set, part weights and neighbour
+  // placements, so its cached separable delta is still exact.
+  std::vector<std::uint64_t> touched_epoch(num_parts, 0);
+  std::uint64_t commit_epoch = 0;
+  const auto touched = [&](std::size_t id) {
+    if (id < num_parts) return touched_epoch[id] == commit_epoch;
+    for (const std::size_t i : group_members[id - num_parts])
+      if (touched_epoch[i] == commit_epoch) return true;
+    return false;
+  };
+
   std::vector<std::vector<std::size_t>> candidates_of_user(
       system.num_users());
   for (std::size_t id = 0; id < num_candidates; ++id) {
@@ -317,12 +334,20 @@ GreedyResult generate_scheme(const MecSystem& system,
     const std::vector<std::size_t> move = candidate_moves(best);
     MECOFF_ENSURES(!move.empty());
     const std::size_t user_index = parts[move.front()].user;
+    const graph::WeightedGraph& g = system.users[user_index].graph;
     const double dx = cross_delta(move);
     double weight = 0.0;
+    ++commit_epoch;
     for (const std::size_t i : move) {
       weight += parts[i].weight;
-      for (const graph::NodeId v : parts[i].nodes)
+      touched_epoch[i] = commit_epoch;
+      for (const graph::NodeId v : parts[i].nodes) {
         result.scheme.placement[user_index][v] = Placement::kLocal;
+        for (const graph::Adjacency& adj : g.neighbors(v))
+          if (const std::uint32_t j = part_of[user_index][adj.neighbor];
+              j != kNoPart)
+            touched_epoch[j] = commit_epoch;
+      }
       is_remote[i] = 0;
     }
     user_local_w[user_index] += weight;
@@ -340,12 +365,13 @@ GreedyResult generate_scheme(const MecSystem& system,
     result.objective_history.push_back(objective);
     ++result.moves;
 
-    // This user's candidates changed (cross weights, remaining group
-    // members, deactivation): re-class them with fresh queue entries so
-    // the lazy queue's lower-bound invariant holds.
+    // This user's deactivation flag changed for every candidate, and the
+    // touched ones also changed cross weights or remaining group members:
+    // re-class them all, in the same order, with fresh queue entries so
+    // the lazy queue's lower-bound invariant and bucket order hold.
     for (const std::size_t id : candidates_of_user[user_index]) {
       remove_candidate(id);
-      refresh_candidate(id);
+      if (touched(id)) refresh_candidate(id);
       insert_candidate(id);
     }
     // The selected class consumed its queue entry; if it survived the
@@ -357,6 +383,7 @@ GreedyResult generate_scheme(const MecSystem& system,
     }
   }
 
+  MECOFF_COUNTER_ADD("mec.greedy.delta_evaluations", delta_evaluations);
   return result;
 }
 

@@ -7,9 +7,10 @@
 //
 // The scan uses incremental deltas — O(1) per part for the coupled
 // server-contention term plus O(deg(part)) cross-weight updates only for
-// parts of a user whose placement just changed — so multi-user runs with
-// tens of thousands of parts stay tractable. Tests verify the
-// incremental objective against a full evaluate() after every move.
+// the committing user's parts that contain or touch a moved node — so
+// multi-user runs with tens of thousands of parts stay tractable. Tests
+// verify the incremental objective against a full evaluate() after every
+// move, and the placements against a from-scratch reference greedy.
 #pragma once
 
 #include <vector>

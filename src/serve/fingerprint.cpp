@@ -1,9 +1,7 @@
 #include "serve/fingerprint.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
-#include <vector>
 
 namespace mecoff::serve {
 
@@ -45,26 +43,15 @@ void feed_request(const mec::UserApp& user, const mec::SystemParams& params,
   sink.u64(n);
   for (graph::NodeId v = 0; v < n; ++v) sink.f64(g.node_weight(v));
 
-  // Edges canonicalized to (min, max, weight) and sorted: the builder
-  // merges parallel edges, so endpoint pairs are unique and the sort is
-  // a total order — insertion order and direction cannot leak in.
-  std::vector<std::tuple<graph::NodeId, graph::NodeId, double>> edges;
-  edges.reserve(g.num_edges());
-  for (const graph::Edge& e : g.edges()) {
-    edges.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v), e.weight);
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) {
-              return std::get<0>(a) != std::get<0>(b)
-                         ? std::get<0>(a) < std::get<0>(b)
-                         : std::get<1>(a) < std::get<1>(b);
-            });
+  // Edges in the order WeightedGraph stores them: parallel copies
+  // merged, each as (min, max, weight), sorted by endpoints — insertion
+  // order and direction cannot leak in.
   sink.u64(kTagEdges);
-  sink.u64(edges.size());
-  for (const auto& [u, v, w] : edges) {
-    sink.u64(u);
-    sink.u64(v);
-    sink.f64(w);
+  sink.u64(g.num_edges());
+  for (const graph::Edge& e : g.edges()) {
+    sink.u64(e.u);
+    sink.u64(e.v);
+    sink.f64(e.weight);
   }
 
   // Empty mask ≡ all offloadable: hash the EFFECTIVE per-node value so
@@ -177,16 +164,11 @@ Fingerprint fingerprint_topology(const mec::UserApp& user) {
   fp.add_u64(n);
 
   // Same canonical edge order as fingerprint_request, endpoints only.
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
-  edges.reserve(g.num_edges());
-  for (const graph::Edge& e : g.edges())
-    edges.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  std::sort(edges.begin(), edges.end());
   fp.add_u64(kTagTopoEdges);
-  fp.add_u64(edges.size());
-  for (const auto& [u, v] : edges) {
-    fp.add_u64(u);
-    fp.add_u64(v);
+  fp.add_u64(g.num_edges());
+  for (const graph::Edge& e : g.edges()) {
+    fp.add_u64(e.u);
+    fp.add_u64(e.v);
   }
 
   // Pinning and component labels shape the compressed cut graphs (the

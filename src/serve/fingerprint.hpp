@@ -10,10 +10,11 @@
 // across arbitrary request streams.
 //
 // Canonicalization rules (documented in docs/serving.md):
-//   * graph: node count, node weights in node-id order, then edges as
-//     (min(u,v), max(u,v), weight) triples sorted by endpoints — the
-//     hash is invariant to edge insertion order and edge direction,
-//     matching WeightedGraph's undirected semantics;
+//   * graph: node count, node weights in node-id order, then edges in
+//     the order WeightedGraph stores them — (min(u,v), max(u,v), weight)
+//     triples, parallel copies merged, sorted by endpoints — so the hash
+//     is invariant to edge insertion order and edge direction, matching
+//     WeightedGraph's undirected semantics;
 //   * unoffloadable mask: hashed per node; an empty mask hashes
 //     identically to an explicit all-false mask (both mean "everything
 //     offloadable");

@@ -2,6 +2,7 @@
 // partitions, metrics, and I/O.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "common/contracts.hpp"
@@ -67,6 +68,18 @@ TEST(WeightedGraph, MissingEdgeHasZeroWeight) {
   EXPECT_DOUBLE_EQ(g.edge_weight_between(0, 2), 0.0);
 }
 
+/// Every edge stored once as (min, max), strictly sorted by endpoints.
+void expect_canonical_edges(const WeightedGraph& g) {
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    const Edge& e = g.edges()[i];
+    EXPECT_LT(e.u, e.v) << "edge " << i;
+    if (i == 0) continue;
+    const Edge& prev = g.edges()[i - 1];
+    EXPECT_TRUE(prev.u < e.u || (prev.u == e.u && prev.v < e.v))
+        << "edge " << i;
+  }
+}
+
 TEST(GraphBuilder, ParallelEdgesMerge) {
   GraphBuilder b;
   b.add_node(1);
@@ -76,6 +89,72 @@ TEST(GraphBuilder, ParallelEdgesMerge) {
   const WeightedGraph g = b.build();
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_DOUBLE_EQ(g.edge_weight_between(0, 1), 5.0);
+
+  // Reversed and repeated edges come out canonical and sorted.
+  GraphBuilder r(5);
+  r.add_edge(4, 3, 1.0);
+  r.add_edge(2, 0, 2.0);
+  r.add_edge(3, 4, 4.0);
+  r.add_edge(1, 0, 8.0);
+  r.add_edge(0, 2, 16.0);
+  r.add_edge(4, 1, 32.0);
+  const WeightedGraph rg = r.build();
+  expect_canonical_edges(rg);
+  ASSERT_EQ(rg.num_edges(), 4u);
+  EXPECT_EQ(rg.edge(0).u, 0u);
+  EXPECT_EQ(rg.edge(0).v, 1u);
+  EXPECT_EQ(rg.edge(0).weight, 8.0);
+  EXPECT_EQ(rg.edge(1).v, 2u);
+  EXPECT_EQ(rg.edge(1).weight, 18.0);
+  EXPECT_EQ(rg.edge(2).u, 1u);
+  EXPECT_EQ(rg.edge(2).v, 4u);
+  EXPECT_EQ(rg.edge(3).u, 3u);
+  EXPECT_EQ(rg.edge(3).weight, 5.0);
+
+  // More than 16 parallel copies, interleaved with other edges, sum in
+  // insertion order: 1e16 then 1.0s stays exactly 1e16 (each 1e16 + 1
+  // rounds back to even), while any 1.0s summed first would exceed it.
+  GraphBuilder p(4);
+  for (int k = 0; k < 20; ++k) {
+    p.add_edge(3, 2, 1.0);
+    p.add_edge(1, 0, k == 0 ? 1e16 : 1.0);
+    p.add_edge(2, 0, 0.5);
+  }
+  const WeightedGraph pg = p.build();
+  expect_canonical_edges(pg);
+  ASSERT_EQ(pg.num_edges(), 3u);
+  EXPECT_EQ(pg.edge_weight_between(0, 1), 1e16);
+  EXPECT_GT(1.0 + 1.0 + 1e16, 1e16);
+  EXPECT_EQ(pg.edge_weight_between(2, 3), 20.0);
+  EXPECT_EQ(pg.edge_weight_between(0, 2), 10.0);
+
+  // A -0.0 weight is stored as +0.0, in the edge list and the adjacency.
+  GraphBuilder z(2);
+  z.add_edge(1, 0, -0.0);
+  const WeightedGraph zg = z.build();
+  ASSERT_EQ(zg.num_edges(), 1u);
+  EXPECT_FALSE(std::signbit(zg.edge(0).weight));
+  EXPECT_FALSE(std::signbit(zg.neighbors(0)[0].weight));
+
+  // Extraction over a descending node list still yields canonical edges
+  // with the parent's weights.
+  NetgenParams gp;
+  gp.nodes = 40;
+  gp.edges = 120;
+  gp.seed = 9;
+  const WeightedGraph parent = netgen_style(gp);
+  std::vector<NodeId> descending;
+  for (NodeId v = 40; v-- > 0;)
+    if (v % 3 != 0) descending.push_back(v);
+  const Subgraph sub = induced_subgraph(parent, descending);
+  expect_canonical_edges(sub.graph);
+  std::size_t internal = 0;
+  for (const Edge& e : parent.edges())
+    if (e.u % 3 != 0 && e.v % 3 != 0) ++internal;
+  EXPECT_EQ(sub.graph.num_edges(), internal);
+  for (const Edge& e : sub.graph.edges())
+    EXPECT_EQ(e.weight, parent.edge_weight_between(sub.to_parent[e.u],
+                                                   sub.to_parent[e.v]));
 }
 
 TEST(GraphBuilder, RejectsSelfLoop) {

@@ -2,6 +2,9 @@
 // incremental bookkeeping with the full cost model, and termination.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "common/contracts.hpp"
 #include "graph/generators.hpp"
 #include "mec/costs.hpp"
@@ -322,10 +325,13 @@ TEST(GreedyGroups, GroupMovesNeverWorsenTheObjective) {
 }
 
 /// Reference implementation: the naive O(P) argmin scan per round,
-/// single-part moves, recomputing everything from scratch. The lazy
+/// recomputing everything from scratch. Candidates are the single parts
+/// and, with `group_moves`, each (user, group) of two or more parts; a
+/// candidate moves its still-remote, non-frozen members local. The lazy
 /// queue must reproduce its scheme exactly.
 OffloadingScheme reference_greedy(const MecSystem& system,
-                                  std::vector<Part> parts) {
+                                  const std::vector<Part>& parts,
+                                  bool group_moves = false) {
   OffloadingScheme scheme = OffloadingScheme::all_local(system);
   std::vector<bool> remote(parts.size(), true);
   for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -336,25 +342,42 @@ OffloadingScheme reference_greedy(const MecSystem& system,
     for (const mecoff::graph::NodeId v : parts[i].nodes)
       scheme.placement[parts[i].user][v] = Placement::kRemote;
   }
+  std::vector<std::vector<std::size_t>> candidates;
+  for (std::size_t i = 0; i < parts.size(); ++i) candidates.push_back({i});
+  if (group_moves) {
+    std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>
+        groups;
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      if (parts[i].group != SIZE_MAX)
+        groups[{parts[i].user, parts[i].group}].push_back(i);
+    for (const auto& [key, members] : groups)
+      if (members.size() >= 2) candidates.push_back(members);
+  }
   double current = evaluate(system, scheme).objective();
   while (true) {
     double best_obj = current;
-    std::size_t best = SIZE_MAX;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (!remote[i]) continue;
+    std::vector<std::size_t> best;
+    for (const std::vector<std::size_t>& candidate : candidates) {
+      std::vector<std::size_t> move;
+      for (const std::size_t i : candidate)
+        if (remote[i] && !parts[i].frozen) move.push_back(i);
+      if (move.empty()) continue;
       OffloadingScheme trial = scheme;
-      for (const mecoff::graph::NodeId v : parts[i].nodes)
-        trial.placement[parts[i].user][v] = Placement::kLocal;
+      for (const std::size_t i : move)
+        for (const mecoff::graph::NodeId v : parts[i].nodes)
+          trial.placement[parts[i].user][v] = Placement::kLocal;
       const double obj = evaluate(system, trial).objective();
       if (obj < best_obj - 1e-12) {
         best_obj = obj;
-        best = i;
+        best = std::move(move);
       }
     }
-    if (best == SIZE_MAX) break;
-    for (const mecoff::graph::NodeId v : parts[best].nodes)
-      scheme.placement[parts[best].user][v] = Placement::kLocal;
-    remote[best] = false;
+    if (best.empty()) break;
+    for (const std::size_t i : best) {
+      for (const mecoff::graph::NodeId v : parts[i].nodes)
+        scheme.placement[parts[i].user][v] = Placement::kLocal;
+      remote[i] = false;
+    }
     current = best_obj;
   }
   return scheme;
@@ -395,6 +418,67 @@ TEST(GreedyLazyQueue, MatchesNaiveReferenceGreedy) {
       EXPECT_EQ(fast.scheme.placement[u], reference.placement[u])
           << "seed " << seed << " user " << u;
   }
+}
+
+TEST(GreedyLazyQueue, MatchesReferenceWithGroupsFrozenPinnedAndLocalParts) {
+  // Three users with distinct graphs. Every 7th node is pinned; the rest
+  // are cut into 8-node-range parts, paired into groups whose ranges
+  // straddle the generator's component boundaries, so parts of different
+  // groups are adjacent. Some parts start local, some are frozen.
+  std::size_t total_moves = 0;
+  for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL, 44ULL, 55ULL}) {
+    std::vector<UserApp> users;
+    std::vector<Part> parts;
+    for (std::size_t u = 0; u < 3; ++u) {
+      mecoff::graph::NetgenParams gp;
+      gp.nodes = 48 + 8 * u;
+      gp.edges = 4 * gp.nodes;
+      gp.components = 3;
+      gp.seed = seed * 10 + u;
+      UserApp app;
+      app.graph = mecoff::graph::netgen_style(gp);
+      app.unoffloadable.assign(gp.nodes, false);
+      for (std::size_t v = 0; v < gp.nodes; v += 7) app.unoffloadable[v] = true;
+
+      std::vector<std::size_t> group_of_node(gp.nodes, SIZE_MAX);
+      for (std::size_t k = 0; k < gp.nodes / 8; ++k) {
+        Part part;
+        part.user = u;
+        part.group = k / 2;
+        part.initially_local = (k + seed) % 5 == 0;
+        part.frozen = (k + u + seed) % 4 == 1;
+        for (auto v = static_cast<mecoff::graph::NodeId>(k * 8);
+             v < (k + 1) * 8; ++v) {
+          if (app.unoffloadable[v]) continue;
+          part.nodes.push_back(v);
+          part.weight += app.graph.node_weight(v);
+          group_of_node[v] = part.group;
+        }
+        parts.push_back(std::move(part));
+      }
+      std::size_t cross_group_edges = 0;
+      for (const mecoff::graph::Edge& e : app.graph.edges())
+        if (group_of_node[e.u] != SIZE_MAX && group_of_node[e.v] != SIZE_MAX &&
+            group_of_node[e.u] != group_of_node[e.v])
+          ++cross_group_edges;
+      ASSERT_GT(cross_group_edges, 0u) << "seed " << seed << " user " << u;
+      users.push_back(std::move(app));
+    }
+    const MecSystem system{ext_params(), users};
+
+    for (const bool group_moves : {false, true}) {
+      GreedyOptions opts;
+      opts.enable_group_moves = group_moves;
+      const GreedyResult fast = generate_scheme(system, parts, opts);
+      const OffloadingScheme reference =
+          reference_greedy(system, parts, group_moves);
+      total_moves += fast.moves;
+      for (std::size_t u = 0; u < system.num_users(); ++u)
+        EXPECT_EQ(fast.scheme.placement[u], reference.placement[u])
+            << "seed " << seed << " groups " << group_moves << " user " << u;
+    }
+  }
+  EXPECT_GT(total_moves, 0u);
 }
 
 TEST(GreedyCongestion, ConvexWaitCapsOffloadedAmount) {
