@@ -7,10 +7,10 @@
 //
 //   eigensolve  the spectral bill in isolation: cold Fiedler solve of
 //               the perturbed Laplacian vs the same solve warm-started
-//               from the pre-perturbation Fiedler vector (blocked SpMV
-//               kernel on both sides). Matvec counts are seeded-
-//               deterministic, so the ≥ 3× reduction is asserted and
-//               the counters are bit-stable for tools/bench_gate.py.
+//               from the pre-perturbation Fiedler vector. Matvec counts
+//               are seeded-deterministic, so the ≥ 3× reduction is
+//               asserted and the counters are bit-stable for
+//               tools/bench_gate.py.
 //   re-solve    end to end through PipelineOffloader::solve(system,
 //               warm): correctness gates (every warm scheme valid,
 //               warm objective ≤ cold objective, Fiedler hints seeded)
@@ -121,8 +121,7 @@ int run() {
   double max_value_gap = 0.0;
   std::vector<spectral::FiedlerResult> priors(kWorkloads);
   for (std::size_t w = 0; w < kWorkloads; ++w) {
-    spectral::FiedlerOptions options;
-    options.spmv_kernel = linalg::SpmvKernel::kBlocked;
+    const spectral::FiedlerOptions options;
     priors[w] = spectral::fiedler_pair(base[w], options);
 
     const spectral::FiedlerResult cold =
@@ -147,17 +146,13 @@ int run() {
   // because the rep count is a constant).
   Stopwatch cold_timer;
   for (std::size_t rep = 0; rep < kTimingReps; ++rep)
-    for (std::size_t w = 0; w < kWorkloads; ++w) {
-      spectral::FiedlerOptions options;
-      options.spmv_kernel = linalg::SpmvKernel::kBlocked;
-      (void)spectral::fiedler_pair(drifted[w], options);
-    }
+    for (std::size_t w = 0; w < kWorkloads; ++w)
+      (void)spectral::fiedler_pair(drifted[w]);
   const double eig_cold_s = cold_timer.elapsed_seconds();
   Stopwatch warm_timer;
   for (std::size_t rep = 0; rep < kTimingReps; ++rep)
     for (std::size_t w = 0; w < kWorkloads; ++w) {
       spectral::FiedlerOptions options;
-      options.spmv_kernel = linalg::SpmvKernel::kBlocked;
       options.warm_start = &priors[w].vector;
       (void)spectral::fiedler_pair(drifted[w], options);
     }
@@ -231,8 +226,7 @@ int run() {
 int main() {
   const int rc = run();
   // All counters are seeded-deterministic: fixed workloads, fixed rep
-  // counts, no pool, naive kernel inside the pipeline, blocked kernel
-  // in the eigensolve phase — bit-stable input for tools/bench_gate.py.
+  // counts, no pool — bit-stable input for tools/bench_gate.py.
   print_metrics_json("bench_resolve");
   return rc;
 }

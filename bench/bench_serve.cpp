@@ -16,9 +16,8 @@
 //          serve.solve.in_flight gauge write is deterministically 0.
 //
 // Latency percentiles are computed in-bench from the responses'
-// latency_seconds (sorted sample), so the SLO check works with the obs
-// facade compiled out too; the /metrics quantiles exposition of the
-// same stream is exercised by the CLI smoke and obs_serve tests.
+// latency_seconds (sorted sample); the /metrics quantiles exposition
+// of the same stream is exercised by the CLI smoke and obs_serve tests.
 #include <algorithm>
 #include <cstdio>
 #include <vector>

@@ -111,11 +111,7 @@ void print_shape_check(const std::string& what, bool ok) {
 }
 
 void print_metrics_json(const std::string& title) {
-#ifdef MECOFF_OBS_DISABLED
-  const std::string json = "{}";
-#else
   const std::string json = obs::MetricsRegistry::global().to_json();
-#endif
   std::printf("[metrics] %s\n", json.c_str());
   const char* dir = std::getenv("MECOFF_BENCH_CSV_DIR");
   if (dir == nullptr || *dir == '\0') return;

@@ -42,7 +42,6 @@ void print_shape_check(const std::string& what, bool ok);
 /// Dump the global obs::MetricsRegistry as a single JSON line
 /// ("[metrics] {...}") so bench output stays machine-greppable. When
 /// MECOFF_BENCH_CSV_DIR is set, also writes <slug>.metrics.json there.
-/// No-op payload ("{}") when built with MECOFF_OBS_DISABLED.
 void print_metrics_json(const std::string& title);
 
 }  // namespace mecoff::bench

@@ -11,12 +11,11 @@
 
 namespace mecoff::linalg {
 
-LinearOperator make_operator(const SparseMatrix& matrix, SpmvKernel kernel) {
+LinearOperator make_operator(const SparseMatrix& matrix) {
   MECOFF_EXPECTS(matrix.rows() == matrix.cols());
   return LinearOperator{
-      matrix.rows(),
-      [&matrix, kernel](std::span<const double> x, std::span<double> y) {
-        matrix.multiply_into(x, y, kernel);
+      matrix.rows(), [&matrix](std::span<const double> x, std::span<double> y) {
+        matrix.multiply_into(x, y);
       }};
 }
 

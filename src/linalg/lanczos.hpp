@@ -1,8 +1,8 @@
 // Lanczos iteration with full reorthogonalization for the smallest
 // eigenpairs of a symmetric operator. This is the paper's "graph
 // spectrum calculation": the Fiedler pair (λ₂, v₂) of each compressed
-// sub-graph Laplacian. The operator is abstracted so a caller can pick
-// the SpMV kernel (see SpmvKernel).
+// sub-graph Laplacian. The operator is a matvec callback, shared with
+// the power-iteration backends (power_iteration.hpp).
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,8 @@ struct LinearOperator {
   std::function<void(std::span<const double> x, std::span<double> y)> apply;
 };
 
-/// Serial CSR-backed operator. `kernel` selects the SpMV summation
-/// order (see SpmvKernel); kNaive replays the seed bit-for-bit.
-[[nodiscard]] LinearOperator make_operator(
-    const SparseMatrix& matrix, SpmvKernel kernel = SpmvKernel::kNaive);
+/// Serial CSR-backed operator (SparseMatrix::multiply_into).
+[[nodiscard]] LinearOperator make_operator(const SparseMatrix& matrix);
 
 struct EigenPair {
   double value = 0.0;

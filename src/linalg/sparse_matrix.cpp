@@ -48,51 +48,14 @@ Vec SparseMatrix::multiply(std::span<const double> x) const {
 }
 
 void SparseMatrix::multiply_into(std::span<const double> x,
-                                 std::span<double> y,
-                                 SpmvKernel kernel) const {
-  multiply_rows(x, y, 0, rows(), kernel);
-}
-
-void SparseMatrix::multiply_rows(std::span<const double> x,
-                                 std::span<double> y, std::size_t begin,
-                                 std::size_t end, SpmvKernel kernel) const {
+                                 std::span<double> y) const {
   MECOFF_EXPECTS(x.size() == cols_);
   MECOFF_EXPECTS(y.size() == rows());
-  MECOFF_EXPECTS(begin <= end && end <= rows());
-  if (kernel == SpmvKernel::kNaive) {
-    for (std::size_t r = begin; r < end; ++r) {
-      double sum = 0.0;
-      for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-        sum += values_[k] * x[col_indices_[k]];
-      y[r] = sum;
-    }
-    return;
-  }
-  // Blocked kernel: row tiles of kSpmvRowBlock, 4 independent
-  // accumulator lanes per row. The summation order below — lane j takes
-  // entries k0 + 4i + j over the full quads, lanes combine as
-  // (a0 + a1) + (a2 + a3), tail entries add left to right — is the
-  // contract the differential oracle in tests/resolve_test.cpp checks
-  // for exact double equality.
-  for (std::size_t tile = begin; tile < end; tile += kSpmvRowBlock) {
-    const std::size_t tile_end = std::min(tile + kSpmvRowBlock, end);
-    for (std::size_t r = tile; r < tile_end; ++r) {
-      const std::size_t k1 = row_offsets_[r + 1];
-      std::size_t k = row_offsets_[r];
-      double a0 = 0.0;
-      double a1 = 0.0;
-      double a2 = 0.0;
-      double a3 = 0.0;
-      for (; k + 4 <= k1; k += 4) {
-        a0 += values_[k] * x[col_indices_[k]];
-        a1 += values_[k + 1] * x[col_indices_[k + 1]];
-        a2 += values_[k + 2] * x[col_indices_[k + 2]];
-        a3 += values_[k + 3] * x[col_indices_[k + 3]];
-      }
-      double sum = (a0 + a1) + (a2 + a3);
-      for (; k < k1; ++k) sum += values_[k] * x[col_indices_[k]];
-      y[r] = sum;
-    }
+  for (std::size_t r = 0; r < rows(); ++r) {
+    double sum = 0.0;
+    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
+      sum += values_[k] * x[col_indices_[k]];
+    y[r] = sum;
   }
 }
 

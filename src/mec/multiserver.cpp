@@ -261,11 +261,9 @@ SystemCost FailoverController::resolve_group(std::size_t server,
                                              OffloadingScheme& scheme) const {
   MECOFF_TRACE_SPAN_ARG("mec.failover.resolve_group", server);
   MECOFF_COUNTER_ADD("mec.failover.group_resolves", 1);
-#ifndef MECOFF_OBS_DISABLED
   // Tag the next flight-recorder record: this solve happened because the
   // failover layer had to re-place a group, not on the steady-state path.
   obs::FlightRecorder::global().note_failover_event();
-#endif
   return solve_group(system_, options_.base, current_.server_of_user, server,
                      scheme, &health_[server], &active_);
 }
@@ -290,9 +288,7 @@ void FailoverController::refresh_totals() {
 
 void FailoverController::enter_all_local() {
   MECOFF_COUNTER_ADD("mec.failover.all_local_entered", 1);
-#ifndef MECOFF_OBS_DISABLED
   obs::FlightRecorder::global().note_failover_event();
-#endif
   all_local_ = true;
   for (std::size_t u = 0; u < system_.users.size(); ++u)
     current_.scheme.placement[u].assign(

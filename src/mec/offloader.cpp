@@ -405,10 +405,9 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   // the sliding-window latency summary /metrics exposes...
   MECOFF_QUANTILES_RECORD_ID("mec.solve.latency", stats_.total_seconds,
                              obs::current_request_id());
-#ifndef MECOFF_OBS_DISABLED
   // ...and one flight-recorder record per solve. Strictly observational
   // — nothing reads the recorder back into a solve — so placements stay
-  // bit-identical with the recorder armed, dumping, or compiled out.
+  // bit-identical with the recorder armed or dumping.
   {
     obs::SolveRecord record;
     record.request_id = obs::current_request_id();
@@ -428,7 +427,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     record.trace_dropped = obs::TraceCollector::global().dropped_count();
     (void)obs::FlightRecorder::global().record(std::move(record));
   }
-#endif  // MECOFF_OBS_DISABLED
   return greedy.scheme;
 }
 

@@ -22,10 +22,6 @@
 //
 // Recording OBSERVES the pipeline: nothing reads the recorder back
 // into a solve, so placements are bit-identical with it armed or not.
-//
-// Like the registry, the class stays compiled in under
-// MECOFF_OBS_DISABLED; only the pipeline feed sites compile away, so an
-// obs-off build has an empty recorder, not a missing symbol.
 #pragma once
 
 #include <chrono>

@@ -8,9 +8,8 @@
 // workers, no locks, no allocation. Instruments are never destroyed
 // before the registry, so cached references cannot dangle.
 //
-// The registry stays compiled in even under MECOFF_OBS_DISABLED (the
-// CLI and tests use it directly); only the MECOFF_* instrumentation
-// macros in obs.hpp compile away.
+// Pipeline code records through the MECOFF_* macros in obs.hpp; the CLI
+// and tests also use the registry directly.
 #pragma once
 
 #include <atomic>

@@ -1,12 +1,6 @@
 // Instrumentation facade: the macros every pipeline layer uses.
 //
-// Compile-out contract: building with -DMECOFF_OBS_DISABLED (CMake
-// option MECOFF_OBS=OFF) turns every macro here into nothing — no
-// atomic traffic, no clock reads, no registry lookups — while the
-// obs classes themselves stay declared so non-macro call sites (the
-// CLI's trace/metrics flags, tests) still compile.
-//
-// Hot-path cost with observability compiled in:
+// Hot-path cost:
 //  * spans: one relaxed atomic load when tracing is disabled at
 //    runtime (the default); two clock reads + one uncontended mutexed
 //    push_back when enabled;
@@ -25,8 +19,6 @@
 // Token pasting needs two layers so __LINE__ expands first.
 #define MECOFF_OBS_CONCAT_IMPL(a, b) a##b
 #define MECOFF_OBS_CONCAT(a, b) MECOFF_OBS_CONCAT_IMPL(a, b)
-
-#ifndef MECOFF_OBS_DISABLED
 
 /// Scoped trace span covering the rest of the enclosing block.
 #define MECOFF_TRACE_SPAN(name)                      \
@@ -89,25 +81,3 @@
     mecoff_obs_quant.record(static_cast<double>(value),               \
                             static_cast<std::uint64_t>(id));          \
   } while (0)
-
-#else  // MECOFF_OBS_DISABLED
-
-// sizeof in an unevaluated context keeps the operands "used" (no
-// -Wunused warnings at call sites) while generating no code at all.
-#define MECOFF_TRACE_SPAN(name) ((void)sizeof(name))
-#define MECOFF_TRACE_SPAN_ARG(name, arg) \
-  ((void)sizeof(name), (void)sizeof(arg))
-#define MECOFF_COUNTER_ADD(name, delta) \
-  ((void)sizeof(name), (void)sizeof(delta))
-#define MECOFF_GAUGE_SET(name, value) \
-  ((void)sizeof(name), (void)sizeof(value))
-#define MECOFF_GAUGE_ADD(name, delta) \
-  ((void)sizeof(name), (void)sizeof(delta))
-#define MECOFF_HISTOGRAM_RECORD(name, value) \
-  ((void)sizeof(name), (void)sizeof(value))
-#define MECOFF_QUANTILES_RECORD(name, value) \
-  ((void)sizeof(name), (void)sizeof(value))
-#define MECOFF_QUANTILES_RECORD_ID(name, value, id) \
-  ((void)sizeof(name), (void)sizeof(value), (void)sizeof(id))
-
-#endif  // MECOFF_OBS_DISABLED

@@ -15,10 +15,6 @@
 // the lock is uncontended in practice; unlike the counter/gauge hot
 // path this instrument is fed once per *solve*, not once per node.
 // Queries copy the window under the lock and sort outside it.
-//
-// Like Counter/Gauge/Histogram, the class stays compiled in under
-// MECOFF_OBS_DISABLED — only the MECOFF_QUANTILES_RECORD macro call
-// sites compile away (obs.hpp).
 #pragma once
 
 #include <cstdint>

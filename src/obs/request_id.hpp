@@ -10,10 +10,9 @@
 // solve on whichever thread executes it (pool worker or caller), and
 // anything downstream reads current_request_id().
 //
-// This is plumbing, not instrumentation: it stays compiled in under
-// MECOFF_OBS_DISABLED (the response header and `id=` line work with
-// observability off); only the exemplar/recorder *consumers* compile
-// away. Id 0 means "no request in scope" and is never assigned.
+// This is plumbing, not instrumentation: the response header and `id=`
+// line carry it whether or not anything consumes it. Id 0 means "no
+// request in scope" and is never assigned.
 #pragma once
 
 #include <cstdint>

@@ -18,8 +18,8 @@
 // sorted by mangled name, numbers rendered locale-independently, so
 // the exposition is byte-stable for a given snapshot (golden-tested).
 //
-// Pure rendering, no sockets: compiled in under both obs configs so
-// tests (and any push-gateway user) can expose without the server.
+// Pure rendering, no sockets, so tests (and any push-gateway user) can
+// expose without the server.
 #pragma once
 
 #include <string>

@@ -1,9 +1,8 @@
 // Pure request-parsing half of the embedded HTTP server: request line,
 // header block, and Content-Length handling over an in-memory buffer.
-// No sockets, no threads, no obs dependency — this translation unit is
-// compiled unconditionally (even under MECOFF_OBS_DISABLED) so the
-// fuzz harness in fuzz/fuzz_http_request.cpp can drive the exact code
-// the server runs, byte for byte, in every build configuration.
+// No sockets, no threads, no obs dependency, so the fuzz harness in
+// fuzz/fuzz_http_request.cpp can drive the exact code the server runs,
+// byte for byte.
 //
 // The split point: HttpServer owns I/O (recv loops, deadlines, 408/431
 // on incomplete input) and calls parse_request_head() once the header

@@ -1,7 +1,5 @@
 #include "obs/serve/http_server.hpp"
 
-#ifndef MECOFF_OBS_DISABLED
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -342,5 +340,3 @@ void HttpServer::serve_connection(int fd) {
 }
 
 }  // namespace mecoff::obs::serve
-
-#endif  // MECOFF_OBS_DISABLED

@@ -36,31 +36,20 @@
 // unboundedly. Unknown paths get a PLAIN 404: the route table is
 // deliberately not echoed to clients (it is served to operators via
 // /varz instead).
-//
-// Under MECOFF_OBS_DISABLED the class degrades to an inert stub whose
-// start() reports failure, so callers (the CLI's serve modes) compile
-// unchanged and fail loudly at runtime instead of silently serving
-// nothing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/result.hpp"
-
-#ifndef MECOFF_OBS_DISABLED
-
-#include <atomic>
-#include <deque>
-#include <thread>
-
 #include "common/thread_annotations.hpp"
-
-#endif  // MECOFF_OBS_DISABLED
 
 namespace mecoff::obs::serve {
 
@@ -95,8 +84,6 @@ struct HttpResponse {
   /// header tokens; values must not contain CR/LF.
   std::vector<std::pair<std::string, std::string>> extra_headers;
 };
-
-#ifndef MECOFF_OBS_DISABLED
 
 class HttpServer {
  public:
@@ -166,29 +153,5 @@ class HttpServer {
   std::vector<int> active_ GUARDED_BY(conn_mutex_);
   bool conn_stopping_ GUARDED_BY(conn_mutex_) = false;
 };
-
-#else  // MECOFF_OBS_DISABLED
-
-class HttpServer {
- public:
-  using Handler = std::function<HttpResponse(const HttpRequest&)>;
-
-  HttpServer() = default;
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  void handle(std::string, Handler) {}
-  void set_io_timeout_ms(int) {}
-  Result<std::uint16_t> start(std::uint16_t) {
-    return Error("telemetry serving compiled out (MECOFF_OBS_DISABLED)");
-  }
-  void stop() {}
-  [[nodiscard]] bool running() const { return false; }
-  [[nodiscard]] std::uint16_t port() const { return 0; }
-  [[nodiscard]] std::uint64_t requests_served() const { return 0; }
-  [[nodiscard]] std::vector<std::string> route_paths() const { return {}; }
-};
-
-#endif  // MECOFF_OBS_DISABLED
 
 }  // namespace mecoff::obs::serve

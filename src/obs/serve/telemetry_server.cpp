@@ -9,8 +9,6 @@
 
 namespace mecoff::obs::serve {
 
-#ifndef MECOFF_OBS_DISABLED
-
 TelemetryServer::TelemetryServer() {
   http_.handle("/metrics", [](const HttpRequest&) {
     HttpResponse response;
@@ -102,32 +100,5 @@ Result<std::uint16_t> TelemetryServer::start(std::uint16_t port) {
 }
 
 void TelemetryServer::stop() { http_.stop(); }
-
-#else  // MECOFF_OBS_DISABLED
-
-TelemetryServer::TelemetryServer() = default;
-
-void TelemetryServer::set_health_callback(HealthCallback callback) {
-  health_ = std::move(callback);
-}
-
-void TelemetryServer::handle(std::string path, HttpServer::Handler handler) {
-  http_.handle(std::move(path), std::move(handler));
-}
-
-void TelemetryServer::add_varz_section(std::string key,
-                                       std::function<std::string()> renderer) {
-  varz_sections_.emplace_back(std::move(key), std::move(renderer));
-}
-
-void TelemetryServer::set_io_timeout_ms(int ms) { http_.set_io_timeout_ms(ms); }
-
-Result<std::uint16_t> TelemetryServer::start(std::uint16_t port) {
-  return http_.start(port);  // the stub reports the compile-out error
-}
-
-void TelemetryServer::stop() {}
-
-#endif  // MECOFF_OBS_DISABLED
 
 }  // namespace mecoff::obs::serve

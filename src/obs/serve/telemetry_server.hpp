@@ -19,9 +19,6 @@
 // synchronized state, so a scrape can never perturb a running solve —
 // tests/obs_serve_test.cpp extends the ObsEquivalence suite with
 // exactly that claim (placement bits identical with the server up).
-//
-// Under MECOFF_OBS_DISABLED this degrades with HttpServer: start()
-// returns an Error and nothing listens.
 #pragma once
 
 #include <cstdint>

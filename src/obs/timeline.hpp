@@ -20,11 +20,8 @@
 //
 // A key filter restricts which instruments a sample retains. The soak
 // harness filters to the counters that are deterministic at its load
-// barriers; a live server retains everything.
-//
-// Like the rest of src/obs, the class stays compiled in under
-// MECOFF_OBS_DISABLED (it reads an explicit registry, never through the
-// macro facade); only instrumented *producers* compile away.
+// barriers; a live server retains everything. It reads an explicit
+// registry, never through the macro facade.
 #pragma once
 
 #include <cstdint>

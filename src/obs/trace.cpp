@@ -1,11 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
-
-#ifndef MECOFF_OBS_DISABLED
-
-#include <algorithm>
 
 #include "common/strings.hpp"
 
@@ -129,26 +126,3 @@ TraceSpan::~TraceSpan() {
 }
 
 }  // namespace mecoff::obs
-
-#else  // MECOFF_OBS_DISABLED
-
-namespace mecoff::obs {
-
-TraceCollector& TraceCollector::global() {
-  static TraceCollector collector;
-  return collector;
-}
-
-void TraceCollector::write_chrome_trace(std::ostream& out) const {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-}
-
-std::string TraceCollector::chrome_trace_json() const {
-  std::ostringstream out;
-  write_chrome_trace(out);
-  return out.str();
-}
-
-}  // namespace mecoff::obs
-
-#endif  // MECOFF_OBS_DISABLED

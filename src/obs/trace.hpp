@@ -12,35 +12,25 @@
 //
 // Tracing OBSERVES the pipeline and never feeds back into it: no RNG,
 // no solver state, only clock reads. Schemes are bit-identical with
-// tracing enabled, disabled, or compiled out (tests/obs_test.cpp holds
-// this as an invariant).
-//
-// Under MECOFF_OBS_DISABLED the whole file degrades to inert no-op
-// types, so instrumented code compiles unchanged with zero overhead.
+// tracing enabled or disabled (tests/obs_test.cpp holds this as an
+// invariant).
 #pragma once
-
-#include <cstdint>
-#include <iosfwd>
-#include <string>
-
-#ifndef MECOFF_OBS_DISABLED
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-
-#endif  // MECOFF_OBS_DISABLED
 
 namespace mecoff::obs {
 
 /// Sentinel: span has no numeric argument.
 inline constexpr std::uint64_t kNoArg = ~std::uint64_t{0};
-
-#ifndef MECOFF_OBS_DISABLED
 
 /// One completed span (Chrome "X" complete event).
 struct TraceEvent {
@@ -139,29 +129,5 @@ class TraceSpan {
   double start_us_ = 0.0;
   TraceCollector::ThreadLog* log_ = nullptr;  ///< null = inert span
 };
-
-#else  // MECOFF_OBS_DISABLED
-
-class TraceCollector {
- public:
-  static TraceCollector& global();
-  void enable(bool = true) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void set_capacity(std::size_t) {}
-  [[nodiscard]] std::size_t event_count() const { return 0; }
-  [[nodiscard]] std::size_t dropped_count() const { return 0; }
-  void clear() {}
-  void write_chrome_trace(std::ostream& out) const;
-  [[nodiscard]] std::string chrome_trace_json() const;
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*, std::uint64_t = kNoArg) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif  // MECOFF_OBS_DISABLED
 
 }  // namespace mecoff::obs

@@ -20,11 +20,6 @@ enum : std::uint64_t {
   kTagComponentsEmpty = 0xA4,
   kTagComponents = 0xA5,
   kTagParams = 0xA6,
-  // Topology-only sections (fingerprint_topology). Distinct tags keep
-  // the two fingerprint families in disjoint input domains even though
-  // they are never compared against each other.
-  kTagTopoNodes = 0xA7,
-  kTagTopoEdges = 0xA8,
 };
 
 /// The canonical scalar stream for one request, fed to any Sink with
@@ -153,37 +148,6 @@ std::string canonical_request_text(const mec::UserApp& user,
   TextSink sink;
   feed_request(user, params, sink);
   return std::move(sink.out);
-}
-
-Fingerprint fingerprint_topology(const mec::UserApp& user) {
-  FingerprintBuilder fp;
-  const graph::WeightedGraph& g = user.graph;
-  const std::size_t n = g.num_nodes();
-
-  fp.add_u64(kTagTopoNodes);
-  fp.add_u64(n);
-
-  // Same canonical edge order as fingerprint_request, endpoints only.
-  fp.add_u64(kTagTopoEdges);
-  fp.add_u64(g.num_edges());
-  for (const graph::Edge& e : g.edges()) {
-    fp.add_u64(e.u);
-    fp.add_u64(e.v);
-  }
-
-  // Pinning and component labels shape the compressed cut graphs (the
-  // domain of any cached Fiedler vector), so they are topology here.
-  fp.add_u64(kTagPinned);
-  for (std::size_t v = 0; v < n; ++v)
-    fp.add_bool(!user.unoffloadable.empty() && user.unoffloadable[v]);
-  if (user.components.empty()) {
-    fp.add_u64(kTagComponentsEmpty);
-  } else {
-    fp.add_u64(kTagComponents);
-    for (const std::uint32_t c : user.components) fp.add_u64(c);
-  }
-
-  return fp.digest();
 }
 
 }  // namespace mecoff::serve

@@ -100,13 +100,4 @@ class FingerprintBuilder {
 [[nodiscard]] std::string canonical_request_text(
     const mec::UserApp& user, const mec::SystemParams& params);
 
-/// Structure-only fingerprint: node count, edge endpoints (canonical
-/// order, weights EXCLUDED), pin mask, and components — everything that
-/// shapes the compressed cut graphs, nothing that merely re-prices
-/// them. Two requests with equal topology keys describe the same graph
-/// under perturbed node/edge weights or channel parameters — exactly
-/// the near-misses whose cached Fiedler vectors are worth reusing as
-/// warm starts. Adding or removing any edge changes the key.
-[[nodiscard]] Fingerprint fingerprint_topology(const mec::UserApp& user);
-
 }  // namespace mecoff::serve

@@ -12,14 +12,7 @@ namespace mecoff::serve {
 SchemeCache::SchemeCache(Options options) : options_(options) {}
 
 SchemeCache::Lookup SchemeCache::acquire(const Fingerprint& key,
-                                         double max_wait_seconds) {
-  return acquire(key, max_wait_seconds, Fingerprint{}, nullptr);
-}
-
-SchemeCache::Lookup SchemeCache::acquire(const Fingerprint& key,
                                          double max_wait_seconds,
-                                         const Fingerprint& topo_key,
-                                         WarmHint* warm_out,
                                          std::uint64_t request_id) {
   const Stopwatch waited;
   const MutexLock lock(mutex_);
@@ -30,22 +23,6 @@ SchemeCache::Lookup SchemeCache::acquire(const Fingerprint& key,
       owned.owner_request_id = request_id;
       map_.emplace(key, std::move(owned));
       ++misses_;
-      // Near-miss probe: a ready same-topology donor seeds the owner's
-      // warm re-solve. Only the fresh owner probes — riders and hits
-      // have nothing to solve.
-      if (warm_out != nullptr) {
-        const auto topo_it = topo_index_.find(topo_key);
-        if (topo_it != topo_index_.end()) {
-          const auto donor = map_.find(topo_it->second);
-          if (donor != map_.end() && donor->second.state == State::kReady &&
-              !donor->second.fiedler.empty()) {
-            warm_out->placement = donor->second.placement;
-            warm_out->fiedler_vectors = donor->second.fiedler;
-            ++warm_hints_;
-            MECOFF_COUNTER_ADD("serve.cache.warm_hints", 1);
-          }
-        }
-      }
       return Lookup{Outcome::kMiss, {}};
     }
     Entry& entry = it->second;
@@ -101,32 +78,10 @@ SchemeCache::Lookup SchemeCache::acquire(const Fingerprint& key,
 void SchemeCache::publish(const Fingerprint& key,
                           std::vector<mec::Placement> placement) {
   const MutexLock lock(mutex_);
-  publish_locked(key, std::move(placement), nullptr, {});
-}
-
-void SchemeCache::publish(const Fingerprint& key,
-                          std::vector<mec::Placement> placement,
-                          const Fingerprint& topo_key,
-                          std::vector<linalg::Vec> fiedler_vectors) {
-  const MutexLock lock(mutex_);
-  publish_locked(key, std::move(placement), &topo_key,
-                 std::move(fiedler_vectors));
-}
-
-void SchemeCache::publish_locked(const Fingerprint& key,
-                                 std::vector<mec::Placement> placement,
-                                 const Fingerprint* topo_key,
-                                 std::vector<linalg::Vec> fiedler_vectors) {
   auto it = map_.find(key);
   MECOFF_EXPECTS(it != map_.end() && it->second.state == State::kSolving);
   Entry& entry = it->second;
   entry.placement = std::move(placement);
-  if (topo_key != nullptr) {
-    entry.fiedler = std::move(fiedler_vectors);
-    entry.topo_key = *topo_key;
-    entry.has_topo = true;
-    topo_index_[*topo_key] = key;  // newest donor wins
-  }
   entry.state = State::kReady;
   entry.lru_tick = ++tick_;
   entry.ready_since.reset();
@@ -155,7 +110,6 @@ SchemeCache::Stats SchemeCache::stats() const {
   out.coalesced = coalesced_;
   out.evictions = evictions_;
   out.timeouts = timeouts_;
-  out.warm_hints = warm_hints_;
   out.entries = ready_count_;
   for (const auto& [key, entry] : map_) {
     if (entry.state != State::kReady) continue;
@@ -179,13 +133,6 @@ void SchemeCache::evict_locked() {
       }
     }
     if (victim == map_.end()) return;  // everything pinned; try later
-    // A victim that is the registered donor for its topology takes the
-    // registration with it — the index never dangles.
-    if (victim->second.has_topo) {
-      const auto topo_it = topo_index_.find(victim->second.topo_key);
-      if (topo_it != topo_index_.end() && topo_it->second == victim->first)
-        topo_index_.erase(topo_it);
-    }
     map_.erase(victim);
     --ready_count_;
     ++evictions_;

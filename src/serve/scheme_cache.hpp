@@ -43,7 +43,6 @@
 
 #include "common/stopwatch.hpp"
 #include "common/thread_annotations.hpp"
-#include "linalg/vector_ops.hpp"
 #include "mec/scheme.hpp"
 #include "serve/fingerprint.hpp"
 
@@ -73,23 +72,12 @@ class SchemeCache {
     std::uint64_t owner_request_id = 0;
   };
 
-  /// Near-miss reuse payload: a READY entry whose request hashed to a
-  /// DIFFERENT full key but the SAME topology key — same graph shape
-  /// under perturbed weights/channel. Its placement and per-component
-  /// Fiedler vectors seed a warm re-solve (PipelineOffloader::
-  /// WarmStart); they are advisory copies, never served as the answer.
-  struct WarmHint {
-    std::vector<mec::Placement> placement;
-    std::vector<linalg::Vec> fiedler_vectors;
-  };
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t coalesced = 0;
     std::uint64_t evictions = 0;
     std::uint64_t timeouts = 0;  ///< riders that gave up within budget
-    std::uint64_t warm_hints = 0;  ///< misses that found a near-miss donor
     std::size_t entries = 0;     ///< ready entries currently resident
     /// Age of the oldest resident ready entry; 0 when the cache is
     /// empty. O(entries) scan — stats() is a diagnostics path.
@@ -109,24 +97,12 @@ class SchemeCache {
   /// kTimeout if the entry is in flight), positive gives up after that
   /// long with Outcome::kTimeout. A timed-out rider holds NO ownership
   /// — it must neither publish() nor abandon().
-  [[nodiscard]] Lookup acquire(const Fingerprint& key,
-                               double max_wait_seconds = -1.0)
-      EXCLUDES(mutex_);
-
-  /// acquire() that additionally probes the topology index on kMiss:
-  /// when a READY entry published under the same `topo_key` (but a
-  /// different full key) holds warm artifacts, `*warm_out` receives a
-  /// copy — detectable as a non-empty warm_out->placement. Hit/
-  /// coalesced/timeout outcomes never fill the hint (there is nothing
-  /// to re-solve). `warm_out` may be null (plain acquire).
   /// `request_id` is the acquiring request's correlation id: recorded
   /// on the entry when this caller becomes the owner (kMiss, including
   /// abandon-promotion), and echoed back to later hits/riders as
   /// Lookup::owner_request_id.
   [[nodiscard]] Lookup acquire(const Fingerprint& key,
-                               double max_wait_seconds,
-                               const Fingerprint& topo_key,
-                               WarmHint* warm_out,
+                               double max_wait_seconds = -1.0,
                                std::uint64_t request_id = 0)
       EXCLUDES(mutex_);
 
@@ -134,13 +110,6 @@ class SchemeCache {
   /// (possibly evicting older ready entries).
   void publish(const Fingerprint& key, std::vector<mec::Placement> placement)
       EXCLUDES(mutex_);
-
-  /// publish() that also retains warm artifacts and registers the entry
-  /// as the `topo_key`'s most recent donor. Eviction of the entry drops
-  /// both the artifacts and its index registration.
-  void publish(const Fingerprint& key, std::vector<mec::Placement> placement,
-               const Fingerprint& topo_key,
-               std::vector<linalg::Vec> fiedler_vectors) EXCLUDES(mutex_);
 
   /// Owner gives up (error or degraded result that must not be
   /// reused). One waiting rider is promoted to owner; with no riders
@@ -162,19 +131,8 @@ class SchemeCache {
     std::size_t lru_tick = 0;
     /// Reset by publish(); drives Stats::oldest_entry_age_seconds.
     Stopwatch ready_since;
-    /// Warm artifacts (empty unless published with them) and the
-    /// topology key they were registered under, so eviction can
-    /// unregister this entry from topo_index_.
-    std::vector<linalg::Vec> fiedler;
-    Fingerprint topo_key;
-    bool has_topo = false;
   };
 
-  void publish_locked(const Fingerprint& key,
-                      std::vector<mec::Placement> placement,
-                      const Fingerprint* topo_key,
-                      std::vector<linalg::Vec> fiedler_vectors)
-      REQUIRES(mutex_);
   void evict_locked() REQUIRES(mutex_);
 
   const Options options_;
@@ -183,13 +141,6 @@ class SchemeCache {
   /// cache: wakeups re-check their own entry's state (predicate loop).
   CondVar cv_;
   std::unordered_map<Fingerprint, Entry, FingerprintHash> map_
-      GUARDED_BY(mutex_);
-  /// Topology key → full key of the most recent READY entry published
-  /// with warm artifacts under that topology. At most one donor per
-  /// topology: newer publishes overwrite, and evicting the donor entry
-  /// erases its registration (an older same-topology entry is NOT
-  /// re-registered — simplicity over maximal reuse).
-  std::unordered_map<Fingerprint, Fingerprint, FingerprintHash> topo_index_
       GUARDED_BY(mutex_);
   /// Monotone use counter; the ready entry with the smallest tick is
   /// the LRU victim. O(n) victim scan — capacities are small (10^3)
@@ -201,7 +152,6 @@ class SchemeCache {
   std::uint64_t coalesced_ GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ GUARDED_BY(mutex_) = 0;
   std::uint64_t timeouts_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t warm_hints_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace mecoff::serve

@@ -19,8 +19,7 @@ namespace {
 /// with different solver settings never share cache entries. The
 /// deadline is excluded on purpose: it is a budget, not an input, and
 /// degraded results are never published (see run_cold_solve).
-Fingerprint fingerprint_solver_config(const SolveServiceOptions& service) {
-  const mec::PipelineOptions& options = service.solver;
+Fingerprint fingerprint_solver_config(const mec::PipelineOptions& options) {
   FingerprintBuilder fp;
   fp.add_u64(0xC0);  // config section tag
   fp.add_double(options.propagation.coupling_threshold);
@@ -33,13 +32,6 @@ Fingerprint fingerprint_solver_config(const SolveServiceOptions& service) {
   fp.add_u64(options.spectral.fiedler.seed);
   fp.add_u64(options.spectral.fiedler.max_subspace);
   fp.add_u64(options.spectral.fiedler.max_iterations);
-  // The SpMV summation order and the warm restart size can both move a
-  // placement (different rounding, different local optimum), so they
-  // separate keys; collect_fiedler_vectors is artifact retention only
-  // and stays out.
-  fp.add_u64(
-      static_cast<std::uint64_t>(options.spectral.fiedler.spmv_kernel));
-  fp.add_u64(options.spectral.fiedler.warm_subspace);
   fp.add_u64(static_cast<std::uint64_t>(options.spectral.split));
   fp.add_u64(static_cast<std::uint64_t>(options.maxflow.strategy));
   fp.add_u64(options.maxflow.num_pairs);
@@ -53,9 +45,6 @@ Fingerprint fingerprint_solver_config(const SolveServiceOptions& service) {
   fp.add_double(options.greedy.time_weight);
   fp.add_bool(options.greedy.enable_group_moves);
   fp.add_bool(options.anchor_initial_parts);
-  // Warm re-solve may publish a different (never worse) local optimum
-  // for the same request, so the mode is part of the configuration.
-  fp.add_bool(service.warm_resolve);
   return fp.digest();
 }
 
@@ -70,7 +59,7 @@ std::vector<mec::Placement> all_local_placement(std::size_t num_nodes) {
 
 SolveService::SolveService(SolveServiceOptions options)
     : options_(std::move(options)),
-      config_seed_(fingerprint_solver_config(options_)),
+      config_seed_(fingerprint_solver_config(options_.solver)),
       cache_(options_.cache),
       admission_limit_(options_.max_in_flight) {
   if (options_.shards == 0) options_.shards = 1;
@@ -170,16 +159,7 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
 
   SolveResponse response;
   response.key = key;
-  // Near-miss machinery only runs when warm re-solve is on: the cold
-  // configuration takes the exact acquire() path the seed had.
-  SchemeCache::WarmHint hint;
-  Fingerprint topo_key;
-  if (options_.warm_resolve) topo_key = fingerprint_topology(request.user);
-  SchemeCache::Lookup lookup =
-      options_.warm_resolve
-          ? cache_.acquire(key, wait_budget, topo_key, &hint, request_id)
-          : cache_.acquire(key, wait_budget, Fingerprint{}, nullptr,
-                           request_id);
+  SchemeCache::Lookup lookup = cache_.acquire(key, wait_budget, request_id);
   switch (lookup.outcome) {
     case SchemeCache::Outcome::kHit:
       response.placement = std::move(lookup.placement);
@@ -243,16 +223,10 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
       }
       bool degraded = false;
       bool no_shard_alive = false;
-      const bool warm_armed =
-          options_.warm_resolve && !hint.placement.empty();
-      std::vector<linalg::Vec> artifacts;
-      std::size_t warm_rejects = 0;
       try {
-        response.placement = run_cold_solve(
-            request, key, remaining,
-            /*shard_offset=*/0, request_id, degraded, no_shard_alive,
-            warm_armed ? &hint : nullptr,
-            options_.warm_resolve ? &artifacts : nullptr, &warm_rejects);
+        response.placement = run_cold_solve(request, key, remaining,
+                                            /*shard_offset=*/0, request_id,
+                                            degraded, no_shard_alive);
       } catch (...) {
         // Never strand riders: hand the solve to one of them (or clear
         // the entry) before propagating.
@@ -270,21 +244,6 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
       solved_.fetch_add(1, std::memory_order_relaxed);
       response.source = SolveSource::kSolved;
       response.degraded = degraded;
-      if (options_.warm_resolve) {
-        if (warm_armed) {
-          warm_hits_.fetch_add(1, std::memory_order_relaxed);
-          MECOFF_COUNTER_ADD("serve.solve.warm_hits", 1);
-        } else {
-          warm_misses_.fetch_add(1, std::memory_order_relaxed);
-          MECOFF_COUNTER_ADD("serve.solve.warm_misses", 1);
-        }
-        if (warm_rejects > 0) {
-          warm_vector_rejects_.fetch_add(warm_rejects,
-                                         std::memory_order_relaxed);
-          MECOFF_COUNTER_ADD("serve.solve.warm_vector_rejects",
-                             warm_rejects);
-        }
-      }
       const bool publish_stolen = !degraded && options_.injector != nullptr &&
                                   options_.injector->steal_publish();
       if (degraded) {
@@ -298,11 +257,6 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
         // gets its full-quality placement, but the cache never sees it
         // — one rider is promoted and re-solves.
         cache_.abandon(key);
-      } else if (options_.warm_resolve) {
-        // Full-quality results carry their Fiedler vectors into the
-        // cache so later near-miss requests can warm-start from them.
-        cache_.publish(key, response.placement, topo_key,
-                       std::move(artifacts));
       } else {
         cache_.publish(key, response.placement);
       }
@@ -318,10 +272,7 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
 std::vector<mec::Placement> SolveService::run_cold_solve(
     const SolveRequest& request, const Fingerprint& key,
     double remaining_budget_seconds, std::size_t shard_offset,
-    std::uint64_t request_id, bool& degraded, bool& no_shard_alive,
-    const SchemeCache::WarmHint* warm_hint,
-    std::vector<linalg::Vec>* artifacts_out,
-    std::size_t* warm_rejects_out) {
+    std::uint64_t request_id, bool& degraded, bool& no_shard_alive) {
   // Shard selection honors injected kills: start from the fingerprint
   // shard (rotated by shard_offset for hedges) and take the first
   // alive one. A kill stops NEW dispatches; solves already running on
@@ -353,8 +304,7 @@ std::vector<mec::Placement> SolveService::run_cold_solve(
     injected = std::min(injected, remaining_budget_seconds);
 
   auto solve_now = [this, &request, &degraded, remaining_budget_seconds,
-                    injected, request_id, warm_hint, artifacts_out,
-                    warm_rejects_out] {
+                    injected, request_id] {
     // The scope rides whichever thread executes the solve (pool worker
     // or caller), so the flight recorder and the mec.solve.latency
     // exemplar see this request's id. The injected stall stays inside
@@ -366,10 +316,6 @@ std::vector<mec::Placement> SolveService::run_cold_solve(
     mec::PipelineOptions solver = options_.solver;
     solver.pool = options_.pool;
     solver.identical_user_period = 0;  // superseded by the cache
-    // Retain artifacts whenever the caller wants to republish them
-    // (warm mode), hint or no hint — every full-quality solve becomes
-    // a potential donor.
-    solver.collect_fiedler_vectors = artifacts_out != nullptr;
     // Tighten the solver deadline to the remaining budget (minus the
     // injected stall we just paid). The solver's own fallback chain
     // turns an expired budget into a degraded-but-valid scheme.
@@ -384,22 +330,9 @@ std::vector<mec::Placement> SolveService::run_cold_solve(
     mec::MecSystem system;
     system.params = request.params;
     system.users.push_back(request.user);
-    mec::OffloadingScheme scheme;
-    if (warm_hint != nullptr) {
-      mec::PipelineOffloader::WarmStart warm;
-      warm.scheme.placement.push_back(warm_hint->placement);
-      warm.fiedler_vectors.push_back(warm_hint->fiedler_vectors);
-      scheme = offloader.solve(system, &warm);
-      if (warm_rejects_out != nullptr)
-        *warm_rejects_out = offloader.last_stats().warm_fiedler_rejected;
-    } else {
-      scheme = offloader.solve(system);
-    }
+    mec::OffloadingScheme scheme = offloader.solve(system);
     const auto& stats = offloader.last_stats();
     degraded = stats.degraded() || stats.deadline_expired;
-    if (artifacts_out != nullptr &&
-        !offloader.last_artifacts().fiedler_vectors.empty())
-      *artifacts_out = offloader.last_artifacts().fiedler_vectors.front();
     return std::move(scheme.placement.front());
   };
 
@@ -471,10 +404,10 @@ void SolveService::finish(SolveResponse& response, std::uint64_t request_id,
   response.latency_seconds = latency_seconds;
   MECOFF_QUANTILES_RECORD_ID("serve.solve.latency", latency_seconds,
                              request_id);
-  {
-    // Feed the brownout controller's own window (registry-independent,
-    // works obs-off) and refresh the cached p99 every 32 completions —
-    // the exact-sort query is too dear for every request.
+  // Only the brownout p99 term reads this window (see latency_window_).
+  // The cached p99 refreshes every 32 completions — the exact-sort
+  // query is too dear for every request.
+  if (options_.brownout.enabled && options_.brownout.p99_bump_seconds > 0.0) {
     const MutexLock lock(brownout_mutex_);
     latency_window_.record(latency_seconds);
     if (++completions_ % 32 == 0) p99_seconds_ = latency_window_.quantile(0.99);
@@ -501,10 +434,6 @@ SolveService::Stats SolveService::stats() const {
   out.drained = drained_.load(std::memory_order_relaxed);
   out.brownout_shed = brownout_shed_.load(std::memory_order_relaxed);
   out.shard_failovers = shard_failovers_.load(std::memory_order_relaxed);
-  out.warm_hits = warm_hits_.load(std::memory_order_relaxed);
-  out.warm_misses = warm_misses_.load(std::memory_order_relaxed);
-  out.warm_vector_rejects =
-      warm_vector_rejects_.load(std::memory_order_relaxed);
   {
     const MutexLock lock(brownout_mutex_);
     out.brownout_tier = brownout_tier_;

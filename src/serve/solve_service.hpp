@@ -67,7 +67,7 @@
 // clients) are always safe; the cold solve itself runs ON the pool via
 // submit + a plain future wait.
 //
-// Metrics (all through the obs facade, compiled out with it):
+// Metrics (all through the obs facade):
 //   serve.solve.requests / cache_hits / cache_misses / coalesced /
 //   shed / degraded / hedged / deadline_degraded / drained /
 //   brownout_shed / shard_failovers                  counters
@@ -189,19 +189,6 @@ struct SolveServiceOptions {
   /// Optional deterministic fault injection; not owned. The injector
   /// must outlive the service. null = no faults.
   FaultInjector* injector = nullptr;
-  /// Incremental re-solve on near-miss fingerprints. When enabled, a
-  /// cache miss whose TOPOLOGY key (fingerprint_topology: graph shape,
-  /// pinning, components — not weights or channel) matches a ready
-  /// entry reuses that entry's placement and Fiedler vectors as a
-  /// PipelineOffloader::WarmStart, and full-quality results are
-  /// published WITH their artifacts so later perturbed requests can
-  /// warm-start in turn. Results stay valid schemes; warm merely
-  /// changes which local optimum is found (never a worse one than the
-  /// warm solve's own cold start — see WarmStart) and how fast. OFF by
-  /// default: cold-path behavior, metric key sets, and cache contents
-  /// stay bit-identical to the seed (bench_soak's cold-reference
-  /// equality check relies on that).
-  bool warm_resolve = false;
   /// Solver configuration, fixed for the service's lifetime and folded
   /// into every cache key. `pool` and `identical_user_period` are
   /// overridden internally; `deadline` is tightened per request to the
@@ -252,10 +239,6 @@ class SolveService {
     std::uint64_t drained = 0;  ///< requests answered in drain mode
     std::uint64_t brownout_shed = 0;
     std::uint64_t shard_failovers = 0;  ///< killed shard skipped
-    /// Warm re-solve accounting (all zero unless warm_resolve is on).
-    std::uint64_t warm_hits = 0;    ///< misses solved from a near-miss donor
-    std::uint64_t warm_misses = 0;  ///< misses with no usable donor
-    std::uint64_t warm_vector_rejects = 0;  ///< dimension-mismatch vectors
     int brownout_tier = 0;      ///< current tier (0 = healthy)
     SchemeCache::Stats cache;
   };
@@ -269,28 +252,21 @@ class SolveService {
   /// Execute one cold solve (owner or hedge), honoring shard kills,
   /// injected latency and the remaining budget. `shard_offset` rotates
   /// the preferred shard (hedges use 1 to avoid the owner's shard).
-  /// `warm_hint` (may be null) seeds the solver's WarmStart;
-  /// `artifacts_out` (may be null) receives the solve's per-component
-  /// Fiedler vectors for publication; `warm_rejects_out` (may be null)
-  /// receives the count of dimension-rejected warm vectors.
   /// `request_id` is held in an obs::RequestIdScope around the solve
   /// (on whichever thread runs it) so the flight recorder and latency
   /// exemplar attribute the solve to this request.
   [[nodiscard]] std::vector<mec::Placement> run_cold_solve(
       const SolveRequest& request, const Fingerprint& key,
       double remaining_budget_seconds, std::size_t shard_offset,
-      std::uint64_t request_id, bool& degraded, bool& no_shard_alive,
-      const SchemeCache::WarmHint* warm_hint = nullptr,
-      std::vector<linalg::Vec>* artifacts_out = nullptr,
-      std::size_t* warm_rejects_out = nullptr);
+      std::uint64_t request_id, bool& degraded, bool& no_shard_alive);
 
   /// Brownout controller step at admission; true = shed this request.
   [[nodiscard]] bool brownout_shed_decision(std::size_t in_flight_now)
       EXCLUDES(brownout_mutex_);
 
   /// Finish a response: correlation-id stamping, in-flight decrement,
-  /// latency record (id-tagged for the p99 exemplar), p99 refresh for
-  /// the brownout controller.
+  /// latency record (id-tagged for the p99 exemplar), and — when the
+  /// brownout controller reads it — the p99 window refresh.
   void finish(SolveResponse& response, std::uint64_t request_id,
               double latency_seconds, bool was_admitted);
 
@@ -316,16 +292,15 @@ class SolveService {
   std::atomic<std::uint64_t> drained_{0};
   std::atomic<std::uint64_t> brownout_shed_{0};
   std::atomic<std::uint64_t> shard_failovers_{0};
-  std::atomic<std::uint64_t> warm_hits_{0};
-  std::atomic<std::uint64_t> warm_misses_{0};
-  std::atomic<std::uint64_t> warm_vector_rejects_{0};
 
-  /// Brownout controller state. The latency window is owned directly
-  /// (not via the registry) so brownout works with MECOFF_OBS=OFF too —
-  /// the Quantiles class stays compiled in, only the macros vanish.
-  /// The window's internal lock nests under brownout_mutex_ (record and
-  /// quantile evaluation happen inside the controller's critical
-  /// section), never the reverse.
+  /// Brownout controller state. The latency window is owned per
+  /// service because the registry's serve.solve.latency is
+  /// process-wide: every service in the process feeds it, so its p99
+  /// would bump one service's tier on another's latency. The window is
+  /// fed only when the p99 term is armed (brownout enabled with
+  /// p99_bump_seconds > 0). The window's internal lock nests under
+  /// brownout_mutex_ (record and quantile evaluation happen inside the
+  /// controller's critical section), never the reverse.
   // lock-order: SolveService::brownout_mutex_ -> Quantiles::mutex_
   mutable Mutex brownout_mutex_;
   obs::Quantiles latency_window_ GUARDED_BY(brownout_mutex_);

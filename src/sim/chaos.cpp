@@ -43,8 +43,7 @@ Result<ChaosOutcome> run_chaos(const mec::MultiServerSystem& system,
 
   ChaosOutcome outcome;
   // Anomalies are attributed by delta so the recorder can be shared
-  // with other runs in the process. Obs-off builds feed no records, so
-  // the delta (and the field) stays 0 there.
+  // with other runs in the process.
   const std::uint64_t anomalies_before =
       obs::FlightRecorder::global().anomaly_count();
   mec::FailoverController controller(system, options.failover);

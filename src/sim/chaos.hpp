@@ -37,9 +37,8 @@ struct ChaosOutcome {
   /// disconnect of a gone user, ...) — still logged, still replayable.
   std::size_t faults_rejected = 0;
   /// Flight-recorder anomalies attributed to this run (the recorder's
-  /// anomaly-count delta across run_chaos). Always 0 when observability
-  /// is compiled out — the count is telemetry, not part of the
-  /// deterministic trace/result contract.
+  /// anomaly-count delta across run_chaos). The count is telemetry, not
+  /// part of the deterministic trace/result contract.
   std::uint64_t anomalies_recorded = 0;
   SimTime end_time = 0.0;
 };

@@ -11,6 +11,14 @@
 
 namespace mecoff::spectral {
 
+namespace {
+
+/// Krylov subspace a warm-started Lanczos solve begins with: small, so
+/// a good seed converges within a few matvecs.
+constexpr std::size_t kWarmSubspace = 10;
+
+}  // namespace
+
 FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
                            const FiedlerOptions& options) {
   MECOFF_EXPECTS(g.num_nodes() >= 2);
@@ -18,8 +26,7 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
   MECOFF_COUNTER_ADD("spectral.eigensolve.runs", 1);
 
   const linalg::SparseMatrix lap = linalg::laplacian(g);
-  const linalg::LinearOperator op =
-      linalg::make_operator(lap, options.spmv_kernel);
+  const linalg::LinearOperator op = linalg::make_operator(lap);
 
   FiedlerResult out;
   if (options.backend == EigenBackend::kDensePowerNaive) {
@@ -61,9 +68,7 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
             " but the graph has " + std::to_string(g.num_nodes()) +
             " nodes");
       lopt.initial_vector = *options.warm_start;
-      lopt.initial_subspace =
-          std::min(std::max<std::size_t>(options.warm_subspace, 2),
-                   g.num_nodes());
+      lopt.initial_subspace = std::min(kWarmSubspace, g.num_nodes());
       MECOFF_COUNTER_ADD("spectral.eigensolve.warm_starts", 1);
     }
     const linalg::LanczosResult res = linalg::lanczos_smallest(op, lopt);

@@ -43,10 +43,6 @@ struct FiedlerOptions {
   /// Nothing reads this field: every solve is serial. It stays
   /// declared only because perfbench/ still sets it.
   parallel::ThreadPool* pool = nullptr;
-  /// SpMV summation order (linalg::SpmvKernel). kNaive replays the
-  /// seed's bits exactly; kBlocked is the tiled 4-wide hot-path kernel
-  /// whose low-order bits differ (see sparse_matrix.hpp).
-  linalg::SpmvKernel spmv_kernel = linalg::SpmvKernel::kNaive;
   std::uint64_t seed = 0x5eed;
   /// Work bounds: every backend terminates within these no matter how
   /// ill-conditioned the graph is — the solve may come back with
@@ -58,12 +54,12 @@ struct FiedlerOptions {
   /// of a nearby Laplacian — e.g. the previous solve's vector after a
   /// small edge-weight or channel perturbation. Not owned; must
   /// outlive the call; must have size == g.num_nodes()
-  /// (PreconditionError otherwise). The Krylov subspace starts at
-  /// `warm_subspace` instead of the cold default, so a good seed
-  /// converges in a fraction of the cold matvec budget; a bad seed
-  /// merely restarts like a cold solve. Power backends ignore it.
+  /// (PreconditionError otherwise). The Krylov subspace starts small
+  /// (kWarmSubspace in fiedler.cpp) instead of at the cold default, so
+  /// a good seed converges in a fraction of the cold matvec budget; a
+  /// bad seed merely restarts like a cold solve. Power backends ignore
+  /// it.
   const linalg::Vec* warm_start = nullptr;
-  std::size_t warm_subspace = 10;
 };
 
 struct FiedlerResult {

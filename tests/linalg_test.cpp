@@ -123,16 +123,6 @@ TEST(SparseMatrix, MultiplyMatchesDense) {
   EXPECT_LT(max_abs_diff(ys, yd), 1e-12);
 }
 
-TEST(SparseMatrix, MultiplyRowsSubrange) {
-  const SparseMatrix m = SparseMatrix::from_triplets(
-      3, 3, {{0, 0, 1.0}, {1, 1, 2.0}, {2, 2, 3.0}});
-  Vec y(3, -1.0);
-  m.multiply_rows(Vec{1.0, 1.0, 1.0}, y, 1, 3);
-  EXPECT_DOUBLE_EQ(y[0], -1.0);  // untouched
-  EXPECT_DOUBLE_EQ(y[1], 2.0);
-  EXPECT_DOUBLE_EQ(y[2], 3.0);
-}
-
 TEST(SparseMatrix, GershgorinBoundsSpectralRadius) {
   // Laplacian of K4 (unit weights): λ_max = 4; bound = 2·deg = 6.
   const SparseMatrix lap = laplacian(graph::complete_graph(4));

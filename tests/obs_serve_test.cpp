@@ -15,9 +15,6 @@
 //      the health callback degrades, and 404s unknown paths.
 //   5. ObsEquivalence extension: serving OBSERVES — running the
 //      telemetry server changes no placement bit of a solve.
-//
-// Like obs_test.cpp this file compiles under -DMECOFF_OBS=OFF; the
-// socket-level tests degrade to asserting that start() fails loudly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,12 +39,10 @@
 #include "obs/serve/telemetry_server.hpp"
 #include "obs/timeline.hpp"
 
-#ifndef MECOFF_OBS_DISABLED
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mecoff {
 namespace {
@@ -331,8 +326,6 @@ TEST(FlightRecorderTest, ConcurrentRecordsAndFailoverNotesLoseNothing) {
 }
 
 // ---- HTTP serving over a real socket --------------------------------------
-
-#ifndef MECOFF_OBS_DISABLED
 
 /// Minimal raw-socket HTTP client: one GET, read to EOF. Keeps the
 /// in-tree tests free of a curl dependency (CI smoke uses curl).
@@ -796,18 +789,6 @@ TEST(TelemetryServerTest, SlowRequestIdIsRecoverableFromTimezExemplar) {
   server.stop();
 }
 
-#else  // MECOFF_OBS_DISABLED
-
-TEST(TelemetryServerTest, CompiledOutStartFailsLoudly) {
-  obs::serve::TelemetryServer server;
-  const Result<std::uint16_t> port = server.start(0);
-  ASSERT_FALSE(port.ok());
-  EXPECT_NE(port.error().message.find("compiled out"), std::string::npos);
-  EXPECT_FALSE(server.running());
-}
-
-#endif  // MECOFF_OBS_DISABLED
-
 // ---- serving is observation only ------------------------------------------
 
 mec::MecSystem serve_test_system(std::size_t users) {
@@ -836,21 +817,17 @@ TEST(ObsEquivalence, ServingChangesNoPlacementBit) {
   mec::PipelineOptions opts;
   const mec::OffloadingScheme quiet =
       mec::PipelineOffloader(opts).solve(system);
-#ifndef MECOFF_OBS_DISABLED
   obs::serve::TelemetryServer server;
   const Result<std::uint16_t> port = server.start(0);
   ASSERT_TRUE(port.ok());
   // Scrape concurrently with the solve below — a read-only observer.
   const std::string before = http_get(port.value(), "/metrics");
   EXPECT_FALSE(before.empty());
-#endif
   const mec::OffloadingScheme served =
       mec::PipelineOffloader(opts).solve(system);
-#ifndef MECOFF_OBS_DISABLED
   const std::string after = http_get(port.value(), "/metrics");
   EXPECT_FALSE(after.empty());
   server.stop();
-#endif
   EXPECT_EQ(served, quiet);
 }
 

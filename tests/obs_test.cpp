@@ -9,9 +9,6 @@
 //      change a single placement bit, and the SolveStats the solver
 //      reports agree exactly with the registry gauges (they are written
 //      from the same doubles — see src/mec/offloader.cpp).
-//
-// This file also compiles (and passes, trivially where appropriate)
-// under -DMECOFF_OBS=OFF, which is how CI proves the compile-out path.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -121,17 +118,12 @@ TEST(Metrics, MacroFacadeTouchesTheGlobalRegistry) {
   MetricsRegistry::global().counter("obs_test.macro").reset();
   MECOFF_COUNTER_ADD("obs_test.macro", 5);
   MECOFF_COUNTER_ADD("obs_test.macro", 2);
-#ifdef MECOFF_OBS_DISABLED
-  EXPECT_EQ(MetricsRegistry::global().counter("obs_test.macro").value(), 0u);
-#else
   EXPECT_EQ(MetricsRegistry::global().counter("obs_test.macro").value(), 7u);
-#endif
 }
 
 // ---- quantile exemplars ---------------------------------------------------
 
-// The exemplar API is a class method, not a macro, so these hold in
-// both build configs.
+// The exemplar API is a class method, not a macro.
 TEST(QuantilesExemplar, TracksWindowMaximumAndEvictsWithIt) {
   obs::Quantiles q(/*window_capacity=*/3);
   EXPECT_EQ(q.max_exemplar().request_id, 0u);  // empty window
@@ -183,7 +175,6 @@ TEST(RequestId, ScopeSetsAndRestoresThreadLocally) {
   EXPECT_EQ(obs::current_request_id(), 0u);
 }
 
-#ifndef MECOFF_OBS_DISABLED
 TEST(QuantilesExemplar, SnapshotAndJsonCarryTheMaxExemplar) {
   MetricsRegistry& reg = MetricsRegistry::global();
   obs::Quantiles& q = reg.quantiles("obs_test.exemplar");
@@ -198,13 +189,11 @@ TEST(QuantilesExemplar, SnapshotAndJsonCarryTheMaxExemplar) {
   EXPECT_NE(json.find("\"max\":0.75,\"max_request_id\":6"),
             std::string::npos);
 }
-#endif
 
 // ---- timeline -------------------------------------------------------------
 
 // Timeline tests run against a PRIVATE registry (Options::registry), so
-// nothing else recorded by this binary can perturb the oracle — and the
-// class-level API holds in both build configs.
+// nothing else recorded by this binary can perturb the oracle.
 
 TEST(Timeline, DeltaAndRateMathMatchesHandOracle) {
   obs::MetricsRegistry registry;
@@ -336,8 +325,6 @@ TEST(Timeline, ManualModeIgnoresNoteAndPoll) {
 
 // ---- trace collector ------------------------------------------------------
 
-#ifndef MECOFF_OBS_DISABLED
-
 /// RAII guard: tests must not leave the global collector enabled (other
 /// suites in other binaries assume tracing is opt-in).
 struct TraceSession {
@@ -410,8 +397,6 @@ TEST(Trace, ThreadsGetDistinctLogsAndAllEventsSurvive) {
   EXPECT_EQ(TraceCollector::global().event_count(), 2 * kSpansPerThread);
 }
 
-#endif  // MECOFF_OBS_DISABLED
-
 // ---- instrumentation is observation only ----------------------------------
 
 mec::MecSystem obs_test_system(std::size_t users) {
@@ -450,9 +435,7 @@ mec::OffloadingScheme solve_once(const mec::MecSystem& system,
 TEST(ObsEquivalence, TracingDoesNotChangeSchemesSerial) {
   const mec::MecSystem system = obs_test_system(6);
   const mec::OffloadingScheme untraced = solve_once(system, nullptr, nullptr);
-#ifndef MECOFF_OBS_DISABLED
   TraceSession session(true);
-#endif
   const mec::OffloadingScheme traced = solve_once(system, nullptr, nullptr);
   EXPECT_EQ(traced, untraced);
 }
@@ -461,9 +444,7 @@ TEST(ObsEquivalence, TracingDoesNotChangeSchemesPooled) {
   const mec::MecSystem system = obs_test_system(6);
   parallel::ThreadPool pool(4);
   const mec::OffloadingScheme untraced = solve_once(system, &pool, nullptr);
-#ifndef MECOFF_OBS_DISABLED
   TraceSession session(true);
-#endif
   const mec::OffloadingScheme traced = solve_once(system, &pool, nullptr);
   EXPECT_EQ(traced, untraced);
   // And pooled == serial stays true with tracing on (the bench's
@@ -484,7 +465,6 @@ TEST(ObsEquivalence, SolveStatsStageSumsBoundedByTotalOnSerialRuns) {
   EXPECT_GE(stats.total_seconds, 0.0);
 }
 
-#ifndef MECOFF_OBS_DISABLED
 TEST(ObsEquivalence, RegistryGaugesEqualSolveStatsExactly) {
   const mec::MecSystem system = obs_test_system(4);
   mec::PipelineOffloader::SolveStats stats;
@@ -501,7 +481,6 @@ TEST(ObsEquivalence, RegistryGaugesEqualSolveStatsExactly) {
   EXPECT_EQ(snap.gauges.at("mec.solve.final_objective"),
             stats.final_objective);
 }
-#endif
 
 }  // namespace
 }  // namespace mecoff

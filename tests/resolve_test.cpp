@@ -1,25 +1,22 @@
 // Incremental re-solve differential suite (ctest label: resolve).
 //
-// Three layers of the warm-start stack, each proven against its cold
-// twin:
+// The warm-start stack, layer by layer:
 //
-//   kernel   the blocked CSR SpMV is held to its documented summation
-//            order by an independent oracle — EXACT double equality,
-//            serial and pooled — and the naive kernel stays the
-//            bit-compatible default;
+//   kernel   the CSR SpMV every eigensolve runs is held to its
+//            storage-order summation by an independent oracle — EXACT
+//            double equality, at the edge shapes (empty matrix, one
+//            row, empty rows, a dense row);
 //   solver   Lanczos/Fiedler warm starts converge to the same pair
 //            with fewer matvecs, reject wrong-dimension vectors with a
 //            typed error, and degrade (never fail) on degenerate
-//            seeds; warm-projected greedy starts never end above the
-//            cold objective;
-//   serving  SchemeCache near-miss hints and the SolveService warm
-//            path: perturbed-cost re-solves reuse stored Fiedler
-//            vectors, topology changes do not, eviction drops donors,
-//            and warm stays strictly opt-in.
+//            seeds;
+//   pipeline warm-projected greedy starts never end above the cold
+//            objective, across edge-weight jitter, edge add/remove and
+//            channel drift.
 //
 // Everything observes return values and stats structs only, so the
-// suite runs identically obs-on, obs-off, and under TSAN (suite names
-// carry the Resolve prefix the sanitize workflow's -R regex matches).
+// suite runs identically with and without TSAN (suite names carry the
+// Resolve prefix the sanitize workflow's -R regex matches).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -39,9 +36,6 @@
 #include "mec/model.hpp"
 #include "mec/offloader.hpp"
 #include "mec/scheme.hpp"
-#include "serve/fingerprint.hpp"
-#include "serve/scheme_cache.hpp"
-#include "serve/solve_service.hpp"
 #include "spectral/fiedler.hpp"
 
 namespace mecoff {
@@ -78,26 +72,6 @@ std::vector<std::vector<std::pair<std::size_t, double>>> oracle_rows(
       if (r == dense_row || rng.bernoulli(density))
         out[r].emplace_back(c, rng.uniform(-2.0, 2.0));
   return out;
-}
-
-/// Independent implementation of the blocked kernel's summation-order
-/// contract (sparse_matrix.hpp): lane j sums entries k0 + 4i + j over
-/// the row's full quads, lanes combine (a0 + a1) + (a2 + a3), tail
-/// left to right. Deliberately structured differently from the
-/// production loop (explicit lane vectors) so a transcription bug in
-/// either shows up as a bit difference.
-double blocked_row_oracle(
-    const std::vector<std::pair<std::size_t, double>>& row,
-    const linalg::Vec& x) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  const std::size_t quads = row.size() / 4;
-  for (std::size_t i = 0; i < quads; ++i)
-    for (std::size_t j = 0; j < 4; ++j)
-      lanes[j] += row[4 * i + j].second * x[row[4 * i + j].first];
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (std::size_t k = 4 * quads; k < row.size(); ++k)
-    sum += row[k].second * x[row[k].first];
-  return sum;
 }
 
 linalg::Vec random_vec(std::size_t n, std::uint64_t seed) {
@@ -223,23 +197,23 @@ WarmSolve warm_solve(const mec::MecSystem& system,
   return out;
 }
 
-// ---- blocked SpMV ---------------------------------------------------------
+// ---- storage-order SpMV ---------------------------------------------------
 
-TEST(ResolveSpmvTest, BlockedKernelMatchesOrderOracleExactly) {
-  // Sizes straddle every boundary: n = 0/1, row counts off the 64-row
-  // tile (63/65/130), nnz-per-row off the 4-lane quad, plus an
-  // all-dense row and (at low density) empty rows.
+TEST(ResolveSpmvTest, MultiplySumsEachRowInStorageOrder) {
+  // Edge shapes: the empty matrix, single rows, empty rows (low
+  // density), an all-dense row, and a tall matrix with both.
   const struct {
     std::size_t rows, cols;
     double density;
     std::size_t dense_row;
   } cases[] = {
-      {0, 0, 0.5, SIZE_MAX},  {1, 1, 1.0, SIZE_MAX},
-      {1, 7, 0.6, SIZE_MAX},  {5, 5, 0.08, SIZE_MAX},
-      {17, 9, 0.3, 3},        {63, 63, 0.2, 10},
-      {64, 64, 0.15, SIZE_MAX}, {65, 31, 0.4, 64},
+      {0, 0, 0.5, SIZE_MAX},   {1, 1, 1.0, SIZE_MAX},
+      {1, 7, 0.6, SIZE_MAX},   {5, 5, 0.08, SIZE_MAX},
+      {17, 9, 0.3, 3},         {50, 50, 0.25, 8},
       {130, 40, 0.05, 77},
   };
+  std::size_t empty_rows = 0;
+  std::size_t dense_rows = 0;
   std::uint64_t seed = 0x5eed0;
   for (const auto& c : cases) {
     for (std::uint64_t rep = 0; rep < 3; ++rep) {
@@ -249,33 +223,22 @@ TEST(ResolveSpmvTest, BlockedKernelMatchesOrderOracleExactly) {
       const auto rows = oracle_rows(c.rows, c.cols, c.density, seed,
                                     c.dense_row);
       const linalg::Vec x = random_vec(c.cols, seed ^ 0xabc);
-      linalg::Vec y(c.rows, -7.0);
-      m.multiply_into(x, y, linalg::SpmvKernel::kBlocked);
+      linalg::Vec y(c.rows, -7.0);  // every row must be overwritten
+      m.multiply_into(x, y);
       for (std::size_t r = 0; r < c.rows; ++r) {
+        if (rows[r].empty()) ++empty_rows;
+        if (rows[r].size() == c.cols && c.cols > 1) ++dense_rows;
+        double sum = 0.0;
+        for (const auto& [col, v] : rows[r]) sum += v * x[col];
         // EXPECT_EQ on doubles: the contract is exact bit equality.
-        EXPECT_EQ(y[r], blocked_row_oracle(rows[r], x))
-            << "rows=" << c.rows << " cols=" << c.cols << " row=" << r
-            << " seed=" << seed;
+        EXPECT_EQ(y[r], sum) << "rows=" << c.rows << " cols=" << c.cols
+                             << " row=" << r << " seed=" << seed;
       }
     }
   }
-}
-
-TEST(ResolveSpmvTest, NaiveKernelIsBitCompatibleDefault) {
-  const linalg::SparseMatrix m = random_csr(50, 50, 0.25, 0xfeed, 8);
-  const auto rows = oracle_rows(50, 50, 0.25, 0xfeed, 8);
-  const linalg::Vec x = random_vec(50, 0xbeef);
-  linalg::Vec y_default(50, 0.0);
-  linalg::Vec y_naive(50, 0.0);
-  m.multiply_into(x, y_default);  // no kernel argument: the seed path
-  m.multiply_into(x, y_naive, linalg::SpmvKernel::kNaive);
-  for (std::size_t r = 0; r < 50; ++r) {
-    // Default == explicit kNaive == strict storage-order sum.
-    EXPECT_EQ(y_default[r], y_naive[r]);
-    double sum = 0.0;
-    for (const auto& [c, v] : rows[r]) sum += v * x[c];
-    EXPECT_EQ(y_default[r], sum) << "row " << r;
-  }
+  // The shapes above must really produce both kinds of edge row.
+  EXPECT_GT(empty_rows, 0u);
+  EXPECT_GT(dense_rows, 0u);
 }
 
 // ---- Lanczos / Fiedler warm starts ----------------------------------------
@@ -370,19 +333,6 @@ TEST(ResolveFiedlerTest, WrongDimensionWarmStartIsTypedError) {
   spectral::FiedlerOptions options;
   options.warm_start = &wrong;
   EXPECT_THROW((void)spectral::fiedler_pair(g, options), PreconditionError);
-}
-
-TEST(ResolveFiedlerTest, BlockedKernelAgreesWithNaiveToTolerance) {
-  const graph::WeightedGraph g = make_connected_graph(50, 31, 0.12);
-  const spectral::FiedlerResult naive = spectral::fiedler_pair(g, {});
-  spectral::FiedlerOptions blocked_options;
-  blocked_options.spmv_kernel = linalg::SpmvKernel::kBlocked;
-  const spectral::FiedlerResult blocked =
-      spectral::fiedler_pair(g, blocked_options);
-  ASSERT_TRUE(naive.converged);
-  ASSERT_TRUE(blocked.converged);
-  // Different summation order ⇒ different bits, same eigenpair.
-  EXPECT_NEAR(blocked.value, naive.value, 1e-6);
 }
 
 // ---- warm/cold offloader differential -------------------------------------
@@ -523,187 +473,6 @@ TEST(ResolveWarmTest, WrongShapeWarmVectorsRejectedNotUB) {
   EXPECT_LE(result.objective, cold.objective);
   EXPECT_GE(result.stats.warm_fiedler_rejected, 1u);
   EXPECT_EQ(result.stats.warm_fiedler_seeded, 0u);
-}
-
-// ---- scheme cache near-miss index -----------------------------------------
-
-mec::UserApp cache_app(double node_weight, bool extra_edge) {
-  graph::GraphBuilder builder;
-  const graph::NodeId a = builder.add_node(node_weight);
-  const graph::NodeId b = builder.add_node(node_weight + 1.0);
-  const graph::NodeId c = builder.add_node(node_weight + 2.0);
-  const graph::NodeId d = builder.add_node(node_weight + 3.0);
-  builder.add_edge(a, b, 1.0);
-  builder.add_edge(b, c, 2.0);
-  builder.add_edge(c, d, 3.0);
-  if (extra_edge) builder.add_edge(a, d, 4.0);
-  mec::UserApp user;
-  user.graph = builder.build();
-  return user;
-}
-
-TEST(ResolveCacheTest, NearMissLookupReturnsStoredArtifacts) {
-  serve::SchemeCache cache;
-  const mec::SystemParams params;
-  const mec::UserApp app_a = cache_app(10.0, false);
-  const serve::Fingerprint key_a = serve::fingerprint_request(app_a, params);
-  const serve::Fingerprint topo_a = serve::fingerprint_topology(app_a);
-
-  serve::SchemeCache::WarmHint hint;
-  ASSERT_EQ(cache.acquire(key_a, -1.0, topo_a, &hint).outcome,
-            serve::SchemeCache::Outcome::kMiss);
-  EXPECT_TRUE(hint.placement.empty());  // cache empty: nothing to donate
-  const std::vector<mec::Placement> placement(4, mec::Placement::kRemote);
-  cache.publish(key_a, placement, topo_a, {linalg::Vec{0.5, -0.5, 0.3, -0.3}});
-
-  // Same topology, perturbed node weights ⇒ different full key, same
-  // topo key: the miss carries the donor's placement and vectors.
-  const mec::UserApp app_b = cache_app(11.0, false);
-  const serve::Fingerprint key_b = serve::fingerprint_request(app_b, params);
-  const serve::Fingerprint topo_b = serve::fingerprint_topology(app_b);
-  ASSERT_NE(key_a, key_b);
-  ASSERT_EQ(topo_a, topo_b);
-  serve::SchemeCache::WarmHint near;
-  ASSERT_EQ(cache.acquire(key_b, -1.0, topo_b, &near).outcome,
-            serve::SchemeCache::Outcome::kMiss);
-  EXPECT_EQ(near.placement, placement);
-  ASSERT_EQ(near.fiedler_vectors.size(), 1u);
-  EXPECT_EQ(near.fiedler_vectors.front().size(), 4u);
-  EXPECT_EQ(cache.stats().warm_hints, 1u);
-  cache.abandon(key_b);
-}
-
-TEST(ResolveCacheTest, DifferentTopologyGetsNoHint) {
-  serve::SchemeCache cache;
-  const mec::SystemParams params;
-  const mec::UserApp app_a = cache_app(10.0, false);
-  const serve::Fingerprint key_a = serve::fingerprint_request(app_a, params);
-  const serve::Fingerprint topo_a = serve::fingerprint_topology(app_a);
-  ASSERT_EQ(cache.acquire(key_a).outcome, serve::SchemeCache::Outcome::kMiss);
-  cache.publish(key_a, std::vector<mec::Placement>(4, mec::Placement::kLocal),
-                topo_a, {linalg::Vec{0.1, 0.2, 0.3, 0.4}});
-
-  // An extra edge is a different shape — no donor, no hint.
-  const mec::UserApp app_b = cache_app(10.0, true);
-  const serve::Fingerprint key_b = serve::fingerprint_request(app_b, params);
-  const serve::Fingerprint topo_b = serve::fingerprint_topology(app_b);
-  ASSERT_NE(topo_a, topo_b);
-  serve::SchemeCache::WarmHint hint;
-  ASSERT_EQ(cache.acquire(key_b, -1.0, topo_b, &hint).outcome,
-            serve::SchemeCache::Outcome::kMiss);
-  EXPECT_TRUE(hint.placement.empty());
-  EXPECT_TRUE(hint.fiedler_vectors.empty());
-  EXPECT_EQ(cache.stats().warm_hints, 0u);
-  cache.abandon(key_b);
-}
-
-TEST(ResolveCacheTest, EvictionDropsTheDonorRegistration) {
-  serve::SchemeCache cache(serve::SchemeCache::Options{/*capacity=*/1});
-  const mec::SystemParams params;
-  const mec::UserApp app_a = cache_app(10.0, false);
-  const serve::Fingerprint key_a = serve::fingerprint_request(app_a, params);
-  const serve::Fingerprint topo_a = serve::fingerprint_topology(app_a);
-  ASSERT_EQ(cache.acquire(key_a).outcome, serve::SchemeCache::Outcome::kMiss);
-  cache.publish(key_a, std::vector<mec::Placement>(4, mec::Placement::kLocal),
-                topo_a, {linalg::Vec{0.1, 0.2, 0.3, 0.4}});
-
-  // Publishing an unrelated entry overflows capacity 1 and evicts the
-  // donor; its topo registration must vanish with it.
-  const mec::UserApp other = cache_app(99.0, true);
-  const serve::Fingerprint key_b = serve::fingerprint_request(other, params);
-  ASSERT_EQ(cache.acquire(key_b).outcome, serve::SchemeCache::Outcome::kMiss);
-  cache.publish(key_b, std::vector<mec::Placement>(4, mec::Placement::kLocal),
-                serve::fingerprint_topology(other), {linalg::Vec{0.5}});
-  ASSERT_GE(cache.stats().evictions, 1u);
-
-  const mec::UserApp app_c = cache_app(11.0, false);  // topo == app_a's
-  serve::SchemeCache::WarmHint hint;
-  ASSERT_EQ(cache
-                .acquire(serve::fingerprint_request(app_c, params), -1.0,
-                         serve::fingerprint_topology(app_c), &hint)
-                .outcome,
-            serve::SchemeCache::Outcome::kMiss);
-  EXPECT_TRUE(hint.placement.empty());
-  cache.abandon(serve::fingerprint_request(app_c, params));
-}
-
-// ---- SolveService warm path -----------------------------------------------
-
-mec::UserApp service_app(double heavy, bool extra_edge = false) {
-  mec::UserApp user = cache_app(heavy, extra_edge);
-  user.unoffloadable.assign(user.graph.num_nodes(), false);
-  user.unoffloadable[0] = true;
-  return user;
-}
-
-TEST(ResolveServiceTest, WarmResolveDetectsNearMissAndCounts) {
-  serve::SolveServiceOptions options;
-  options.warm_resolve = true;
-  serve::SolveService service(options);
-
-  serve::SolveRequest first;
-  first.user = service_app(50.0);
-  auto r1 = service.solve(first);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1.value().source, serve::SolveSource::kSolved);
-  EXPECT_EQ(service.stats().warm_misses, 1u);
-  EXPECT_EQ(service.stats().warm_hits, 0u);
-
-  // Perturbed node weights: same topology ⇒ warm re-solve.
-  serve::SolveRequest second;
-  second.user = service_app(55.0);
-  auto r2 = service.solve(second);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2.value().source, serve::SolveSource::kSolved);
-  EXPECT_EQ(r2.value().placement.size(), second.user.graph.num_nodes());
-  EXPECT_EQ(r2.value().placement[0], mec::Placement::kLocal);  // pinned
-  EXPECT_EQ(service.stats().warm_hits, 1u);
-  EXPECT_EQ(service.stats().cache.warm_hints, 1u);
-
-  // Different topology: no donor — a plain cold miss.
-  serve::SolveRequest third;
-  third.user = service_app(50.0, /*extra_edge=*/true);
-  auto r3 = service.solve(third);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(service.stats().warm_hits, 1u);
-  EXPECT_EQ(service.stats().warm_misses, 2u);
-
-  // Exact repeat: a cache hit, not a warm solve — byte-identical row.
-  auto r4 = service.solve(first);
-  ASSERT_TRUE(r4.ok());
-  EXPECT_EQ(r4.value().source, serve::SolveSource::kCacheHit);
-  EXPECT_EQ(r4.value().placement, r1.value().placement);
-  EXPECT_EQ(service.stats().warm_hits, 1u);
-}
-
-TEST(ResolveServiceTest, WarmResolveIsOffByDefault) {
-  const serve::SolveServiceOptions defaults;
-  EXPECT_FALSE(defaults.warm_resolve);
-
-  serve::SolveService service;  // no pool: inline solves
-  serve::SolveRequest first;
-  first.user = service_app(50.0);
-  ASSERT_TRUE(service.solve(first).ok());
-  serve::SolveRequest second;
-  second.user = service_app(55.0);  // the near-miss that would warm
-  ASSERT_TRUE(service.solve(second).ok());
-  const serve::SolveService::Stats stats = service.stats();
-  EXPECT_EQ(stats.warm_hits, 0u);
-  EXPECT_EQ(stats.warm_misses, 0u);
-  EXPECT_EQ(stats.warm_vector_rejects, 0u);
-  EXPECT_EQ(stats.cache.warm_hints, 0u);
-  EXPECT_EQ(stats.solved, 2u);
-}
-
-TEST(ResolveServiceTest, WarmConfigSeparatesCacheKeys) {
-  serve::SolveServiceOptions cold_options;
-  serve::SolveServiceOptions warm_options;
-  warm_options.warm_resolve = true;
-  serve::SolveService cold_service(cold_options);
-  serve::SolveService warm_service(warm_options);
-  // Warm mode can publish a different local optimum for the same
-  // request, so the configuration digest must separate the two.
-  EXPECT_NE(cold_service.config_seed(), warm_service.config_seed());
 }
 
 }  // namespace

@@ -992,7 +992,6 @@ TEST(RequestIdPropagation, ConcurrentStreamGetsUniqueNonZeroIds) {
   EXPECT_EQ(unique.size(), kClients * kPerClient);
 }
 
-#ifndef MECOFF_OBS_DISABLED
 // The correlation id survives the whole observability chain: a
 // caller-supplied id shows up on the flight-recorder record written by
 // the solve it triggered, and the latency quantile window carries a
@@ -1019,7 +1018,6 @@ TEST(RequestIdPropagation, CallerIdLandsInFlightRecorderRecord) {
   EXPECT_GE(it->second.count, 1u);
   EXPECT_NE(it->second.max_request_id, 0u);
 }
-#endif  // MECOFF_OBS_DISABLED
 
 }  // namespace
 }  // namespace mecoff::serve

@@ -19,11 +19,15 @@ Enforces repo-specific rules that clang-tidy cannot express:
   no-endl           std::endl is a flush in disguise; use '\n'.
   obs-facade        outside src/obs/, observability is reached through the
                     MECOFF_* macros (src/obs/obs.hpp), never by naming
-                    TraceSpan / MetricsRegistry::global directly — direct
-                    calls break the MECOFF_OBS_DISABLED compile-out. Files
-                    that deliberately embed the obs stack (the CLI's serve
-                    modes, the bench metrics reporter) are listed in
-                    OBS_FACADE_ALLOWLIST.
+                    TraceSpan / MetricsRegistry::global directly. Two
+                    reasons: tools/check_consistency.py sees only metric
+                    keys recorded through the macros, so a direct call
+                    escapes the metrics<->docs check; and the macros cache
+                    the instrument in a function-local static, while a
+                    direct call takes the registry mutex and a map lookup
+                    on every call. Files that deliberately embed the obs
+                    stack (the CLI's serve modes, the bench metrics
+                    reporter) are listed in OBS_FACADE_ALLOWLIST.
   reinterpret-cast  reinterpret_cast appears only at audited sites listed
                     in CAST_ALLOWLIST (currently the sockaddr helper in
                     http_server.cpp), each confined to a named helper.
@@ -81,15 +85,15 @@ CAST_ALLOWLIST = {
 
 # Files that deliberately embed the obs stack instead of going through
 # the MECOFF_* macros. Both are tools that EXIST to surface telemetry:
-# they are never compiled under MECOFF_OBS_DISABLED expectations — the
-# registry class itself stays compiled in either way.
+# they read the whole registry (no metric key of their own for the
+# consistency check to miss) and run once per command, not per solve.
 OBS_FACADE_ALLOWLIST = {
     # The CLI's serve/serve-solve modes mount the telemetry server and
     # print registry summaries; reading the registry directly is the
     # feature.
     "tools/mecoff_cli.cpp",
     # The bench metrics reporter dumps the registry as JSON for
-    # tools/bench_gate.py; it already guards on MECOFF_OBS_DISABLED.
+    # tools/bench_gate.py, once per bench run.
     "bench/support/reporting.cpp",
 }
 
@@ -371,9 +375,10 @@ def check_file(rel, code, code_with_literals, findings, tree_mode,
             for match in pattern.finditer(code):
                 findings.append(Finding(
                     "obs-facade", rel, line_of(code, match.start()),
-                    f"direct use of {name} outside src/obs/ — the MECOFF_* "
-                    f"macros compile out under MECOFF_OBS_DISABLED; direct "
-                    f"calls do not"))
+                    f"direct use of {name} outside src/obs/ — use the "
+                    f"MECOFF_* macros: check_consistency.py sees only keys "
+                    f"recorded through them, and they cache the instrument "
+                    f"instead of locking the registry on every call"))
 
     # reinterpret-cast: audited-sites-only.
     if apply_src_rules:
