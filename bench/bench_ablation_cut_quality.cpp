@@ -8,8 +8,6 @@
 
 #include "common/strings.hpp"
 #include "graph/generators.hpp"
-#include "kl/fiduccia_mattheyses.hpp"
-#include "kl/multilevel.hpp"
 #include "mincut/bipartitioner.hpp"
 #include "mincut/stoer_wagner.hpp"
 #include "spectral/fiedler.hpp"
@@ -41,22 +39,17 @@ int run() {
     mf_opts.strategy = mincut::TerminalStrategy::kBestOfK;
     const double maxflow =
         mincut::MaxFlowBipartitioner(mf_opts).bipartition(g).cut_weight;
-    const double fm = kl::FmBipartitioner{}.bipartition(g).cut_weight;
-    const double ml =
-        kl::MultilevelBipartitioner{}.bipartition(g).cut_weight;
 
     const double sweep_ratio = exact > 0 ? sweep / exact : 1.0;
     worst_sweep_ratio = std::max(worst_sweep_ratio, sweep_ratio);
     rows.push_back({"seed " + std::to_string(seed), format_fixed(exact, 2),
                     format_fixed(sign, 2), format_fixed(sweep, 2),
-                    format_fixed(maxflow, 2), format_fixed(fm, 2),
-                    format_fixed(ml, 2),
+                    format_fixed(maxflow, 2),
                     format_fixed(sweep_ratio, 2) + "x"});
   }
   print_table("Ablation: spectral cut vs exact minimum (60-node graphs)",
               {"instance", "Stoer-Wagner (exact)", "spectral sign",
-               "spectral sweep", "max-flow best-of-8", "FM (balanced)", "multilevel",
-               "sweep/exact"},
+               "spectral sweep", "max-flow best-of-8", "sweep/exact"},
               rows);
   print_shape_check("sweep split within 3x of the exact minimum cut",
                     worst_sweep_ratio <= 3.0);

@@ -3,8 +3,7 @@
 // paper's single-server model.
 //
 // Demonstrates: the multi-server offloader (capacity-weighted user
-// attachment + per-server pipeline + rebalancing), and per-function
-// task-DAG simulation of the winning scheme for one user.
+// attachment + per-server pipeline + rebalancing).
 //
 // Run:  ./edge_cluster [users=<n>]
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include "appmodel/synthetic_apps.hpp"
 #include "common/config.hpp"
 #include "mec/multiserver.hpp"
-#include "sim/dag_executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mecoff;
@@ -22,10 +20,9 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cfg.get_int("users", 24));
 
   // Application mix from the appmodel library.
-  std::vector<appmodel::Application> apps;
   std::vector<mec::UserApp> user_apps;
   for (std::size_t i = 0; i < users; ++i) {
-    appmodel::Application app =
+    const appmodel::Application app =
         i % 3 == 0   ? appmodel::make_face_recognition_app()
         : i % 3 == 1 ? appmodel::make_ar_game_app()
                      : appmodel::make_video_analytics_app();
@@ -34,7 +31,6 @@ int main(int argc, char** argv) {
     user.unoffloadable = app.unoffloadable_mask();
     user.components = app.component_ids();
     user_apps.push_back(std::move(user));
-    apps.push_back(std::move(app));
   }
 
   mec::MultiServerSystem system;
@@ -68,28 +64,6 @@ int main(int argc, char** argv) {
       if (home == s) ++count;
     std::printf("S%-7zu | %-10.0f | %-12zu | %.0f\n", s,
                 system.servers[s].capacity, count, result.server_load[s]);
-  }
-
-  // Task-level replay of user 0's schedule on its home server.
-  const std::size_t u0 = 0;
-  const std::size_t home = result.server_of_user[u0];
-  mec::MecSystem solo;
-  solo.params = system.device;
-  solo.params.server_capacity = system.servers[home].capacity;
-  solo.params.bandwidth = system.servers[home].bandwidth;
-  solo.params.transmit_power = system.servers[home].transmit_power;
-  solo.users = {system.users[u0]};
-  mec::OffloadingScheme solo_scheme;
-  solo_scheme.placement = {result.scheme.placement[u0]};
-  const auto dag = sim::execute_dag(solo, {apps[u0]}, solo_scheme);
-  if (dag.ok()) {
-    std::printf("\nuser 0 ('%s', attached to S%zu) task schedule:\n",
-                apps[u0].name().c_str(), home);
-    for (const sim::TaskTrace& t : dag.value().users[0].tasks)
-      std::printf("  [%7.3f, %7.3f] %-18s on %s\n", t.start, t.finish,
-                  apps[u0].function(t.function).name.c_str(),
-                  t.remote ? "server" : "device");
-    std::printf("makespan: %.3f\n", dag.value().users[0].makespan);
   }
   return 0;
 }

@@ -32,7 +32,6 @@ Fingerprint fingerprint_solver_config(const mec::PipelineOptions& options) {
   fp.add_u64(options.spectral.fiedler.seed);
   fp.add_u64(options.spectral.fiedler.max_subspace);
   fp.add_u64(options.spectral.fiedler.max_iterations);
-  fp.add_u64(static_cast<std::uint64_t>(options.spectral.split));
   fp.add_u64(static_cast<std::uint64_t>(options.maxflow.strategy));
   fp.add_u64(options.maxflow.num_pairs);
   fp.add_u64(options.maxflow.seed);

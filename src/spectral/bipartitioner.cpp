@@ -5,6 +5,7 @@
 #include "common/logging.hpp"
 #include "graph/components.hpp"
 #include "obs/obs.hpp"
+#include "spectral/splitter.hpp"
 
 namespace mecoff::spectral {
 
@@ -53,7 +54,7 @@ Bipartition SpectralBipartitioner::bipartition(const WeightedGraph& g) {
                     << g.num_nodes() << "); using best available vector";
   }
   last_fiedler_value_ = fiedler.value;
-  return split_by_policy(g, fiedler.vector, options_.split);
+  return sweep_split(g, fiedler.vector);
 }
 
 }  // namespace mecoff::spectral

@@ -1,5 +1,5 @@
 // The Bipartitioner the paper's offloader plugs in: Fiedler pair then
-// sign/sweep split. Handles the degenerate cases the pure math cannot:
+// sweep split. Handles the degenerate cases the pure math cannot:
 // empty graphs, single nodes, and disconnected inputs (each component
 // is split recursively against the overall best cut... in practice the
 // pipeline always hands us connected components, but a library must not
@@ -8,13 +8,11 @@
 
 #include "graph/partition.hpp"
 #include "spectral/fiedler.hpp"
-#include "spectral/splitter.hpp"
 
 namespace mecoff::spectral {
 
 struct SpectralOptions {
   FiedlerOptions fiedler;
-  SplitPolicy split = SplitPolicy::kSweep;
 };
 
 class SpectralBipartitioner final : public graph::Bipartitioner {

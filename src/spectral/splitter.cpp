@@ -74,69 +74,4 @@ Bipartition sweep_split(const WeightedGraph& g,
   return out;
 }
 
-Bipartition sweep_split_ratio(const WeightedGraph& g,
-                              std::span<const double> fiedler) {
-  MECOFF_EXPECTS(fiedler.size() == g.num_nodes());
-  const std::size_t n = g.num_nodes();
-  Bipartition out;
-  out.side.assign(n, 0);
-  if (n < 2) {
-    out.cut_weight = 0.0;
-    return out;
-  }
-
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return fiedler[a] != fiedler[b] ? fiedler[a] < fiedler[b] : a < b;
-  });
-
-  // Incremental cut as in sweep_split, but scored by
-  // cut / min(prefix weight, suffix weight).
-  const double total_weight = g.total_node_weight();
-  std::vector<bool> moved(n, false);
-  double cut = 0.0;
-  double prefix_weight = 0.0;
-  double best_score = 0.0;
-  std::size_t best_prefix = 0;
-  bool have_best = false;
-
-  for (std::size_t k = 0; k + 1 < n; ++k) {
-    const NodeId v = order[k];
-    for (const graph::Adjacency& adj : g.neighbors(v))
-      cut += moved[adj.neighbor] ? -adj.weight : adj.weight;
-    moved[v] = true;
-    prefix_weight += g.node_weight(v);
-    const double min_side =
-        std::min(prefix_weight, total_weight - prefix_weight);
-    if (min_side <= 0.0) continue;  // weightless side: no meaningful ratio
-    const double score = cut / min_side;
-    if (!have_best || score < best_score) {
-      best_score = score;
-      best_prefix = k + 1;
-      have_best = true;
-    }
-  }
-  if (!have_best) best_prefix = 1;  // all-zero weights: any non-trivial split
-
-  for (std::size_t i = 0; i < n; ++i)
-    out.side[order[i]] = i < best_prefix ? 0 : 1;
-  out.cut_weight = graph::cut_weight(g, out.side);
-  return out;
-}
-
-Bipartition split_by_policy(const WeightedGraph& g,
-                            std::span<const double> fiedler,
-                            SplitPolicy policy) {
-  switch (policy) {
-    case SplitPolicy::kSign:
-      return sign_split(g, fiedler);
-    case SplitPolicy::kSweep:
-      return sweep_split(g, fiedler);
-    case SplitPolicy::kSweepRatio:
-      return sweep_split_ratio(g, fiedler);
-  }
-  throw PreconditionError("unknown split policy");
-}
-
 }  // namespace mecoff::spectral

@@ -2,12 +2,13 @@
 // parts of the cut can be gotten from the eigenvector corresponding to
 // the second smallest eigenvalue", Section III-B).
 //
-// Two policies:
+// Two splits:
 //  * sign split — the paper's q_i ∈ {+1, −1} indicator: side by sign of
-//    v₂[i] (ties to side 0);
+//    v₂[i] (ties to side 0). Only the cut-quality ablation uses it;
 //  * sweep split — sort nodes by v₂ value and take the prefix/suffix
 //    threshold with the smallest cut weight; never worse than the sign
-//    split and standard practice in spectral partitioning. The default.
+//    split and standard practice in spectral partitioning. The
+//    SpectralBipartitioner always sweeps.
 #pragma once
 
 #include <span>
@@ -17,15 +18,6 @@
 
 namespace mecoff::spectral {
 
-enum class SplitPolicy {
-  kSign,
-  kSweep,
-  /// Sweep minimizing the RATIO cut(S, S̄) / min(w(S), w(S̄)) over node
-  /// weights — the balance-aware variant (normalized/ratio-cut family).
-  /// Picks balanced boundaries when plain sweep would shave off slivers.
-  kSweepRatio,
-};
-
 /// Partition by the sign of the Fiedler vector entries.
 [[nodiscard]] graph::Bipartition sign_split(const graph::WeightedGraph& g,
                                             std::span<const double> fiedler);
@@ -34,13 +26,5 @@ enum class SplitPolicy {
 /// split with both sides non-empty.
 [[nodiscard]] graph::Bipartition sweep_split(const graph::WeightedGraph& g,
                                              std::span<const double> fiedler);
-
-/// Sweep minimizing cut / min-side-node-weight (ratio cut).
-[[nodiscard]] graph::Bipartition sweep_split_ratio(
-    const graph::WeightedGraph& g, std::span<const double> fiedler);
-
-[[nodiscard]] graph::Bipartition split_by_policy(
-    const graph::WeightedGraph& g, std::span<const double> fiedler,
-    SplitPolicy policy);
 
 }  // namespace mecoff::spectral

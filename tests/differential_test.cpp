@@ -18,8 +18,8 @@
 //
 //     W_sweep ≤ sqrt(λ₂ (2Δ − λ₂)) · n / 2,
 //
-// and SplitPolicy::kSweep returns the cut-weight minimum over all
-// thresholds, so it inherits the bound. The matching lower bound
+// and the bipartitioner's sweep split returns the cut-weight minimum
+// over all thresholds, so it inherits the bound. The matching lower bound
 // W* ≥ λ₂ |S||S̄| / n (Fiedler) pins the oracle's λ₂ from the other
 // side, so a wrong eigenvalue cannot silently satisfy both.
 #include <gtest/gtest.h>

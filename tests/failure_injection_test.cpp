@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "appmodel/dsl_parser.hpp"
-#include "appmodel/trace_import.hpp"
 #include "common/contracts.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -21,7 +20,6 @@
 #include "mec/profiles.hpp"
 #include "mec/offloader.hpp"
 #include "sim/chaos.hpp"
-#include "sim/dag_executor.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_script.hpp"
 #include "sim/resources.hpp"
@@ -141,33 +139,13 @@ TEST(FailureInjection, SimEngineRejectsTimeTravel) {
   EXPECT_THROW(server.submit(-1.0, nullptr), PreconditionError);
 }
 
-TEST(FailureInjection, DagExecutorReturnsErrorsNotCrashes) {
-  appmodel::Application app("a");
-  app.add_function({"f", 1, false, ""});
-  mec::UserApp user;
-  user.graph = app.to_graph();
-  mec::MecSystem system{mec::SystemParams{}, {user}};
-  const mec::OffloadingScheme scheme =
-      mec::OffloadingScheme::all_local(system);
-  // Empty app list, wrong sizes: Result errors.
-  EXPECT_FALSE(sim::execute_dag(system, {}, scheme).ok());
-  appmodel::Application bigger("b");
-  bigger.add_function({"x", 1, false, ""});
-  bigger.add_function({"y", 1, false, ""});
-  EXPECT_FALSE(sim::execute_dag(system, {bigger}, scheme).ok());
-}
-
-TEST(FailureInjection, DslAndTraceParsersNeverThrowOnTextInput) {
-  // Parsers promise Result errors for ANY text, including binary junk.
+TEST(FailureInjection, DslParserNeverThrowsOnTextInput) {
+  // The parser promises Result errors for ANY text, including binary junk.
   for (const char* junk :
        {"\xff\xfe\x00", "app\n\n\n", "call a b data=2\n",
         "function  compute=1\n", "app X\nfunction f compute=1e999\n"}) {
     EXPECT_NO_THROW({
       const auto r = appmodel::parse_app_dsl(junk);
-      (void)r.ok();
-    }) << junk;
-    EXPECT_NO_THROW({
-      const auto r = appmodel::import_trace(junk);
       (void)r.ok();
     }) << junk;
   }

@@ -1,16 +1,17 @@
-// Extended property suites covering the post-reproduction additions:
-// FM refinement, the Jacobi oracle, the task-DAG executor, and the
-// multi-server composition.
+// Extended property suites over a seed grid: the Jacobi oracle against
+// Lanczos, the batch executor's bill against the analytic model, and
+// the multi-server composition.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "appmodel/synthetic_apps.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
-#include "kl/fiduccia_mattheyses.hpp"
 #include "linalg/jacobi.hpp"
 #include "linalg/laplacian.hpp"
+#include "mec/costs.hpp"
 #include "mec/multiserver.hpp"
-#include "sim/dag_executor.hpp"
 #include "sim/executor.hpp"
 #include "spectral/fiedler.hpp"
 
@@ -26,25 +27,6 @@ graph::WeightedGraph seeded_graph(std::uint64_t seed, std::size_t nodes) {
   p.components = 1;
   p.seed = seed;
   return graph::netgen_style(p);
-}
-
-TEST_P(SeedProperty, FmRefinementIsSoundAcrossStarts) {
-  const graph::WeightedGraph g = seeded_graph(GetParam(), 60);
-  Rng rng(GetParam() ^ 0xf1);
-  for (int trial = 0; trial < 3; ++trial) {
-    graph::Bipartition initial;
-    initial.side.resize(g.num_nodes());
-    for (auto& s : initial.side) s = rng.bernoulli(0.5) ? 1 : 0;
-    initial.cut_weight = graph::cut_weight(g, initial.side);
-    const kl::FmResult r = kl::fm_refine(g, initial, {});
-    // Sound: reported cut matches recomputation, never worse than start.
-    EXPECT_NEAR(r.partition.cut_weight,
-                graph::cut_weight(g, r.partition.side), 1e-9);
-    EXPECT_LE(r.partition.cut_weight, initial.cut_weight + 1e-9);
-    // Both sides stay populated.
-    EXPECT_GE(r.partition.size(0), 1u);
-    EXPECT_GE(r.partition.size(1), 1u);
-  }
 }
 
 TEST_P(SeedProperty, JacobiAndLanczosAgreeOnFiedlerValue) {
@@ -70,54 +52,44 @@ TEST_P(SeedProperty, JacobiSpectrumBoundsHold) {
   EXPECT_LE(full.values.back(), lap.gershgorin_bound() + 1e-8);
 }
 
-TEST_P(SeedProperty, DagAndBatchExecutorsAgreeOnEnergy) {
-  // Energies are schedule-independent: any scheme must be billed the
-  // same by both executors.
-  const appmodel::Application app =
-      appmodel::make_random_app(40, 0.15, GetParam());
-  if (!sim::call_graph_is_acyclic(app)) GTEST_SKIP();
-  mec::UserApp user;
-  user.graph = app.to_graph();
-  user.unoffloadable = app.unoffloadable_mask();
-  mec::SystemParams params;
-  mec::MecSystem system{params, {user}};
-
-  Rng rng(GetParam() ^ 0xda6);
-  mec::OffloadingScheme scheme = mec::OffloadingScheme::all_local(system);
-  for (std::size_t v = 0; v < user.graph.num_nodes(); ++v)
-    if (!user.unoffloadable[v] && rng.bernoulli(0.5))
-      scheme.placement[0][v] = mec::Placement::kRemote;
-
-  const auto dag = sim::execute_dag(system, {app}, scheme);
-  ASSERT_TRUE(dag.ok());
-  const sim::SimReport batch = sim::simulate_scheme(system, scheme);
-  EXPECT_NEAR(dag.value().total_energy, batch.total_energy,
-              1e-6 * (1.0 + batch.total_energy));
-}
-
-TEST_P(SeedProperty, DagMakespanAtLeastCriticalCompute) {
-  // The makespan can never beat the heaviest single function on its
-  // assigned processor.
-  const appmodel::Application app =
-      appmodel::make_random_app(30, 0.1, GetParam() + 1);
-  if (!sim::call_graph_is_acyclic(app)) GTEST_SKIP();
-  mec::UserApp user;
-  user.graph = app.to_graph();
-  user.unoffloadable = app.unoffloadable_mask();
-  mec::SystemParams params;
-  mec::MecSystem system{params, {user}};
-  const mec::OffloadingScheme scheme =
-      mec::OffloadingScheme::all_remote(system);
-  const auto dag = sim::execute_dag(system, {app}, scheme);
-  ASSERT_TRUE(dag.ok());
-  double heaviest = 0.0;
-  for (std::size_t v = 0; v < app.num_functions(); ++v) {
-    const bool remote = scheme.placement[0][v] == mec::Placement::kRemote;
-    const double rate =
-        remote ? params.server_capacity : params.mobile_capacity;
-    heaviest = std::max(heaviest, app.function(v).computation / rate);
+TEST_P(SeedProperty, BatchExecutorBillsTheAnalyticEnergy) {
+  // Energies are load-independent: whatever the server queue does, the
+  // simulator must bill every user's local and transmit energy exactly
+  // as evaluate() does, for any scheme that respects the pins.
+  mec::MecSystem system;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const appmodel::Application app =
+        appmodel::make_random_app(40, 0.15, GetParam() * 3 + i);
+    mec::UserApp user;
+    user.graph = app.to_graph();
+    user.unoffloadable = app.unoffloadable_mask();
+    system.users.push_back(std::move(user));
   }
-  EXPECT_GE(dag.value().makespan, heaviest - 1e-9);
+
+  Rng rng(GetParam() ^ 0xba7c);
+  mec::OffloadingScheme scheme = mec::OffloadingScheme::all_local(system);
+  for (std::size_t u = 0; u < system.users.size(); ++u)
+    for (std::size_t v = 0; v < system.users[u].graph.num_nodes(); ++v)
+      if (!system.users[u].unoffloadable[v] && rng.bernoulli(0.5))
+        scheme.placement[u][v] = mec::Placement::kRemote;
+  ASSERT_TRUE(scheme.valid_for(system));
+
+  const mec::SystemCost analytic = mec::evaluate(system, scheme);
+  const sim::SimReport batch = sim::simulate_scheme(system, scheme);
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-9 * std::abs(want);
+  };
+  EXPECT_TRUE(near(batch.total_energy, analytic.total_energy))
+      << batch.total_energy << " vs " << analytic.total_energy;
+  ASSERT_EQ(batch.users.size(), analytic.users.size());
+  for (std::size_t u = 0; u < batch.users.size(); ++u) {
+    EXPECT_TRUE(near(batch.users[u].local_energy,
+                     analytic.users[u].local_energy))
+        << "user " << u;
+    EXPECT_TRUE(near(batch.users[u].transmit_energy,
+                     analytic.users[u].transmit_energy))
+        << "user " << u;
+  }
 }
 
 TEST_P(SeedProperty, MultiServerTotalsMatchGroupOracles) {

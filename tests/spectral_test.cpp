@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <numbers>
 
 #include "common/contracts.hpp"
@@ -203,76 +202,6 @@ TEST(Bipartitioner, DisconnectedGraphGetsZeroCut) {
 
 TEST(Bipartitioner, Name) {
   EXPECT_EQ(SpectralBipartitioner{}.name(), "spectral");
-}
-
-}  // namespace
-}  // namespace mecoff::spectral
-
-namespace mecoff::spectral {
-namespace {
-
-TEST(SplitterRatio, PrefersBalancedBoundaries) {
-  // A clique of 7 with a light pendant: plain sweep happily shaves the
-  // pendant (cut 0.5); the ratio sweep weighs the sliver's tiny weight
-  // against it and picks a more balanced boundary only when it pays.
-  graph::GraphBuilder b;
-  for (int i = 0; i < 8; ++i) b.add_node(1.0);
-  for (int i = 0; i < 7; ++i)
-    for (int j = i + 1; j < 7; ++j)
-      b.add_edge(static_cast<graph::NodeId>(i),
-                 static_cast<graph::NodeId>(j), 5.0);
-  b.add_edge(6, 7, 0.5);
-  const graph::WeightedGraph g = b.build();
-  const FiedlerResult f = fiedler_pair(g);
-  const graph::Bipartition plain = sweep_split(g, f.vector);
-  const graph::Bipartition ratio = sweep_split_ratio(g, f.vector);
-  EXPECT_DOUBLE_EQ(plain.cut_weight, 0.5);  // pendant shaved
-  // Ratio score of the pendant split: 0.5 / 1 = 0.5; any balanced clique
-  // split scores >= 5·(cut edges)/3.5 ≫ 0.5 — pendant still wins here,
-  // which is CORRECT (it is the best ratio too).
-  EXPECT_DOUBLE_EQ(ratio.cut_weight, 0.5);
-}
-
-TEST(SplitterRatio, BalancedOnBarbell) {
-  const graph::WeightedGraph g = graph::barbell_graph(6, 1.0, 10.0);
-  const FiedlerResult f = fiedler_pair(g);
-  const graph::Bipartition ratio = sweep_split_ratio(g, f.vector);
-  EXPECT_DOUBLE_EQ(ratio.cut_weight, 1.0);
-  EXPECT_EQ(ratio.size(0), 6u);
-}
-
-TEST(SplitterRatio, BeatsPlainSweepOnRatioMetric) {
-  for (const std::uint64_t seed : {5ULL, 6ULL, 7ULL}) {
-    graph::NetgenParams p;
-    p.nodes = 70;
-    p.edges = 280;
-    p.components = 1;
-    p.seed = seed;
-    const graph::WeightedGraph g = graph::netgen_style(p);
-    const FiedlerResult f = fiedler_pair(g);
-    const graph::Bipartition plain = sweep_split(g, f.vector);
-    const graph::Bipartition ratio = sweep_split_ratio(g, f.vector);
-    const auto score = [&](const graph::Bipartition& cut) {
-      double w0 = 0.0;
-      for (graph::NodeId v = 0; v < g.num_nodes(); ++v)
-        if (cut.side[v] == 0) w0 += g.node_weight(v);
-      const double min_side = std::min(w0, g.total_node_weight() - w0);
-      return min_side > 0 ? cut.cut_weight / min_side
-                          : std::numeric_limits<double>::infinity();
-    };
-    EXPECT_LE(score(ratio), score(plain) + 1e-9) << seed;
-    // And plain sweep stays the raw-cut champion.
-    EXPECT_LE(plain.cut_weight, ratio.cut_weight + 1e-9) << seed;
-  }
-}
-
-TEST(SplitterRatio, PolicyDispatch) {
-  const graph::WeightedGraph g = graph::barbell_graph(4, 1.0, 8.0);
-  const FiedlerResult f = fiedler_pair(g);
-  const graph::Bipartition via_policy =
-      split_by_policy(g, f.vector, SplitPolicy::kSweepRatio);
-  const graph::Bipartition direct = sweep_split_ratio(g, f.vector);
-  EXPECT_EQ(via_policy.side, direct.side);
 }
 
 }  // namespace

@@ -4,16 +4,13 @@
 //       emit a NETGEN-style graph as an edge list on stdout
 //   mecoff_cli compress <graph.edgelist> [threshold=10]
 //       run Algorithm 1, print Table-I style statistics
-//   mecoff_cli cut <graph.edgelist> [algo=spectral|maxflow|kl|fm|sw]
+//   mecoff_cli cut <graph.edgelist> [algo=spectral|maxflow|kl|sw]
 //       two-way cut, print cut weight and side sizes ([dot=out.dot])
-//   mecoff_cli solve <app.dsl> [pc=1 pt=8 b=20 ic=5 is=50 kappa=0.02]
+//   mecoff_cli solve <app.dsl> [pc=1 pt=8 b=20 ic=5 is=50 kappa=0.02
+//                               algo=spectral|maxflow|kl]
 //       full pipeline on a DSL application, print placement and bill
 //   mecoff_cli simulate <app.dsl> [same params]
-//       solve, then run BOTH simulators (batch + task-DAG)
-//   mecoff_cli kway <graph.edgelist> parts=4
-//       k-way spectral partition, print part sizes and total cut
-//   mecoff_cli trace <app.trace> [same params as solve]
-//       import an execution trace (profiler format) and solve it
+//       solve, then replay the scheme on the batch simulator
 //   mecoff_cli stats <graph.edgelist>
 //       validate the file and print structural statistics
 //   mecoff_cli serve <app.dsl> [users=N threads=T port=P servers=S
@@ -72,9 +69,14 @@
 // remaining sub-graphs degrade to cheaper cuts (spectral → KL →
 // all-remote) instead of hanging; fallback counts are printed.
 //
-// `solve`/`simulate`/`trace` accept profile=<name> to start from a
+// `solve`/`simulate` accept profile=<name> to start from a
 // deployment preset (wifi_campus, lte_smallcell, mmwave_hotspot,
 // congested_venue); explicit key=value options override preset fields.
+// `solve`, `simulate` and `serve-solve` take algo=spectral|maxflow|kl
+// for the cut step; any other name is a usage error (exit 2).
+//
+// `generate` parses its sizes strictly: a malformed or out-of-range
+// nodes=, edges=, seed=, components= or cluster_size= is a usage error.
 //
 // Observability (see docs/observability.md):
 //   users=<n>      replicate the application into an n-user system
@@ -87,6 +89,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -97,7 +100,6 @@
 #include <vector>
 
 #include "appmodel/dsl_parser.hpp"
-#include "appmodel/trace_import.hpp"
 #include "common/config.hpp"
 #include "common/stopwatch.hpp"
 #include "common/strings.hpp"
@@ -106,9 +108,7 @@
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
 #include "graph/validation.hpp"
-#include "kl/fiduccia_mattheyses.hpp"
 #include "kl/kernighan_lin.hpp"
-#include "kl/multilevel.hpp"
 #include "lpa/pipeline.hpp"
 #include "mec/costs.hpp"
 #include "mec/multiserver.hpp"
@@ -125,12 +125,10 @@
 #include "parallel/thread_pool.hpp"
 #include "serve/fault_injector.hpp"
 #include "serve/solve_service.hpp"
-#include "sim/dag_executor.hpp"
 #include "support/load_harness.hpp"
 #include "sim/executor.hpp"
 #include "sim/fault_script.hpp"
 #include "spectral/bipartitioner.hpp"
-#include "spectral/kway.hpp"
 
 namespace {
 
@@ -178,6 +176,52 @@ mec::SystemParams params_from(const Config& cfg) {
   return p;
 }
 
+/// Strict numeric option parsing for the serving commands and
+/// `generate`: a PRESENT but malformed value is a usage error (exit 2),
+/// never a silent fallback — a typo'd duration= must not turn a bounded
+/// smoke run into a forever-server.
+bool strict_int(const Config& cfg, const char* key, long long fallback,
+                long long& out) {
+  out = fallback;
+  if (!cfg.has(key)) return true;
+  const std::string text = cfg.get_string(key, "");
+  if (parse_int(text, out)) return true;
+  std::fprintf(stderr, "usage error: %s= expects an integer, got '%s'\n",
+               key, text.c_str());
+  return false;
+}
+
+bool strict_double(const Config& cfg, const char* key, double fallback,
+                   double& out) {
+  out = fallback;
+  if (!cfg.has(key)) return true;
+  const std::string text = cfg.get_string(key, "");
+  if (parse_double(text, out)) return true;
+  std::fprintf(stderr, "usage error: %s= expects a number, got '%s'\n",
+               key, text.c_str());
+  return false;
+}
+
+/// The cut backend named by algo= (default spectral), shared by every
+/// command that runs the pipeline. An unknown name is a usage error
+/// (exit 2), never a silent spectral solve.
+bool strict_backend(const Config& cfg, mec::CutBackend& out) {
+  const std::string algo = cfg.get_string("algo", "spectral");
+  if (algo == "spectral") {
+    out = mec::CutBackend::kSpectral;
+  } else if (algo == "maxflow") {
+    out = mec::CutBackend::kMaxFlow;
+  } else if (algo == "kl") {
+    out = mec::CutBackend::kKernighanLin;
+  } else {
+    std::fprintf(stderr,
+                 "usage error: algo= expects spectral|maxflow|kl, got '%s'\n",
+                 algo.c_str());
+    return false;
+  }
+  return true;
+}
+
 int cmd_stats(const std::string& path) {
   const Result<graph::WeightedGraph> g = load_graph(path);
   if (!g.ok()) {
@@ -212,14 +256,42 @@ int cmd_stats(const std::string& path) {
 }
 
 int cmd_generate(const Config& cfg) {
+  // Checked before any cast: a negative size would wrap to SIZE_MAX and
+  // allocate until std::bad_alloc, and a zero one would trip the
+  // generator's preconditions. edges= defaults to 5 per node, clamped so
+  // the product cannot overflow.
+  long long nodes = 0;
+  long long edges = 0;
+  long long seed = 0;
+  long long components = 0;
+  long long cluster_size = 0;
+  if (!strict_int(cfg, "nodes", 1000, nodes) ||
+      !strict_int(cfg, "edges", std::clamp(nodes, 0LL, LLONG_MAX / 5) * 5,
+                  edges) ||
+      !strict_int(cfg, "seed", 1, seed) ||
+      !strict_int(cfg, "components", 4, components) ||
+      !strict_int(cfg, "cluster_size", 8, cluster_size))
+    return 2;
+  const auto out_of_range = [](const char* key, const char* range,
+                               long long got) {
+    std::fprintf(stderr, "usage error: %s= expects %s, got %lld\n", key,
+                 range, got);
+    return 2;
+  };
+  if (nodes < 1) return out_of_range("nodes", "an integer >= 1", nodes);
+  if (edges < 0) return out_of_range("edges", "an integer >= 0", edges);
+  if (seed < 0) return out_of_range("seed", "an integer >= 0", seed);
+  if (components < 1 || components > nodes)
+    return out_of_range("components", "an integer in [1, nodes]",
+                        components);
+  if (cluster_size < 1)
+    return out_of_range("cluster_size", "an integer >= 1", cluster_size);
   graph::NetgenParams p;
-  p.nodes = static_cast<std::size_t>(cfg.get_int("nodes", 1000));
-  p.edges = static_cast<std::size_t>(cfg.get_int("edges", p.nodes * 5));
-  p.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-  p.components =
-      static_cast<std::size_t>(cfg.get_int("components", 4));
-  p.cluster_size =
-      static_cast<std::size_t>(cfg.get_int("cluster_size", 8));
+  p.nodes = static_cast<std::size_t>(nodes);
+  p.edges = static_cast<std::size_t>(edges);
+  p.seed = static_cast<std::uint64_t>(seed);
+  p.components = static_cast<std::size_t>(components);
+  p.cluster_size = static_cast<std::size_t>(cluster_size);
   std::fputs(graph::to_edge_list(graph::netgen_style(p)).c_str(), stdout);
   return 0;
 }
@@ -254,9 +326,6 @@ std::unique_ptr<graph::Bipartitioner> make_cutter(const std::string& algo) {
     return std::make_unique<mincut::MaxFlowBipartitioner>();
   if (algo == "kl")
     return std::make_unique<kl::KernighanLinBipartitioner>();
-  if (algo == "fm") return std::make_unique<kl::FmBipartitioner>();
-  if (algo == "multilevel")
-    return std::make_unique<kl::MultilevelBipartitioner>();
   return nullptr;
 }
 
@@ -273,7 +342,7 @@ int cmd_cut(const std::string& path, const Config& cfg) {
   } else {
     const std::unique_ptr<graph::Bipartitioner> cutter = make_cutter(algo);
     if (cutter == nullptr) {
-      std::fprintf(stderr, "unknown algo '%s' (spectral|maxflow|kl|fm|multilevel|sw)\n",
+      std::fprintf(stderr, "unknown algo '%s' (spectral|maxflow|kl|sw)\n",
                    algo.c_str());
       return 2;
     }
@@ -288,24 +357,6 @@ int cmd_cut(const std::string& path, const Config& cfg) {
     out << graph::to_dot(g.value(), cut.side);
     std::printf("wrote %s\n", dot_path.c_str());
   }
-  return 0;
-}
-
-int cmd_kway(const std::string& path, const Config& cfg) {
-  const Result<graph::WeightedGraph> g = load_graph(path);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.error().message.c_str());
-    return 1;
-  }
-  spectral::KwayOptions opts;
-  opts.parts = static_cast<std::size_t>(cfg.get_int("parts", 4));
-  const spectral::KwayResult r = spectral::kway_partition(g.value(), opts);
-  std::printf("parts used: %u\n", r.parts_used);
-  std::printf("total cut:  %s\n", format_fixed(r.total_cut, 4).c_str());
-  std::vector<std::size_t> sizes(r.parts_used, 0);
-  for (const auto p : r.part_of) ++sizes[p];
-  for (std::uint32_t p = 0; p < r.parts_used; ++p)
-    std::printf("  part %u: %zu nodes\n", p, sizes[p]);
   return 0;
 }
 
@@ -336,21 +387,10 @@ void print_obs_summary() {
                 format_fixed(q.p99, 6).c_str());
 }
 
-int cmd_solve(const std::string& path, const Config& cfg, bool simulate,
-              bool from_trace = false) {
-  Result<appmodel::Application> parsed = [&]() -> Result<appmodel::Application> {
-    if (!from_trace) return load_app(path);
-    const Result<std::string> text = read_file(path);
-    if (!text.ok()) return text.error();
-    const Result<appmodel::TraceImport> imported =
-        appmodel::import_trace(text.value());
-    if (!imported.ok()) return imported.error();
-    std::printf("trace: %zu records, %zu invocations, %ss traced\n",
-                imported.value().records, imported.value().invocations,
-                format_fixed(imported.value().total_traced_seconds, 3)
-                    .c_str());
-    return imported.value().app;
-  }();
+int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
+  mec::PipelineOptions options;
+  if (!strict_backend(cfg, options.backend)) return 2;
+  const Result<appmodel::Application> parsed = load_app(path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
     return 1;
@@ -372,11 +412,7 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate,
   const bool dump_metrics = cfg.get_int("metrics", 0) != 0;
   if (!trace_path.empty()) obs::TraceCollector::global().enable();
 
-  mec::PipelineOptions options;
   options.propagation.coupling_threshold = cfg.get_double("threshold", 10.0);
-  const std::string algo = cfg.get_string("algo", "spectral");
-  if (algo == "maxflow") options.backend = mec::CutBackend::kMaxFlow;
-  if (algo == "kl") options.backend = mec::CutBackend::kKernighanLin;
   options.deadline.seconds = cfg.get_double("deadline", -1.0);
   const std::size_t threads = static_cast<std::size_t>(
       std::max<long long>(0, cfg.get_int("threads", 0)));
@@ -453,18 +489,6 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate,
                 "(events: %zu)\n",
                 format_fixed(batch.total_energy, 3).c_str(),
                 format_fixed(batch.makespan, 3).c_str(), batch.events);
-    if (sim::call_graph_is_acyclic(app)) {
-      const std::vector<appmodel::Application> apps(system.users.size(), app);
-      const auto dag = sim::execute_dag(system, apps, scheme);
-      if (dag.ok())
-        std::printf("task-DAG DES:  energy = %s  makespan = %s  "
-                    "(events: %zu)\n",
-                    format_fixed(dag.value().total_energy, 3).c_str(),
-                    format_fixed(dag.value().makespan, 3).c_str(),
-                    dag.value().events);
-    } else {
-      std::printf("task-DAG DES:  skipped (cyclic call structure)\n");
-    }
   }
 
   // Observability dump happens last so the spans/counters from the solve
@@ -708,32 +732,6 @@ const char* source_name(serve::SolveSource source) {
   return "unknown";
 }
 
-/// Strict numeric option parsing for the serving commands: a PRESENT
-/// but malformed value is a usage error (exit 2), never a silent
-/// fallback — a typo'd duration= must not turn a bounded smoke run
-/// into a forever-server.
-bool strict_int(const Config& cfg, const char* key, long long fallback,
-                long long& out) {
-  out = fallback;
-  if (!cfg.has(key)) return true;
-  const std::string text = cfg.get_string(key, "");
-  if (parse_int(text, out)) return true;
-  std::fprintf(stderr, "usage error: %s= expects an integer, got '%s'\n",
-               key, text.c_str());
-  return false;
-}
-
-bool strict_double(const Config& cfg, const char* key, double fallback,
-                   double& out) {
-  out = fallback;
-  if (!cfg.has(key)) return true;
-  const std::string text = cfg.get_string(key, "");
-  if (parse_double(text, out)) return true;
-  std::fprintf(stderr, "usage error: %s= expects a number, got '%s'\n",
-               key, text.c_str());
-  return false;
-}
-
 int cmd_serve_solve(const std::string& path, const Config& cfg) {
   const Result<appmodel::Application> parsed = load_app(path);
   if (!parsed.ok()) {
@@ -759,6 +757,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   double brownout_p99 = 0.0;
   double latency_scale = 0.05;
   double timeline_interval = 0.0;
+  mec::CutBackend backend = mec::CutBackend::kSpectral;
   if (!strict_int(cfg, "threads", 4, threads_arg) ||
       !strict_int(cfg, "shards", 4, shards_arg) ||
       !strict_int(cfg, "cache", 1024, cache_arg) ||
@@ -773,7 +772,8 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
       !strict_double(cfg, "hedge", 0.5, hedge) ||
       !strict_double(cfg, "brownout_p99", 0.0, brownout_p99) ||
       !strict_double(cfg, "latency_scale", 0.05, latency_scale) ||
-      !strict_double(cfg, "timeline_interval", 0.0, timeline_interval))
+      !strict_double(cfg, "timeline_interval", 0.0, timeline_interval) ||
+      !strict_backend(cfg, backend))
     return 2;
   if (port_arg < 0 || port_arg > 65535) {
     std::fprintf(stderr, "usage error: port must be in [0, 65535]\n");
@@ -870,9 +870,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   if (!faults_path.empty()) sopts.injector = &injector;
   sopts.solver.propagation.coupling_threshold =
       cfg.get_double("threshold", 10.0);
-  const std::string algo = cfg.get_string("algo", "spectral");
-  if (algo == "maxflow") sopts.solver.backend = mec::CutBackend::kMaxFlow;
-  if (algo == "kl") sopts.solver.backend = mec::CutBackend::kKernighanLin;
+  sopts.solver.backend = backend;
   sopts.solver.deadline.seconds = cfg.get_double("deadline", -1.0);
   serve::SolveService service(sopts);
 
@@ -1096,10 +1094,7 @@ int main(int argc, char** argv) {
   if (command == "cut" && has_file) return cmd_cut(file, cfg);
   if (command == "solve" && has_file) return cmd_solve(file, cfg, false);
   if (command == "simulate" && has_file) return cmd_solve(file, cfg, true);
-  if (command == "kway" && has_file) return cmd_kway(file, cfg);
   if (command == "stats" && has_file) return cmd_stats(file);
-  if (command == "trace" && has_file)
-    return cmd_solve(file, cfg, false, /*from_trace=*/true);
   if (command == "serve" && has_file) return cmd_serve(file, cfg);
   if (command == "serve-solve" && has_file) return cmd_serve_solve(file, cfg);
   return usage();
