@@ -166,10 +166,10 @@ GreedyResult generate_scheme(const MecSystem& system,
       [&](std::size_t id) -> const std::vector<std::size_t>& {
     move_scratch.clear();
     if (id < num_parts) {
-      if (is_remote[id] && !parts[id].frozen) move_scratch.push_back(id);
+      if (is_remote[id]) move_scratch.push_back(id);
     } else {
       for (const std::size_t i : group_members[id - num_parts])
-        if (is_remote[i] && !parts[i].frozen) move_scratch.push_back(i);
+        if (is_remote[i]) move_scratch.push_back(i);
     }
     return move_scratch;
   };

@@ -37,11 +37,6 @@ struct Part {
   /// composite move (see GreedyOptions::enable_group_moves). SIZE_MAX =
   /// ungrouped.
   std::size_t group = SIZE_MAX;
-  /// Frozen parts keep their initial placement and are never move
-  /// candidates — how the adaptive coordinator holds existing users
-  /// fixed while placing an arrival (they still count toward the
-  /// server load the newcomer sees).
-  bool frozen = false;
 };
 
 struct GreedyOptions {

@@ -51,6 +51,9 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   stats_.warm_start_used = warm != nullptr;
   artifacts_ = SolveArtifacts{};
   Stopwatch total_timer;
+  // Read once on the calling thread: pool workers running solve_user
+  // carry no request scope of their own.
+  const std::uint64_t request_id = obs::current_request_id();
 
   // Degrade-don't-die budget, shared read-only by every task (steady
   // clock reads are thread-safe). Checked between sub-graph cuts.
@@ -119,8 +122,8 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
           user.components.empty() ? nullptr : &user.components);
     }();
     out.compress_seconds = compress_timer.elapsed_seconds();
-    MECOFF_HISTOGRAM_RECORD("mec.user.compress_seconds",
-                            out.compress_seconds);
+    MECOFF_QUANTILES_RECORD_ID("mec.user.compress_seconds",
+                               out.compress_seconds, request_id);
     out.compression = pipeline.aggregate_stats();
 
     Stopwatch cut_timer;
@@ -274,7 +277,8 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
       out.warm_rejected += cut.warm_rejected ? 1 : 0;
     }
     out.cut_seconds = cut_timer.elapsed_seconds();
-    MECOFF_HISTOGRAM_RECORD("mec.user.cut_seconds", out.cut_seconds);
+    MECOFF_QUANTILES_RECORD_ID("mec.user.cut_seconds", out.cut_seconds,
+                               request_id);
     return out;
   };
 
@@ -339,7 +343,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     std::vector<Part> warm_parts = all_parts;
     bool differs = false;
     for (Part& part : warm_parts) {
-      if (part.frozen) continue;
       bool all_local = !part.nodes.empty();
       for (const graph::NodeId v : part.nodes) {
         if (warm->scheme.placement[part.user][v] != Placement::kLocal) {
@@ -377,7 +380,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   MECOFF_GAUGE_SET("mec.solve.greedy_seconds", stats_.greedy_seconds);
   MECOFF_GAUGE_SET("mec.solve.total_seconds", stats_.total_seconds);
   MECOFF_GAUGE_SET("mec.solve.final_objective", stats_.final_objective);
-  MECOFF_HISTOGRAM_RECORD("mec.solve.seconds", stats_.total_seconds);
   MECOFF_COUNTER_ADD("mec.solve.users", num_users);
   MECOFF_COUNTER_ADD("mec.solve.distinct_users", distinct);
   MECOFF_COUNTER_ADD("mec.solve.parts", stats_.num_parts);
@@ -404,13 +406,13 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   // contract extends to the quantile window and the flight recorder):
   // the sliding-window latency summary /metrics exposes...
   MECOFF_QUANTILES_RECORD_ID("mec.solve.latency", stats_.total_seconds,
-                             obs::current_request_id());
+                             request_id);
   // ...and one flight-recorder record per solve. Strictly observational
   // — nothing reads the recorder back into a solve — so placements stay
   // bit-identical with the recorder armed or dumping.
   {
     obs::SolveRecord record;
-    record.request_id = obs::current_request_id();
+    record.request_id = request_id;
     record.users = num_users;
     record.distinct_users = distinct;
     record.parts = stats_.num_parts;

@@ -1,7 +1,7 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "obs/format.hpp"
@@ -17,51 +17,13 @@ void Gauge::add(double delta) {
   }
 }
 
-Histogram::Histogram(std::span<const double> upper_bounds)
-    : bounds_(upper_bounds.begin(), upper_bounds.end()),
-      buckets_(bounds_.size() + 1) {
-  MECOFF_EXPECTS(std::is_sorted(bounds_.begin(), bounds_.end()));
-}
-
-void Histogram::record(double sample) {
-  const auto it =
-      std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + sample,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-std::span<const double> Histogram::default_latency_bounds() {
-  static const double kBounds[] = {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
-                                   3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0,  3.0,
-                                   10.0, 30.0, 100.0};
-  return kBounds;
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  MECOFF_EXPECTS(i < buckets_.size());
-  return buckets_[i].load(std::memory_order_relaxed);
-}
-
-void Histogram::reset() {
-  for (std::atomic<std::uint64_t>& b : buckets_)
-    b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
 }
 
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(
-    std::string_view name, Kind kind, std::span<const double> upper_bounds,
-    std::size_t window_capacity) {
+    std::string_view name, Kind kind) {
   const MutexLock lock(mutex_);
   const auto it = entries_.find(name);
   if (it != entries_.end()) {
@@ -75,15 +37,8 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
   switch (kind) {
     case Kind::kCounter: entry.counter = std::make_unique<Counter>(); break;
     case Kind::kGauge: entry.gauge = std::make_unique<Gauge>(); break;
-    case Kind::kHistogram:
-      entry.histogram = std::make_unique<Histogram>(
-          upper_bounds.empty() ? Histogram::default_latency_bounds()
-                               : upper_bounds);
-      break;
     case Kind::kQuantiles:
-      entry.quantiles = std::make_unique<Quantiles>(
-          window_capacity == 0 ? Quantiles::kDefaultWindow
-                               : window_capacity);
+      entry.quantiles = std::make_unique<Quantiles>();
       break;
   }
   return entries_.emplace(std::string(name), std::move(entry))
@@ -91,22 +46,15 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  return *find_or_create(name, Kind::kCounter, {}).counter;
+  return *find_or_create(name, Kind::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return *find_or_create(name, Kind::kGauge, {}).gauge;
+  return *find_or_create(name, Kind::kGauge).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::span<const double> upper_bounds) {
-  return *find_or_create(name, Kind::kHistogram, upper_bounds).histogram;
-}
-
-Quantiles& MetricsRegistry::quantiles(std::string_view name,
-                                      std::size_t window_capacity) {
-  return *find_or_create(name, Kind::kQuantiles, {}, window_capacity)
-              .quantiles;
+Quantiles& MetricsRegistry::quantiles(std::string_view name) {
+  return *find_or_create(name, Kind::kQuantiles).quantiles;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -120,17 +68,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       case Kind::kGauge:
         snap.gauges[name] = entry.gauge->value();
         break;
-      case Kind::kHistogram: {
-        MetricsSnapshot::HistogramValue h;
-        h.bounds = entry.histogram->bounds();
-        h.buckets.resize(h.bounds.size() + 1);
-        for (std::size_t i = 0; i < h.buckets.size(); ++i)
-          h.buckets[i] = entry.histogram->bucket_count(i);
-        h.count = entry.histogram->count();
-        h.sum = entry.histogram->sum();
-        snap.histograms[name] = std::move(h);
-        break;
-      }
       case Kind::kQuantiles: {
         MetricsSnapshot::QuantilesValue q;
         q.count = entry.quantiles->count();
@@ -161,7 +98,6 @@ void MetricsRegistry::reset_values() {
     switch (entry.kind) {
       case Kind::kCounter: entry.counter->reset(); break;
       case Kind::kGauge: entry.gauge->reset(); break;
-      case Kind::kHistogram: entry.histogram->reset(); break;
       case Kind::kQuantiles: entry.quantiles->reset(); break;
     }
   }
@@ -170,16 +106,13 @@ void MetricsRegistry::reset_values() {
 std::string MetricsRegistry::to_text() const {
   const MetricsSnapshot snap = snapshot();
   // One `name ...` line per instrument, merge-sorted by name across the
-  // four kind maps (each already sorted) so the dump order is a single
+  // three kind maps (each already sorted) so the dump order is a single
   // global lexicographic order, stable across runs.
   std::map<std::string, std::string> lines;
   for (const auto& [name, value] : snap.counters)
     lines[name] = std::to_string(value);
   for (const auto& [name, value] : snap.gauges)
     lines[name] = format_double(value);
-  for (const auto& [name, h] : snap.histograms)
-    lines[name] = "count=" + std::to_string(h.count) +
-                  " sum=" + format_double(h.sum);
   for (const auto& [name, q] : snap.quantiles)
     lines[name] = "count=" + std::to_string(q.count) +
                   " sum=" + format_double(q.sum) +
@@ -208,20 +141,6 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out << ',';
     first = false;
     out << '"' << name << "\":" << format_double(value);
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << name << "\":{\"count\":" << h.count
-        << ",\"sum\":" << format_double(h.sum) << ",\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i)
-      out << (i == 0 ? "" : ",") << format_double(h.bounds[i]);
-    out << "],\"buckets\":[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i)
-      out << (i == 0 ? "" : ",") << h.buckets[i];
-    out << "]}";
   }
   out << "},\"quantiles\":{";
   first = true;

@@ -1,5 +1,5 @@
-// Lock-cheap metrics: named counters, gauges, and fixed-bucket latency
-// histograms shared by the whole solve pipeline.
+// Lock-cheap metrics: named counters, gauges, and sliding-window
+// latency quantiles shared by the whole solve pipeline.
 //
 // The registry is the slow path: name lookup takes a mutex and returns
 // a reference to a heap-stable instrument. Call sites cache that
@@ -16,10 +16,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "obs/quantiles.hpp"
@@ -55,49 +53,8 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-boundary histogram: bucket i counts samples <= bounds[i], the
-/// last bucket is the +inf overflow. Boundaries are fixed at creation
-/// so record() is one binary search plus two relaxed atomic adds.
-class Histogram {
- public:
-  explicit Histogram(std::span<const double> upper_bounds);
-
-  void record(double sample);
-
-  /// Default latency boundaries in seconds: 1us..100s, decade steps
-  /// with a 1-3 split (14 finite buckets).
-  [[nodiscard]] static std::span<const double> default_latency_bounds();
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double mean() const {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-  }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Count in bucket i (i == bounds().size() is the overflow bucket).
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// Point-in-time copy of every instrument, for reporting and tests.
 struct MetricsSnapshot {
-  struct HistogramValue {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 entries
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
   /// Summary view of a Quantiles instrument: the standard serving
   /// percentiles, evaluated over the sliding window at snapshot time.
   struct QuantilesValue {
@@ -114,7 +71,6 @@ struct MetricsSnapshot {
   };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramValue> histograms;
   std::map<std::string, QuantilesValue> quantiles;
 };
 
@@ -132,19 +88,13 @@ class MetricsRegistry {
   /// for the same name as a different kind throws.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `upper_bounds` applies on creation only (empty = default latency
-  /// boundaries); later lookups ignore it.
-  Histogram& histogram(std::string_view name,
-                       std::span<const double> upper_bounds = {});
-  /// Sliding-window quantile estimator (see obs/quantiles.hpp).
-  /// `window_capacity` applies on creation only (0 = default window);
-  /// later lookups ignore it.
-  Quantiles& quantiles(std::string_view name,
-                       std::size_t window_capacity = 0);
+  /// Sliding-window quantile estimator (see obs/quantiles.hpp) with
+  /// the default window.
+  Quantiles& quantiles(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zero every instrument (names and boundaries stay registered).
+  /// Zero every instrument (names stay registered).
   void reset_values();
 
   /// Human-readable dump, one `name ...` line per instrument, sorted by
@@ -153,25 +103,22 @@ class MetricsRegistry {
   /// (std::to_chars), so golden tests and the bench gate can diff the
   /// dump byte-for-byte across runs and machines.
   [[nodiscard]] std::string to_text() const;
-  /// JSON object {"counters":{...},"gauges":{...},"histograms":{...},
-  /// "quantiles":{...}}, keys sorted, numbers via std::to_chars.
+  /// JSON object {"counters":{...},"gauges":{...},"quantiles":{...}},
+  /// keys sorted, numbers via std::to_chars.
   [[nodiscard]] std::string to_json() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kQuantiles };
+  enum class Kind { kCounter, kGauge, kQuantiles };
   struct Entry {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<Quantiles> quantiles;
   };
 
   /// Takes the lock itself; the returned Entry's instrument pointers
   /// are heap-stable, so callers may hold them without the lock.
-  Entry& find_or_create(std::string_view name, Kind kind,
-                        std::span<const double> upper_bounds,
-                        std::size_t window_capacity = 0) EXCLUDES(mutex_);
+  Entry& find_or_create(std::string_view name, Kind kind) EXCLUDES(mutex_);
 
   /// snapshot()/to_text()/to_json() read Quantiles instruments while
   /// holding the registry lock, so each Quantiles' internal lock nests

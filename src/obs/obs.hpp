@@ -4,8 +4,9 @@
 //  * spans: one relaxed atomic load when tracing is disabled at
 //    runtime (the default); two clock reads + one uncontended mutexed
 //    push_back when enabled;
-//  * counters/histograms: a once-per-site registry lookup cached in a
-//    function-local static, then one relaxed atomic RMW per hit.
+//  * counters/gauges: a once-per-site registry lookup cached in a
+//    function-local static, then one relaxed atomic RMW per hit;
+//  * quantiles: the same cached lookup, then one short mutexed store.
 //
 // Naming convention (see docs/observability.md for the full taxonomy):
 // metric and span names are dot-separated, lowercase, rooted at the
@@ -53,27 +54,12 @@
     mecoff_obs_gauge.add(static_cast<double>(delta));                 \
   } while (0)
 
-/// Record into a histogram with the default latency boundaries.
-#define MECOFF_HISTOGRAM_RECORD(name, value)                          \
-  do {                                                                \
-    static ::mecoff::obs::Histogram& mecoff_obs_hist =                \
-        ::mecoff::obs::MetricsRegistry::global().histogram(name);     \
-    mecoff_obs_hist.record(static_cast<double>(value));               \
-  } while (0)
-
-/// Record into a sliding-window quantile estimator (default window).
-/// NOT for per-node hot paths: record() takes a short mutex — feed it
-/// once per solve/request, where the lock is uncontended.
-#define MECOFF_QUANTILES_RECORD(name, value)                          \
-  do {                                                                \
-    static ::mecoff::obs::Quantiles& mecoff_obs_quant =               \
-        ::mecoff::obs::MetricsRegistry::global().quantiles(name);     \
-    mecoff_obs_quant.record(static_cast<double>(value));              \
-  } while (0)
-
-/// Same, but tags the sample with the request id that produced it so
-/// the window-maximum exemplar (/timez, /flightz) can name the request
-/// behind a p99 bump. Pass 0 for "no id".
+/// Record into a sliding-window quantile estimator (default window),
+/// tagging the sample with the request id that produced it so the
+/// window-maximum exemplar (/timez, /flightz) can name the request
+/// behind a p99 bump. Pass 0 for "no id". NOT for per-node hot paths:
+/// record() takes a short mutex — feed it once per user, solve or
+/// request, where the lock is uncontended.
 #define MECOFF_QUANTILES_RECORD_ID(name, value, id)                   \
   do {                                                                \
     static ::mecoff::obs::Quantiles& mecoff_obs_quant =               \

@@ -49,25 +49,6 @@ void render_gauges(const MetricsSnapshot& snap,
   }
 }
 
-void render_histograms(const MetricsSnapshot& snap,
-                       std::vector<Family>& families) {
-  for (const auto& [name, h] : snap.histograms) {
-    const std::string prom = prometheus_name(name);
-    std::ostringstream out;
-    out << "# TYPE " << prom << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += h.buckets[i];
-      out << prom << "_bucket{le=\"" << format_double(h.bounds[i]) << "\"} "
-          << cumulative << '\n';
-    }
-    out << prom << "_bucket{le=\"+Inf\"} " << h.count << '\n'
-        << prom << "_sum " << format_double(h.sum) << '\n'
-        << prom << "_count " << h.count << '\n';
-    families.emplace_back(prom, out.str());
-  }
-}
-
 void render_quantiles(const MetricsSnapshot& snap,
                       std::vector<Family>& families) {
   for (const auto& [name, q] : snap.quantiles) {
@@ -95,7 +76,6 @@ std::string to_prometheus_text(const MetricsSnapshot& snapshot) {
   std::vector<Family> families;
   render_counters(snapshot, families);
   render_gauges(snapshot, families);
-  render_histograms(snapshot, families);
   render_quantiles(snapshot, families);
   // One global order over mangled names: byte-stable output, and
   // name-mangling collisions stay adjacent (easy to spot in a diff).

@@ -4,10 +4,6 @@
 // Mapping from the registry's instrument kinds:
 //   Counter    -> `# TYPE <name> counter`  + one sample
 //   Gauge      -> `# TYPE <name> gauge`    + one sample
-//   Histogram  -> `# TYPE <name> histogram`: cumulative
-//                 `<name>_bucket{le="..."}` samples (the registry's
-//                 per-bucket counts are non-cumulative; the renderer
-//                 accumulates), `<name>_sum`, `<name>_count`
 //   Quantiles  -> `# TYPE <name> summary`: `<name>{quantile="0.5|0.95|
 //                 0.99"}` over the sliding window, `<name>_sum`,
 //                 `<name>_count` over every sample ever recorded

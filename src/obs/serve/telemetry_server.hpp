@@ -3,8 +3,8 @@
 // Wires the embedded HttpServer to the process-global instruments:
 //
 //   /metrics  Prometheus text exposition of the MetricsRegistry
-//             (counters, gauges, histograms, and the sliding-window
-//             quantile summaries — mec_solve_latency{quantile="..."})
+//             (counters, gauges, and the sliding-window quantile
+//             summaries — mec_solve_latency{quantile="..."})
 //   /varz     the registry's JSON dump (the same document `metrics=1`
 //             prints), plus trace/recorder meta counters
 //   /healthz  liveness callback: 200 "ok" while healthy, 503 with the

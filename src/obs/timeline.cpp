@@ -94,14 +94,7 @@ void Timeline::sample_locked(std::uint64_t tick) {
   }
   for (const auto& [name, q] : snap.quantiles) {
     if (!retain(name)) continue;
-    QuantPoint point;
-    point.count = q.count;
-    point.p50 = q.p50;
-    point.p95 = q.p95;
-    point.p99 = q.p99;
-    point.max_value = q.max_value;
-    point.max_request_id = q.max_request_id;
-    sample.quantiles.emplace(name, point);
+    sample.quantiles.emplace(name, q);
   }
 
   // Delta base advances on every sample, including ones later evicted.

@@ -64,22 +64,12 @@ class Timeline {
                               ///< per second (kWall)
   };
 
-  /// Per-quantiles-instrument view inside one sample.
-  struct QuantPoint {
-    std::uint64_t count = 0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max_value = 0.0;
-    std::uint64_t max_request_id = 0;
-  };
-
   struct Sample {
     std::uint64_t tick = 0;      ///< request-sequence position
     double wall_seconds = 0.0;   ///< since Timeline construction
     std::map<std::string, CounterPoint> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, QuantPoint> quantiles;
+    std::map<std::string, MetricsSnapshot::QuantilesValue> quantiles;
   };
 
   Timeline() : Timeline(Options{}) {}

@@ -327,8 +327,8 @@ TEST(GreedyGroups, GroupMovesNeverWorsenTheObjective) {
 /// Reference implementation: the naive O(P) argmin scan per round,
 /// recomputing everything from scratch. Candidates are the single parts
 /// and, with `group_moves`, each (user, group) of two or more parts; a
-/// candidate moves its still-remote, non-frozen members local. The lazy
-/// queue must reproduce its scheme exactly.
+/// candidate moves its still-remote members local. The lazy queue must
+/// reproduce its scheme exactly.
 OffloadingScheme reference_greedy(const MecSystem& system,
                                   const std::vector<Part>& parts,
                                   bool group_moves = false) {
@@ -360,7 +360,7 @@ OffloadingScheme reference_greedy(const MecSystem& system,
     for (const std::vector<std::size_t>& candidate : candidates) {
       std::vector<std::size_t> move;
       for (const std::size_t i : candidate)
-        if (remote[i] && !parts[i].frozen) move.push_back(i);
+        if (remote[i]) move.push_back(i);
       if (move.empty()) continue;
       OffloadingScheme trial = scheme;
       for (const std::size_t i : move)
@@ -420,11 +420,11 @@ TEST(GreedyLazyQueue, MatchesNaiveReferenceGreedy) {
   }
 }
 
-TEST(GreedyLazyQueue, MatchesReferenceWithGroupsFrozenPinnedAndLocalParts) {
+TEST(GreedyLazyQueue, MatchesReferenceWithGroupsPinnedAndLocalParts) {
   // Three users with distinct graphs. Every 7th node is pinned; the rest
   // are cut into 8-node-range parts, paired into groups whose ranges
   // straddle the generator's component boundaries, so parts of different
-  // groups are adjacent. Some parts start local, some are frozen.
+  // groups are adjacent. Some parts start local.
   std::size_t total_moves = 0;
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL, 44ULL, 55ULL}) {
     std::vector<UserApp> users;
@@ -446,7 +446,6 @@ TEST(GreedyLazyQueue, MatchesReferenceWithGroupsFrozenPinnedAndLocalParts) {
         part.user = u;
         part.group = k / 2;
         part.initially_local = (k + seed) % 5 == 0;
-        part.frozen = (k + u + seed) % 4 == 1;
         for (auto v = static_cast<mecoff::graph::NodeId>(k * 8);
              v < (k + 1) * 8; ++v) {
           if (app.unoffloadable[v]) continue;

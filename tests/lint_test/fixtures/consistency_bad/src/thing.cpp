@@ -2,5 +2,5 @@
 // one documented with the wrong kind.
 void record_things(double seconds) {
   MECOFF_COUNTER_ADD("fx.bad.undocumented", 1);
-  MECOFF_HISTOGRAM_RECORD("fx.bad.wrongkind", seconds);
+  MECOFF_QUANTILES_RECORD_ID("fx.bad.wrongkind", seconds, 0);
 }

@@ -69,12 +69,6 @@ obs::MetricsSnapshot golden_snapshot() {
   snap.counters["mec.solve.count"] = 42;
   snap.counters["9weird name!"] = 1;
   snap.gauges["mec.solve.total_seconds"] = 0.125;
-  obs::MetricsSnapshot::HistogramValue hist;
-  hist.bounds = {0.001, 0.01, 0.1};
-  hist.buckets = {1, 2, 3, 4};  // non-cumulative; renderer accumulates
-  hist.count = 10;
-  hist.sum = 1.5;
-  snap.histograms["mec.solve.seconds"] = hist;
   obs::MetricsSnapshot::QuantilesValue q;
   q.count = 100;
   q.sum = 12.5;
@@ -98,21 +92,6 @@ TEST(Exposition, MatchesGoldenFixtureByteForByte) {
   // Byte-for-byte: the exposition promises locale-independent,
   // deterministically ordered output (print both on mismatch).
   EXPECT_EQ(rendered, expected.str());
-}
-
-TEST(Exposition, HistogramBucketsAreCumulativeAndEndAtInf) {
-  const std::string text =
-      obs::serve::to_prometheus_text(golden_snapshot());
-  // buckets {1,2,3,4} -> cumulative 1, 3, 6, and +Inf == count == 10.
-  EXPECT_NE(text.find("mec_solve_seconds_bucket{le=\"0.001\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("mec_solve_seconds_bucket{le=\"0.01\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("mec_solve_seconds_bucket{le=\"0.1\"} 6\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("mec_solve_seconds_bucket{le=\"+Inf\"} 10\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("mec_solve_seconds_count 10\n"), std::string::npos);
 }
 
 TEST(Exposition, EmptyQuantileWindowRendersNaNSamples) {
@@ -775,7 +754,7 @@ TEST(TelemetryServerTest, SlowRequestIdIsRecoverableFromTimezExemplar) {
 
   const std::vector<obs::Timeline::Sample> samples = timeline.samples();
   ASSERT_EQ(samples.size(), 1u);
-  const obs::Timeline::QuantPoint& point =
+  const obs::MetricsSnapshot::QuantilesValue& point =
       samples.front().quantiles.at("serve.solve.latency");
   EXPECT_DOUBLE_EQ(point.max_value, 0.9);
   EXPECT_EQ(point.max_request_id, 777u);

@@ -14,6 +14,7 @@
 #include <future>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -55,40 +56,25 @@ TEST(Metrics, GaugeSetAndAdd) {
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-TEST(Metrics, HistogramBucketsSamplesAgainstSortedBounds) {
-  const double bounds[] = {1.0, 10.0, 100.0};
-  obs::Histogram h{bounds};
-  h.record(0.5);    // <= 1      -> bucket 0
-  h.record(1.0);    // <= 1      -> bucket 0 (lower_bound: inclusive upper)
-  h.record(5.0);    // <= 10     -> bucket 1
-  h.record(1000.0); // overflow  -> bucket 3
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1006.5);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 0u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-}
-
 TEST(Metrics, RegistryReturnsStableReferencesAndRejectsKindClashes) {
   MetricsRegistry& reg = MetricsRegistry::global();
   obs::Counter& a = reg.counter("obs_test.stable");
   obs::Counter& b = reg.counter("obs_test.stable");
   EXPECT_EQ(&a, &b);
   EXPECT_THROW((void)reg.gauge("obs_test.stable"), PreconditionError);
-  EXPECT_THROW((void)reg.histogram("obs_test.stable"), PreconditionError);
+  EXPECT_THROW((void)reg.quantiles("obs_test.stable"), PreconditionError);
 }
 
 TEST(Metrics, SnapshotAndTextContainRegisteredNames) {
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter("obs_test.snap.counter").add(11);
   reg.gauge("obs_test.snap.gauge").set(0.5);
-  reg.histogram("obs_test.snap.hist").record(0.01);
+  reg.quantiles("obs_test.snap.quantiles").record(0.01);
   const obs::MetricsSnapshot snap = reg.snapshot();
   ASSERT_TRUE(snap.counters.contains("obs_test.snap.counter"));
   EXPECT_GE(snap.counters.at("obs_test.snap.counter"), 11u);
   ASSERT_TRUE(snap.gauges.contains("obs_test.snap.gauge"));
-  ASSERT_TRUE(snap.histograms.contains("obs_test.snap.hist"));
+  ASSERT_TRUE(snap.quantiles.contains("obs_test.snap.quantiles"));
   const std::string text = reg.to_text();
   EXPECT_NE(text.find("obs_test.snap.counter"), std::string::npos);
   const std::string json = reg.to_json();
@@ -480,6 +466,26 @@ TEST(ObsEquivalence, RegistryGaugesEqualSolveStatsExactly) {
   EXPECT_EQ(snap.gauges.at("mec.solve.total_seconds"), stats.total_seconds);
   EXPECT_EQ(snap.gauges.at("mec.solve.final_objective"),
             stats.final_objective);
+
+  // The latency windows are fed the same doubles: the newest solve
+  // sample is the total, and the serial run's four per-user samples,
+  // summed in user order, are the stage sums SolveStats accumulates.
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const std::vector<double> latency =
+      reg.quantiles("mec.solve.latency").window();
+  ASSERT_FALSE(latency.empty());
+  EXPECT_EQ(latency.back(), stats.total_seconds);
+  const std::pair<const char*, double> stages[] = {
+      {"mec.user.compress_seconds", stats.compress_seconds},
+      {"mec.user.cut_seconds", stats.cut_seconds}};
+  for (const auto& [name, total] : stages) {
+    const std::vector<double> window = reg.quantiles(name).window();
+    ASSERT_GE(window.size(), 4u) << name;
+    double sum = 0.0;
+    for (std::size_t i = window.size() - 4; i < window.size(); ++i)
+      sum += window[i];
+    EXPECT_EQ(sum, total) << name;
+  }
 }
 
 }  // namespace

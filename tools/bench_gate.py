@@ -4,7 +4,7 @@
 The benches print one machine-readable line per run — either a metrics
 registry dump or (bench_soak) a chaos-soak trajectory:
 
-    [metrics] {"counters":{...},"gauges":{...},"histograms":{...},...}
+    [metrics] {"counters":{...},"gauges":{...},"quantiles":{...}}
     [trajectory] {"schema":"mecoff.soak_trajectory.v1","phases":[...],
                   "totals":{...},"invariants_zero":[...]}
 
@@ -49,8 +49,8 @@ must satisfy p50 <= p95 <= p99.
 
 `--update` rewrites the baseline from the candidate, assigning
 tolerances by the default policy: timing-like metrics (names containing
-"seconds", "latency", "rate", or any histogram/quantile `.sum`,
-quantile `.p*` / `.window`) are presence-only, as is every trajectory
+"seconds", "latency", "rate", or any quantile `.sum`, `.p*` or
+`.window`) are presence-only, as is every trajectory
 entry except the load-shape and invariant counts (requests, clients,
 errors, mismatches, wedged, unanswered — the soak's timing-dependent
 provenance splits may drift, its correctness counts may not);
@@ -69,8 +69,7 @@ EPS = 1e-12
 # Metrics whose VALUE is machine-dependent: compared for presence only.
 _TIMING_PATTERN = re.compile(
     r"(seconds|latency|rate|duration)"
-    r"|(^(histograms|quantiles)\..*\.sum$)"
-    r"|(^quantiles\..*\.(p50|p95|p99|window)$)"
+    r"|(^quantiles\..*\.(sum|p50|p95|p99|window)$)"
 )
 
 # Trajectory entries that are deterministic by construction (the load
@@ -135,9 +134,6 @@ def flatten(doc):
         flat[f"counters.{name}"] = value
     for name, value in doc.get("gauges", {}).items():
         flat[f"gauges.{name}"] = value
-    for name, h in doc.get("histograms", {}).items():
-        flat[f"histograms.{name}.count"] = h["count"]
-        flat[f"histograms.{name}.sum"] = h["sum"]
     for name, q in doc.get("quantiles", {}).items():
         flat[f"quantiles.{name}.count"] = q["count"]
         flat[f"quantiles.{name}.sum"] = q["sum"]

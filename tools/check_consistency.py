@@ -49,8 +49,6 @@ MACRO_KINDS = {
     "MECOFF_COUNTER_ADD": "counter",
     "MECOFF_GAUGE_ADD": "gauge",
     "MECOFF_GAUGE_SET": "gauge",
-    "MECOFF_HISTOGRAM_RECORD": "histogram",
-    "MECOFF_QUANTILES_RECORD": "quantiles",
     "MECOFF_QUANTILES_RECORD_ID": "quantiles",
 }
 MACRO_PATTERN = re.compile(

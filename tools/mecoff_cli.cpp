@@ -57,9 +57,7 @@
 //       exclusive. Every response carries its correlation id on the
 //       X-Mecoff-Request-Id header (request_id_header= renames it) and
 //       the body's "cache:" line; a caller may supply its own id on the
-//       same request header. Numeric options are
-//       parsed strictly — a malformed value is a usage error, not a
-//       silent default. SIGTERM drains gracefully: new requests
+//       same request header. SIGTERM drains gracefully: new requests
 //       degrade instantly, in-flight ones finish, the flight recorder
 //       dumps once (dump_dir= arms it), exit 0; SIGINT stops hard.
 //
@@ -75,8 +73,10 @@
 // `solve`, `simulate` and `serve-solve` take algo=spectral|maxflow|kl
 // for the cut step; any other name is a usage error (exit 2).
 //
-// `generate` parses its sizes strictly: a malformed or out-of-range
-// nodes=, edges=, seed=, components= or cluster_size= is a usage error.
+// Every command parses its numeric options strictly: a malformed value
+// is a usage error (exit 2), never a silent default. `generate` also
+// rejects an out-of-range nodes=, edges=, seed=, components= or
+// cluster_size=.
 //
 // Observability (see docs/observability.md):
 //   users=<n>      replicate the application into an n-user system
@@ -157,29 +157,10 @@ Result<graph::WeightedGraph> load_graph(const std::string& path) {
   return graph::parse_edge_list(text.value());
 }
 
-mec::SystemParams params_from(const Config& cfg) {
-  mec::SystemParams p;
-  const std::string profile = cfg.get_string("profile", "");
-  if (!profile.empty() && !mec::find_profile(profile, p)) {
-    std::fprintf(stderr, "warning: unknown profile '%s'; presets are:",
-                 profile.c_str());
-    for (const mec::NamedProfile& known : mec::all_profiles())
-      std::fprintf(stderr, " %s", known.name.c_str());
-    std::fprintf(stderr, "\n");
-  }
-  p.mobile_power = cfg.get_double("pc", p.mobile_power);
-  p.transmit_power = cfg.get_double("pt", p.transmit_power);
-  p.bandwidth = cfg.get_double("b", p.bandwidth);
-  p.mobile_capacity = cfg.get_double("ic", p.mobile_capacity);
-  p.server_capacity = cfg.get_double("is", p.server_capacity);
-  p.contention_factor = cfg.get_double("kappa", p.contention_factor);
-  return p;
-}
-
-/// Strict numeric option parsing for the serving commands and
-/// `generate`: a PRESENT but malformed value is a usage error (exit 2),
-/// never a silent fallback — a typo'd duration= must not turn a bounded
-/// smoke run into a forever-server.
+/// Strict numeric option parsing for every command: a PRESENT but
+/// malformed value is a usage error (exit 2), never a silent fallback —
+/// a typo'd iterations= must not turn a bounded smoke run into a
+/// forever-server.
 bool strict_int(const Config& cfg, const char* key, long long fallback,
                 long long& out) {
   out = fallback;
@@ -200,6 +181,26 @@ bool strict_double(const Config& cfg, const char* key, double fallback,
   std::fprintf(stderr, "usage error: %s= expects a number, got '%s'\n",
                key, text.c_str());
   return false;
+}
+
+/// System parameters: the profile= preset (or the defaults), then the
+/// pc=/pt=/b=/ic=/is=/kappa= overrides. False on a malformed override.
+bool params_from(const Config& cfg, mec::SystemParams& p) {
+  const std::string profile = cfg.get_string("profile", "");
+  if (!profile.empty() && !mec::find_profile(profile, p)) {
+    std::fprintf(stderr, "warning: unknown profile '%s'; presets are:",
+                 profile.c_str());
+    for (const mec::NamedProfile& known : mec::all_profiles())
+      std::fprintf(stderr, " %s", known.name.c_str());
+    std::fprintf(stderr, "\n");
+  }
+  return strict_double(cfg, "pc", p.mobile_power, p.mobile_power) &&
+         strict_double(cfg, "pt", p.transmit_power, p.transmit_power) &&
+         strict_double(cfg, "b", p.bandwidth, p.bandwidth) &&
+         strict_double(cfg, "ic", p.mobile_capacity, p.mobile_capacity) &&
+         strict_double(cfg, "is", p.server_capacity, p.server_capacity) &&
+         strict_double(cfg, "kappa", p.contention_factor,
+                       p.contention_factor);
 }
 
 /// The cut backend named by algo= (default spectral), shared by every
@@ -297,13 +298,14 @@ int cmd_generate(const Config& cfg) {
 }
 
 int cmd_compress(const std::string& path, const Config& cfg) {
+  lpa::PropagationConfig config;
+  if (!strict_double(cfg, "threshold", 10.0, config.coupling_threshold))
+    return 2;
   const Result<graph::WeightedGraph> g = load_graph(path);
   if (!g.ok()) {
     std::fprintf(stderr, "error: %s\n", g.error().message.c_str());
     return 1;
   }
-  lpa::PropagationConfig config;
-  config.coupling_threshold = cfg.get_double("threshold", 10.0);
   const std::vector<bool> pinned(g.value().num_nodes(), false);
   const lpa::CompressionPipelineResult result =
       lpa::compress_application(g.value(), pinned, config);
@@ -367,17 +369,13 @@ Result<appmodel::Application> load_app(const std::string& path) {
 }
 
 /// Exit summary of the observability layer: the trace drop counter plus
-/// every histogram's and quantile window's totals. One glance answers
-/// "did tracing drop events?" and "how many samples landed where?".
+/// every quantile window's totals. One glance answers "did tracing drop
+/// events?" and "how many samples landed where?".
 void print_obs_summary() {
   std::printf("obs summary: trace events=%zu dropped=%zu\n",
               obs::TraceCollector::global().event_count(),
               obs::TraceCollector::global().dropped_count());
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
-  for (const auto& [name, h] : snap.histograms)
-    std::printf("obs summary: histogram %s count=%llu sum=%s\n",
-                name.c_str(), static_cast<unsigned long long>(h.count),
-                format_fixed(h.sum, 6).c_str());
   for (const auto& [name, q] : snap.quantiles)
     std::printf("obs summary: quantiles %s count=%llu window=%zu "
                 "p50=%s p95=%s p99=%s\n",
@@ -389,7 +387,18 @@ void print_obs_summary() {
 
 int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
   mec::PipelineOptions options;
-  if (!strict_backend(cfg, options.backend)) return 2;
+  mec::SystemParams params;
+  long long users_arg = 0;
+  long long metrics_arg = 0;
+  long long threads_arg = 0;
+  if (!strict_backend(cfg, options.backend) || !params_from(cfg, params) ||
+      !strict_int(cfg, "users", 1, users_arg) ||
+      !strict_int(cfg, "metrics", 0, metrics_arg) ||
+      !strict_int(cfg, "threads", 0, threads_arg) ||
+      !strict_double(cfg, "threshold", 10.0,
+                     options.propagation.coupling_threshold) ||
+      !strict_double(cfg, "deadline", -1.0, options.deadline.seconds))
+    return 2;
   const Result<appmodel::Application> parsed = load_app(path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
@@ -401,21 +410,19 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
   user.graph = app.to_graph();
   user.unoffloadable = app.unoffloadable_mask();
   user.components = app.component_ids();
-  const std::size_t num_users = static_cast<std::size_t>(
-      std::max<long long>(1, cfg.get_int("users", 1)));
-  mec::MecSystem system{params_from(cfg), {}};
+  const std::size_t num_users =
+      static_cast<std::size_t>(std::max<long long>(1, users_arg));
+  mec::MecSystem system{params, {}};
   system.users.assign(num_users, user);
 
   // Observability surface: tracing must be on BEFORE the solve so the
   // compress/cut/eigensolve spans land in the export.
   const std::string trace_path = cfg.get_string("trace", "");
-  const bool dump_metrics = cfg.get_int("metrics", 0) != 0;
+  const bool dump_metrics = metrics_arg != 0;
   if (!trace_path.empty()) obs::TraceCollector::global().enable();
 
-  options.propagation.coupling_threshold = cfg.get_double("threshold", 10.0);
-  options.deadline.seconds = cfg.get_double("deadline", -1.0);
-  const std::size_t threads = static_cast<std::size_t>(
-      std::max<long long>(0, cfg.get_int("threads", 0)));
+  const std::size_t threads =
+      static_cast<std::size_t>(std::max<long long>(0, threads_arg));
   std::unique_ptr<parallel::ThreadPool> pool;
   if (threads > 0) {
     pool = std::make_unique<parallel::ThreadPool>(threads);
@@ -526,6 +533,28 @@ volatile std::sig_atomic_t g_drain = 0;
 void handle_drain_signal(int) { g_drain = 1; }
 
 int cmd_serve(const std::string& path, const Config& cfg) {
+  mec::SystemParams params;
+  long long users_arg = 0;
+  long long servers_arg = 0;
+  long long threads_arg = 0;
+  long long iterations = 0;  // 0 = ∞
+  long long interval_ms = 0;
+  long long port_arg = 0;
+  double threshold = 10.0;
+  double deadline = -1.0;
+  if (!params_from(cfg, params) || !strict_int(cfg, "users", 1, users_arg) ||
+      !strict_int(cfg, "servers", 2, servers_arg) ||
+      !strict_int(cfg, "threads", 0, threads_arg) ||
+      !strict_int(cfg, "iterations", 0, iterations) ||
+      !strict_int(cfg, "interval", 100, interval_ms) ||
+      !strict_int(cfg, "port", 0, port_arg) ||
+      !strict_double(cfg, "threshold", 10.0, threshold) ||
+      !strict_double(cfg, "deadline", -1.0, deadline))
+    return 2;
+  if (port_arg < 0 || port_arg > 65535) {
+    std::fprintf(stderr, "usage error: port must be in [0, 65535]\n");
+    return 2;
+  }
   const Result<appmodel::Application> parsed = load_app(path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
@@ -537,12 +566,11 @@ int cmd_serve(const std::string& path, const Config& cfg) {
   user.graph = app.to_graph();
   user.unoffloadable = app.unoffloadable_mask();
   user.components = app.component_ids();
-  const std::size_t num_users = static_cast<std::size_t>(
-      std::max<long long>(1, cfg.get_int("users", 1)));
-  const std::size_t num_servers = static_cast<std::size_t>(
-      std::max<long long>(1, cfg.get_int("servers", 2)));
+  const std::size_t num_users =
+      static_cast<std::size_t>(std::max<long long>(1, users_arg));
+  const std::size_t num_servers =
+      static_cast<std::size_t>(std::max<long long>(1, servers_arg));
 
-  const mec::SystemParams params = params_from(cfg);
   // The steady-state solve target (feeds mec.solve.latency each
   // iteration) and the multi-server deployment /healthz reports on.
   mec::MecSystem system{params, {}};
@@ -586,7 +614,7 @@ int cmd_serve(const std::string& path, const Config& cfg) {
   const std::vector<sim::FaultEvent> faults = script.ordered();
 
   mec::FailoverOptions fopts;
-  fopts.base.pipeline.deadline.seconds = cfg.get_double("deadline", -1.0);
+  fopts.base.pipeline.deadline.seconds = deadline;
   mec::FailoverController controller(msystem, fopts);
 
   // /healthz source. The callback runs on the server thread, so it only
@@ -616,11 +644,6 @@ int cmd_serve(const std::string& path, const Config& cfg) {
     const mecoff::MutexLock lock(health_mutex);
     return health;
   });
-  const auto port_arg = cfg.get_int("port", 0);
-  if (port_arg < 0 || port_arg > 65535) {
-    std::fprintf(stderr, "error: port must be in [0, 65535]\n");
-    return 2;
-  }
   const Result<std::uint16_t> bound =
       server.start(static_cast<std::uint16_t>(port_arg));
   if (!bound.ok()) {
@@ -636,10 +659,10 @@ int cmd_serve(const std::string& path, const Config& cfg) {
   std::signal(SIGTERM, handle_stop_signal);
 
   mec::PipelineOptions options;
-  options.propagation.coupling_threshold = cfg.get_double("threshold", 10.0);
-  options.deadline.seconds = cfg.get_double("deadline", -1.0);
-  const std::size_t threads = static_cast<std::size_t>(
-      std::max<long long>(0, cfg.get_int("threads", 0)));
+  options.propagation.coupling_threshold = threshold;
+  options.deadline.seconds = deadline;
+  const std::size_t threads =
+      static_cast<std::size_t>(std::max<long long>(0, threads_arg));
   std::unique_ptr<parallel::ThreadPool> pool;
   if (threads > 0) {
     pool = std::make_unique<parallel::ThreadPool>(threads);
@@ -647,8 +670,6 @@ int cmd_serve(const std::string& path, const Config& cfg) {
   }
   mec::PipelineOffloader offloader(options);
 
-  const long long iterations = cfg.get_int("iterations", 0);  // 0 = ∞
-  const long long interval_ms = cfg.get_int("interval", 100);
   std::size_t next_fault = 0;
   long long iter = 0;
   for (; g_stop == 0 && (iterations <= 0 || iter < iterations); ++iter) {
@@ -740,7 +761,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   }
   const appmodel::Application& app = parsed.value();
   const mec::UserApp base_user = user_from_app(app);
-  const mec::SystemParams params = params_from(cfg);
+  mec::SystemParams params;
 
   long long threads_arg = 0;
   long long shards_arg = 0;
@@ -757,8 +778,11 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   double brownout_p99 = 0.0;
   double latency_scale = 0.05;
   double timeline_interval = 0.0;
+  double threshold = 10.0;
+  double deadline = -1.0;
   mec::CutBackend backend = mec::CutBackend::kSpectral;
-  if (!strict_int(cfg, "threads", 4, threads_arg) ||
+  if (!params_from(cfg, params) ||
+      !strict_int(cfg, "threads", 4, threads_arg) ||
       !strict_int(cfg, "shards", 4, shards_arg) ||
       !strict_int(cfg, "cache", 1024, cache_arg) ||
       !strict_int(cfg, "max_inflight", -1, max_inflight) ||
@@ -773,6 +797,8 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
       !strict_double(cfg, "brownout_p99", 0.0, brownout_p99) ||
       !strict_double(cfg, "latency_scale", 0.05, latency_scale) ||
       !strict_double(cfg, "timeline_interval", 0.0, timeline_interval) ||
+      !strict_double(cfg, "threshold", 10.0, threshold) ||
+      !strict_double(cfg, "deadline", -1.0, deadline) ||
       !strict_backend(cfg, backend))
     return 2;
   if (port_arg < 0 || port_arg > 65535) {
@@ -868,10 +894,9 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     sopts.brownout.p99_bump_seconds = brownout_p99;
   }
   if (!faults_path.empty()) sopts.injector = &injector;
-  sopts.solver.propagation.coupling_threshold =
-      cfg.get_double("threshold", 10.0);
+  sopts.solver.propagation.coupling_threshold = threshold;
   sopts.solver.backend = backend;
-  sopts.solver.deadline.seconds = cfg.get_double("deadline", -1.0);
+  sopts.solver.deadline.seconds = deadline;
   serve::SolveService service(sopts);
 
   // GET /timez: the metrics timeline. timeline=N samples every N
