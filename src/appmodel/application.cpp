@@ -1,5 +1,7 @@
 #include "appmodel/application.hpp"
 
+#include <map>
+
 #include "common/contracts.hpp"
 
 namespace mecoff::appmodel {
@@ -9,10 +11,11 @@ Application::Application(std::string name) : name_(std::move(name)) {}
 std::size_t Application::add_function(FunctionInfo info) {
   MECOFF_EXPECTS(!info.name.empty());
   MECOFF_EXPECTS(info.computation >= 0.0);
-  MECOFF_EXPECTS(index_by_name_.count(info.name) == 0);
+  const auto [it, inserted] =
+      index_by_name_.try_emplace(info.name, functions_.size());
+  MECOFF_EXPECTS(inserted);
   functions_.push_back(std::move(info));
-  index_by_name_[functions_.back().name] = functions_.size() - 1;
-  return functions_.size() - 1;
+  return it->second;
 }
 
 void Application::add_exchange(std::size_t from, std::size_t to,
@@ -28,7 +31,7 @@ const FunctionInfo& Application::function(std::size_t i) const {
   return functions_[i];
 }
 
-std::size_t Application::find_function(const std::string& name) const {
+std::size_t Application::find_function(std::string_view name) const {
   const auto it = index_by_name_.find(name);
   return it == index_by_name_.end() ? npos : it->second;
 }

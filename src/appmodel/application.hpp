@@ -8,8 +8,11 @@
 // exchanges. Everything downstream of extraction is identical.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/weighted_graph.hpp"
@@ -56,8 +59,9 @@ class Application {
     return exchanges_;
   }
 
-  /// Index of the function named `name`; npos when absent.
-  [[nodiscard]] std::size_t find_function(const std::string& name) const;
+  /// Index of the function named `name`; npos when absent. Looks the
+  /// view up directly, so a parser probes names without a copy.
+  [[nodiscard]] std::size_t find_function(std::string_view name) const;
   static constexpr std::size_t npos = SIZE_MAX;
 
   // --- Extraction (the "Soot" step) -------------------------------------
@@ -77,7 +81,15 @@ class Application {
   std::string name_;
   std::vector<FunctionInfo> functions_;
   std::vector<DataExchange> exchanges_;
-  std::map<std::string, std::size_t> index_by_name_;
+  /// Transparent hash: the index is probed with any string_view.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      index_by_name_;
 };
 
 }  // namespace mecoff::appmodel

@@ -1,7 +1,10 @@
 #include "appmodel/dsl_parser.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/strings.hpp"
 
@@ -9,85 +12,112 @@ namespace mecoff::appmodel {
 
 namespace {
 
-/// Parse "key=value" into (key, value); returns false on no '='.
-bool split_kv(const std::string& token, std::string& key, std::string& value) {
+/// The C-locale isspace set (' ', \t, \n, \v, \f, \r): tokens split here.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Split "key=value" at the first '='; returns false on no '='.
+bool split_kv(std::string_view token, std::string_view& key,
+              std::string_view& value) {
   const std::size_t eq = token.find('=');
-  if (eq == std::string::npos) return false;
+  if (eq == std::string_view::npos) return false;
   key = token.substr(0, eq);
   value = token.substr(eq + 1);
   return true;
 }
 
+/// Replace `tokens` with the whitespace-separated views of `line`.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    if (i > start) tokens.push_back(line.substr(start, i - start));
+  }
+}
+
 }  // namespace
 
-Result<Application> parse_app_dsl(const std::string& text) {
-  std::istringstream in(text);
+Result<Application> parse_app_dsl(std::string_view text) {
   Application app;
   bool named = false;
   std::string current_component;
-  std::string line;
+  std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
 
   const auto fail = [&](const std::string& why) {
     return Error("line " + std::to_string(line_no) + ": " + why);
   };
+  const auto quoted = [](const char* what, std::string_view token) {
+    return std::string(what) + " '" + std::string(token) + "'";
+  };
 
-  while (std::getline(in, line)) {
+  // Lines end at '\n'; a last line without one still counts.
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    std::string_view line = text.substr(begin, end - begin);
+    begin = end + 1;
     ++line_no;
-    // Strip comments, then whitespace.
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tokens = split_ws(line);
+    // '#' starts a comment anywhere on the line, mid-token included.
+    tokenize(line.substr(0, line.find('#')), tokens);
     if (tokens.empty()) continue;
 
     if (tokens[0] == "app") {
       if (tokens.size() != 2) return fail("expected 'app <name>'");
       if (named) return fail("duplicate 'app' directive");
-      app = Application(tokens[1]);
+      // Naming the app starts a fresh Application; a late `app` line
+      // would drop every function declared above it.
+      if (app.num_functions() > 0)
+        return fail("'app' must come before the first function");
+      app = Application(std::string(tokens[1]));
       named = true;
     } else if (tokens[0] == "component") {
       if (tokens.size() != 2)
         return fail("expected 'component <name>' ('-' resets)");
-      current_component = tokens[1] == "-" ? "" : tokens[1];
+      if (tokens[1] == "-")
+        current_component.clear();
+      else
+        current_component.assign(tokens[1]);
     } else if (tokens[0] == "function") {
       if (tokens.size() < 2) return fail("expected 'function <name> ...'");
       FunctionInfo info;
-      info.name = tokens[1];
+      info.name.assign(tokens[1]);
       info.component = current_component;
       for (std::size_t i = 2; i < tokens.size(); ++i) {
         if (tokens[i] == "unoffloadable") {
           info.unoffloadable = true;
           continue;
         }
-        std::string key;
-        std::string value;
+        std::string_view key;
+        std::string_view value;
         if (!split_kv(tokens[i], key, value))
-          return fail("unknown function attribute '" + tokens[i] + "'");
+          return fail(quoted("unknown function attribute", tokens[i]));
         if (key == "compute") {
           // std::from_chars accepts "inf"/"nan"; neither compares < 0,
           // so finiteness must be checked explicitly or a NaN compute
           // cost flows into every downstream energy sum.
           if (!parse_double(value, info.computation) ||
               !std::isfinite(info.computation) || info.computation < 0)
-            return fail("bad compute value '" + value + "'");
+            return fail(quoted("bad compute value", value));
         } else {
-          return fail("unknown function attribute key '" + key + "'");
+          return fail(quoted("unknown function attribute key", key));
         }
       }
       if (app.find_function(info.name) != Application::npos)
-        return fail("duplicate function '" + info.name + "'");
+        return fail(quoted("duplicate function", info.name));
       app.add_function(std::move(info));
     } else if (tokens[0] == "call") {
       if (tokens.size() != 4) return fail("expected 'call <a> <b> data=<x>'");
       const std::size_t a = app.find_function(tokens[1]);
       const std::size_t b = app.find_function(tokens[2]);
       if (a == Application::npos)
-        return fail("unknown function '" + tokens[1] + "'");
+        return fail(quoted("unknown function", tokens[1]));
       if (b == Application::npos)
-        return fail("unknown function '" + tokens[2] + "'");
+        return fail(quoted("unknown function", tokens[2]));
       if (a == b) return fail("self-call is not a data exchange");
-      std::string key;
-      std::string value;
+      std::string_view key;
+      std::string_view value;
       double amount = 0;
       if (!split_kv(tokens[3], key, value) || key != "data" ||
           !parse_double(value, amount) || !std::isfinite(amount) ||
@@ -95,7 +125,7 @@ Result<Application> parse_app_dsl(const std::string& text) {
         return fail("expected data=<non-negative amount>");
       app.add_exchange(a, b, amount);
     } else {
-      return fail("unknown directive '" + tokens[0] + "'");
+      return fail(quoted("unknown directive", tokens[0]));
     }
   }
   if (app.num_functions() == 0) return Error("no functions declared");

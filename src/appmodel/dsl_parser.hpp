@@ -11,7 +11,7 @@
 //   call detect embed  data=32
 //
 // Grammar (one statement per line, '#' starts a comment):
-//   app <name>
+//   app <name>                     (optional; before the first function)
 //   component <name>
 //   function <name> [compute=<x>] [unoffloadable]
 //   call <fn-a> <fn-b> data=<x>
@@ -23,14 +23,16 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "appmodel/application.hpp"
 #include "common/result.hpp"
 
 namespace mecoff::appmodel {
 
-/// Parse DSL text. Errors carry the offending line number.
-[[nodiscard]] Result<Application> parse_app_dsl(const std::string& text);
+/// Parse DSL text in one pass over the bytes (token rules:
+/// docs/formats.md). Errors carry the offending line number.
+[[nodiscard]] Result<Application> parse_app_dsl(std::string_view text);
 
 /// Serialize an Application back to DSL (round-trips through the parser).
 [[nodiscard]] std::string to_app_dsl(const Application& app);

@@ -99,6 +99,46 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
   if (request_id == 0)
     request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
 
+  // Drain mode: answer immediately, touch nothing shared. In-flight
+  // requests keep running; nothing new starts.
+  if (draining()) {
+    drained_.fetch_add(1, std::memory_order_relaxed);
+    MECOFF_COUNTER_ADD("serve.solve.drained", 1);
+    SolveResponse response =
+        degrade_response(request, Fingerprint{}, SolveSource::kShed);
+    finish(response, request_id, timer.elapsed_seconds(),
+           /*was_admitted=*/false);
+    return response;
+  }
+
+  // Admission control BEFORE fingerprinting or touching the cache: a
+  // shed request must cost O(1), that is the point of shedding. Brownout
+  // first (it reads the pre-increment occupancy), then the legacy hard
+  // cap.
+  const std::size_t limit = admission_limit_.load(std::memory_order_relaxed);
+  const std::size_t occupancy = in_flight_.load(std::memory_order_relaxed);
+  if (options_.brownout.enabled && brownout_shed_decision(occupancy)) {
+    brownout_shed_.fetch_add(1, std::memory_order_relaxed);
+    MECOFF_COUNTER_ADD("serve.solve.brownout_shed", 1);
+    SolveResponse response =
+        degrade_response(request, Fingerprint{}, SolveSource::kShed);
+    finish(response, request_id, timer.elapsed_seconds(),
+           /*was_admitted=*/false);
+    return response;
+  }
+  const std::size_t admitted =
+      in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (admitted > limit) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    MECOFF_COUNTER_ADD("serve.solve.shed", 1);
+    SolveResponse response =
+        degrade_response(request, Fingerprint{}, SolveSource::kShed);
+    finish(response, request_id, timer.elapsed_seconds(),
+           /*was_admitted=*/false);
+    return response;
+  }
+
   FingerprintBuilder keyed(config_seed_);
   // Continue the config digest with the request content: same app +
   // params + config ⇒ same key.
@@ -111,42 +151,6 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
   const double budget = request.deadline_seconds >= 0.0
                             ? request.deadline_seconds
                             : options_.default_deadline_seconds;
-
-  // Drain mode: answer immediately, touch nothing shared. In-flight
-  // requests keep running; nothing new starts.
-  if (draining()) {
-    drained_.fetch_add(1, std::memory_order_relaxed);
-    MECOFF_COUNTER_ADD("serve.solve.drained", 1);
-    SolveResponse response = degrade_response(request, key, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds(),
-           /*was_admitted=*/false);
-    return response;
-  }
-
-  // Admission control BEFORE touching the cache: a shed request must
-  // cost O(1), that is the point of shedding. Brownout first (it reads
-  // the pre-increment occupancy), then the legacy hard cap.
-  const std::size_t limit = admission_limit_.load(std::memory_order_relaxed);
-  const std::size_t occupancy = in_flight_.load(std::memory_order_relaxed);
-  if (options_.brownout.enabled && brownout_shed_decision(occupancy)) {
-    brownout_shed_.fetch_add(1, std::memory_order_relaxed);
-    MECOFF_COUNTER_ADD("serve.solve.brownout_shed", 1);
-    SolveResponse response = degrade_response(request, key, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds(),
-           /*was_admitted=*/false);
-    return response;
-  }
-  const std::size_t admitted =
-      in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (admitted > limit) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    MECOFF_COUNTER_ADD("serve.solve.shed", 1);
-    SolveResponse response = degrade_response(request, key, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds(),
-           /*was_admitted=*/false);
-    return response;
-  }
 
   // A rider spends at most hedge_fraction of its budget parked behind
   // an in-flight owner; negative = wait as long as it takes.

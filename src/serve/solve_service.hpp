@@ -135,6 +135,9 @@ struct SolveResponse {
   /// placements are served but not cached.
   bool degraded = false;
   double latency_seconds = 0.0;
+  /// The request's cache key. Zero (`Fingerprint{}`) on a kShed
+  /// response: drain and admission run before fingerprinting, so a shed
+  /// never hashes the request.
   Fingerprint key;
   /// This request's correlation id (echoed from SolveRequest, or
   /// service-assigned — see SolveRequest::request_id). Never 0.

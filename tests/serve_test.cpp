@@ -400,6 +400,31 @@ TEST(SolveServiceTest, AdmissionLimitShedsToValidAllLocal) {
   EXPECT_FALSE(full.value().degraded);
 }
 
+TEST(SolveServiceTest, ShedAndDrainedResponsesSkipTheFingerprint) {
+  // Drain and both admission checks run before fingerprint_request, so
+  // a shed costs O(1) and carries the zero key.
+  SolveService service;  // no pool: inline solves
+  const SolveRequest request{make_app(120.0), mec::SystemParams{}};
+  const Result<SolveResponse> admitted = service.solve(request);
+  ASSERT_TRUE(admitted.ok()) << admitted.error().message;
+  EXPECT_NE(admitted.value().key, Fingerprint{});
+
+  service.set_admission_limit(0);
+  const Result<SolveResponse> shed = service.solve(request);
+  ASSERT_TRUE(shed.ok()) << shed.error().message;
+  EXPECT_EQ(shed.value().source, SolveSource::kShed);
+  EXPECT_EQ(shed.value().key, Fingerprint{});
+
+  service.set_admission_limit(SIZE_MAX);
+  service.begin_drain();
+  const Result<SolveResponse> drained = service.solve(request);
+  ASSERT_TRUE(drained.ok()) << drained.error().message;
+  EXPECT_EQ(drained.value().source, SolveSource::kShed);
+  EXPECT_EQ(drained.value().key, Fingerprint{});
+  EXPECT_EQ(service.stats().shed, 1u);
+  EXPECT_EQ(service.stats().drained, 1u);
+}
+
 TEST(SolveServiceTest, MalformedRequestIsAnErrorNotACrash) {
   SolveService service;
   SolveRequest bad{make_app(100.0), mec::SystemParams{}};

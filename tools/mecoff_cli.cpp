@@ -95,6 +95,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -953,25 +954,23 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
       }
       sr.request_id = static_cast<std::uint64_t>(caller_id);
     }
-    std::vector<std::string> names;
+    // The response names the functions of the app that was solved: the
+    // posted one, or the served base app for an empty body.
+    std::optional<appmodel::Application> posted;
     if (req.body.empty()) {
       sr.user = base_user;
-      names.reserve(app.num_functions());
-      for (std::size_t i = 0; i < app.num_functions(); ++i)
-        names.push_back(app.function(i).name);
     } else {
-      const Result<appmodel::Application> posted =
+      Result<appmodel::Application> body_app =
           appmodel::parse_app_dsl(req.body);
-      if (!posted.ok()) {
+      if (!body_app.ok()) {
         resp.status = 400;
-        resp.body = "app error: " + posted.error().message + "\n";
+        resp.body = "app error: " + body_app.error().message + "\n";
         return resp;
       }
-      sr.user = user_from_app(posted.value());
-      names.reserve(posted.value().num_functions());
-      for (std::size_t i = 0; i < posted.value().num_functions(); ++i)
-        names.push_back(posted.value().function(i).name);
+      posted.emplace(std::move(body_app).value());
+      sr.user = user_from_app(*posted);
     }
+    const appmodel::Application& solved_app = posted ? *posted : app;
     const Result<serve::SolveResponse> solved = service.solve(sr);
     if (!solved.ok()) {
       resp.status = 400;
@@ -987,7 +986,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
       resp.body += " degraded";
     resp.body += '\n';
     for (std::size_t i = 0; i < r.placement.size(); ++i) {
-      resp.body += names[i];
+      resp.body += solved_app.function(i).name;
       resp.body += r.placement[i] == mec::Placement::kLocal ? " device\n"
                                                             : " server\n";
     }
