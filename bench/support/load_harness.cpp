@@ -7,16 +7,15 @@
 #include "common/contracts.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_annotations.hpp"
+#include "obs/quantiles.hpp"
 
 namespace mecoff::bench {
 
 double LoadOutcome::percentile(double q) const {
   if (latencies.empty()) return 0.0;
   std::vector<double> sorted = latencies;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1));
-  std::nth_element(sorted.begin(), sorted.begin() + rank, sorted.end());
-  return sorted[rank];
+  std::sort(sorted.begin(), sorted.end());
+  return obs::quantile_of_sorted(sorted, q);
 }
 
 namespace {

@@ -108,9 +108,9 @@ struct LoadOutcome {
   /// LoadOptions::segments == 1 and no on_segment/timeline is wired).
   std::vector<SegmentSample> samples;
 
-  /// Latency percentile over `latencies` in any order (nearest-rank
-  /// at q * (n - 1) of the sorted samples, the same definition
-  /// bench_serve always printed).
+  /// Latency percentile over `latencies` in any order, interpolated
+  /// between the sorted samples at q * (n - 1): obs::quantile_of_sorted,
+  /// the definition /metrics and obs::Quantiles use. 0 when empty.
   [[nodiscard]] double percentile(double q) const;
 };
 

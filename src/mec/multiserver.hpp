@@ -13,11 +13,14 @@
 // server lowers the combined objective (evaluated by re-solving the two
 // affected groups), until no single-user move helps or the round budget
 // is spent.
+//
+// The attachment is static: this module handles no runtime fault. The
+// one fault path is the served one, where serve::FaultInjector replays
+// a sim::FaultScript against SolveService (docs/model.md, Fault model).
 #pragma once
 
 #include <vector>
 
-#include "common/result.hpp"
 #include "mec/costs.hpp"
 #include "mec/offloader.hpp"
 
@@ -78,104 +81,5 @@ class MultiServerOffloader {
 [[nodiscard]] SystemCost evaluate_server_group(
     const MultiServerSystem& system, const MultiServerResult& result,
     std::size_t server);
-
-// ---------------------------------------------------------------------------
-// Failover — runtime server/link fault handling on top of the static
-// multi-server solve. The controller owns the live attachment + scheme
-// and mutates them per fault event; every transition is deterministic,
-// so a scripted fault sequence replays bit-identically (sim/chaos.hpp).
-
-/// Liveness and link quality of one server as seen by failover.
-struct ServerHealth {
-  bool alive = true;
-  /// Surviving fraction of the nominal link rate (1 = healthy).
-  double bandwidth_factor = 1.0;
-};
-
-struct FailoverOptions {
-  MultiServerOptions base;
-  /// Relative objective improvement a link-quality or recovery
-  /// re-placement must deliver before it is adopted; below the margin
-  /// the current placements stand, so a flapping link cannot thrash
-  /// them. Crash handling is exempt: placements on a dead server are
-  /// INVALID, not merely suboptimal, and always re-solve.
-  double hysteresis_margin = 0.05;
-};
-
-/// What one fault-handling step did.
-struct FailoverStep {
-  /// Users re-attached to a new home server.
-  std::vector<std::size_t> moved_users;
-  /// Servers whose group was re-solved (and the result kept).
-  std::vector<std::size_t> resolved_groups;
-  /// False when hysteresis kept the previous placements.
-  bool adopted = true;
-  bool all_local_fallback = false;
-  double objective_before = 0.0;
-  double objective_after = 0.0;
-};
-
-class FailoverController {
- public:
-  /// Solves the initial (all-healthy) attachment + placement.
-  explicit FailoverController(MultiServerSystem system,
-                              FailoverOptions options = {});
-
-  [[nodiscard]] const MultiServerResult& current() const { return current_; }
-  [[nodiscard]] const std::vector<ServerHealth>& health() const {
-    return health_;
-  }
-  [[nodiscard]] std::size_t alive_servers() const;
-  [[nodiscard]] std::size_t active_users() const;
-  [[nodiscard]] bool user_active(std::size_t user) const;
-  /// True after the last server died: every active user runs all-local
-  /// until a server recovers (degrade-don't-die, never an invalid
-  /// scheme).
-  [[nodiscard]] bool all_local_fallback() const { return all_local_; }
-  /// Re-solves hysteresis rejected so far (flap suppression at work).
-  [[nodiscard]] std::size_t suppressed_resolves() const {
-    return suppressed_;
-  }
-  [[nodiscard]] double objective() const;
-
-  /// Server dies: its users re-attach to surviving servers by the
-  /// capacity-weighted rule and every receiving group is re-solved.
-  /// When no server survives, the system degrades to the all-local
-  /// fallback AND a typed error reports it.
-  Result<FailoverStep> on_server_failed(std::size_t server);
-  /// Server rejoins (fresh link). Leaves the all-local fallback by
-  /// re-attaching everyone; otherwise proposes a fresh attachment and
-  /// adopts it only past the hysteresis margin.
-  Result<FailoverStep> on_server_recovered(std::size_t server);
-  /// Link drops to `severity` (0, 1) of its nominal rate; the group is
-  /// re-placed only past the hysteresis margin.
-  Result<FailoverStep> on_link_degraded(std::size_t server, double severity);
-  Result<FailoverStep> on_link_restored(std::size_t server);
-  /// User leaves; its old group is re-solved if that helps.
-  Result<FailoverStep> on_user_disconnected(std::size_t user);
-
- private:
-  [[nodiscard]] std::vector<double> attached_weight() const;
-  [[nodiscard]] std::size_t attach_target(
-      double weight, const std::vector<double>& load) const;
-  /// Cost of `server`'s group under current health with the placements
-  /// in `scheme` (active users only).
-  [[nodiscard]] SystemCost eval_group(std::size_t server,
-                                      const OffloadingScheme& scheme) const;
-  /// Re-solve `server`'s group from scratch, writing into `scheme`.
-  SystemCost resolve_group(std::size_t server, OffloadingScheme& scheme) const;
-  Result<FailoverStep> set_link_factor(std::size_t server, double factor);
-  void enter_all_local();
-  void refresh_totals();
-
-  MultiServerSystem system_;
-  FailoverOptions options_;
-  std::vector<ServerHealth> health_;
-  std::vector<bool> active_;
-  std::vector<SystemCost> group_cost_;
-  MultiServerResult current_;
-  bool all_local_ = false;
-  std::size_t suppressed_ = 0;
-};
 
 }  // namespace mecoff::mec

@@ -20,7 +20,6 @@ const char* to_string(AnomalyKind kind) {
   switch (kind) {
     case AnomalyKind::kNone: return "none";
     case AnomalyKind::kDeadlineFallback: return "deadline_fallback";
-    case AnomalyKind::kFailover: return "failover";
     case AnomalyKind::kLatencyOutlier: return "latency_outlier";
   }
   return "unknown";
@@ -46,7 +45,6 @@ void append_record_json(std::ostringstream& out, const SolveRecord& r) {
       << ",\"fallback_all_remote\":" << r.fallback_all_remote
       << ",\"fallback_level\":\"" << r.fallback_level() << '"'
       << ",\"deadline_expired\":" << (r.deadline_expired ? "true" : "false")
-      << ",\"failover_events\":" << r.failover_events
       << ",\"trace_dropped\":" << r.trace_dropped << '}';
 }
 
@@ -84,16 +82,10 @@ void FlightRecorder::set_latency_trigger(double factor,
   latency_min_samples_ = std::max<std::size_t>(min_samples, 2);
 }
 
-void FlightRecorder::note_failover_event() {
-  const MutexLock lock(mutex_);
-  ++pending_failover_events_;
-}
-
 AnomalyKind FlightRecorder::classify_locked(const SolveRecord& r) const {
-  // Trigger precedence mirrors severity: a degraded solve outranks the
-  // failover bookkeeping, which outranks a plain slow outlier.
+  // Trigger precedence mirrors severity: a degraded solve outranks a
+  // plain slow outlier.
   if (r.degraded()) return AnomalyKind::kDeadlineFallback;
-  if (r.failover_events > 0) return AnomalyKind::kFailover;
   if (latency_factor_ > 0.0 &&
       latency_window_.window_size() >= latency_min_samples_) {
     const double p95 = latency_window_.quantile(0.95);
@@ -114,8 +106,6 @@ AnomalyKind FlightRecorder::record(SolveRecord record) {
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - epoch_)
             .count();
-    record.failover_events += pending_failover_events_;
-    pending_failover_events_ = 0;
 
     // Classify against the window EXCLUDING this sample, so one slow
     // solve cannot inflate the very p95 it is judged against.
@@ -235,8 +225,7 @@ std::string FlightRecorder::render_json_locked(AnomalyKind trigger) const {
     out << "{\"kind\":\"" << to_string(trigger) << "\",\"seq\":"
         << culprit->seq << ",\"fallback_level\":\""
         << culprit->fallback_level() << "\",\"total_seconds\":"
-        << format_double(culprit->total_seconds) << ",\"failover_events\":"
-        << culprit->failover_events << '}';
+        << format_double(culprit->total_seconds) << '}';
   }
   out << ",\"records\":[";
   bool first = true;
@@ -271,7 +260,6 @@ void FlightRecorder::clear() {
   next_seq_ = 0;
   anomalies_ = 0;
   dumps_ = 0;
-  pending_failover_events_ = 0;
   last_dump_path_.clear();
   latency_window_.reset();
 }

@@ -2,22 +2,19 @@
 // records that auto-dumps a post-mortem JSON when something went wrong.
 //
 // Every PipelineOffloader::solve() appends one SolveRecord (fed from
-// the same doubles as SolveStats — see src/mec/offloader.cpp), and the
-// multi-server failover path notes each fault-driven re-solve. Three
+// the same doubles as SolveStats — see src/mec/offloader.cpp). Two
 // anomaly triggers fire a dump:
 //
 //   * deadline fallback engaged — the solve degraded (non-converged
 //     eigensolve, KL recut, all-remote fallback, or an expired budget);
-//   * failover re-solve — the record absorbed one or more failover
-//     transitions (server crash/recovery re-placement);
 //   * latency outlier — total_seconds exceeded k x the sliding-window
 //     p95 (k = 3 by default, armed only once the window has enough
 //     samples to make p95 meaningful).
 //
 // A dump is the whole ring (oldest to newest) plus the trigger, written
-// to `<dump_dir>/flight_<seq>_<kind>.json`, so a chaos run or a
-// long-lived `mecoff_cli serve` loop self-documents its worst moments
-// without anyone tailing it. With no dump_dir set (the default) the
+// to `<dump_dir>/flight_<seq>_<kind>.json`, so a long-lived
+// `mecoff_cli serve-solve` self-documents its worst moments without
+// anyone tailing it. With no dump_dir set (the default) the
 // recorder only keeps the in-memory ring — tests and libraries opt in.
 //
 // Recording OBSERVES the pipeline: nothing reads the recorder back
@@ -57,9 +54,6 @@ struct SolveRecord {
   std::size_t fallback_kl_cuts = 0;
   std::size_t fallback_all_remote = 0;
   bool deadline_expired = false;
-  /// Failover transitions absorbed by this record (note_failover_event
-  /// calls since the previous record).
-  std::size_t failover_events = 0;
   /// TraceCollector drop count at record time (0 when tracing is off).
   std::size_t trace_dropped = 0;
 
@@ -75,7 +69,6 @@ struct SolveRecord {
 enum class AnomalyKind : std::uint8_t {
   kNone,
   kDeadlineFallback,
-  kFailover,
   kLatencyOutlier,
 };
 
@@ -105,13 +98,9 @@ class FlightRecorder {
   void set_latency_trigger(double factor,
                            std::size_t min_samples = kDefaultMinSamples);
 
-  /// Failover transition hook (multi-server fault handling). Folded
-  /// into the NEXT record and makes it anomalous.
-  void note_failover_event();
-
-  /// Append one record (seq/wall-time stamped, pending failover events
-  /// folded in). Returns the anomaly trigger that fired, if any; when
-  /// one fired and a dump_dir is set, the post-mortem has been written.
+  /// Append one record (seq/wall-time stamped). Returns the anomaly
+  /// trigger that fired, if any; when one fired and a dump_dir is set,
+  /// the post-mortem has been written.
   AnomalyKind record(SolveRecord record);
 
   [[nodiscard]] std::size_t size() const;          ///< records in ring
@@ -155,7 +144,6 @@ class FlightRecorder {
   std::uint64_t next_seq_ GUARDED_BY(mutex_) = 0;
   std::uint64_t anomalies_ GUARDED_BY(mutex_) = 0;
   std::uint64_t dumps_ GUARDED_BY(mutex_) = 0;
-  std::size_t pending_failover_events_ GUARDED_BY(mutex_) = 0;
   std::string dump_dir_ GUARDED_BY(mutex_);
   std::string last_dump_path_ GUARDED_BY(mutex_);
   double latency_factor_ GUARDED_BY(mutex_) = kDefaultLatencyFactor;

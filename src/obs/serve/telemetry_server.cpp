@@ -50,13 +50,9 @@ TelemetryServer::TelemetryServer() {
     response.body += '}';
     return response;
   });
-  http_.handle("/healthz", [this](const HttpRequest&) {
-    const HealthStatus health = health_ ? health_() : HealthStatus{};
+  http_.handle("/healthz", [](const HttpRequest&) {
     HttpResponse response;
-    response.status = health.ok ? 200 : 503;
-    response.body = health.reason;
-    if (response.body.empty() || response.body.back() != '\n')
-      response.body += '\n';
+    response.body = "ok\n";
     return response;
   });
   http_.handle("/flightz", [](const HttpRequest&) {
@@ -76,10 +72,6 @@ TelemetryServer::TelemetryServer() {
     response.body = timeline_->to_json();
     return response;
   });
-}
-
-void TelemetryServer::set_health_callback(HealthCallback callback) {
-  health_ = std::move(callback);
 }
 
 void TelemetryServer::handle(std::string path, HttpServer::Handler handler) {

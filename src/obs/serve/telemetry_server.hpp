@@ -7,9 +7,9 @@
 //             summaries — mec_solve_latency{quantile="..."})
 //   /varz     the registry's JSON dump (the same document `metrics=1`
 //             prints), plus trace/recorder meta counters
-//   /healthz  liveness callback: 200 "ok" while healthy, 503 with the
-//             reason while degraded (a dead edge server, the all-local
-//             fallback...). No callback registered = always ok.
+//   /healthz  liveness probe: 200 "ok" whenever the server answers.
+//             Degraded solves are reported where they happen: the
+//             serve.* counters on /metrics and the /flightz records.
 //   /flightz  the flight recorder's current ring as JSON (the same
 //             document an anomaly dump writes, anomaly=null)
 //   /timez    the attached obs::Timeline's `mecoff.timeline.v1`
@@ -33,23 +33,9 @@
 
 namespace mecoff::obs::serve {
 
-/// What /healthz reports. `reason` is served verbatim as the body.
-struct HealthStatus {
-  bool ok = true;
-  std::string reason = "ok";
-};
-
 class TelemetryServer {
  public:
-  using HealthCallback = std::function<HealthStatus()>;
-
   TelemetryServer();
-
-  /// Liveness source for /healthz. The callback runs on the server's
-  /// connection workers — it must be thread-safe (copy state under a
-  /// mutex or read atomics; do NOT touch an unsynchronized controller
-  /// directly). Call before start().
-  void set_health_callback(HealthCallback callback);
 
   /// Register an extra exact-path route next to the built-in four —
   /// how the CLI's serve-solve mode mounts its POST /solve ingest.
@@ -91,11 +77,10 @@ class TelemetryServer {
 
  private:
   HttpServer http_;
-  HealthCallback health_;
   /// Pre-start registered; the pointee is internally synchronized.
   const Timeline* timeline_ = nullptr;
   /// Pre-start registered, read-only while serving (same discipline as
-  /// health_ and the route table).
+  /// the route table).
   std::vector<std::pair<std::string, std::function<std::string()>>>
       varz_sections_;
 };

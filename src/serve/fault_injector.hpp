@@ -1,18 +1,17 @@
 // Live fault injection for the solve service.
 //
-// PR 2 made the *simulated* system chaos-testable: a `sim::FaultScript`
-// armed on the DES clock, replayable bit-for-bit. This is the same
-// script vocabulary armed against the RUNNING SolveService — no
-// simulated clock exists there, so script times are reinterpreted as
-// REQUEST SEQUENCE NUMBERS: an event at time 12 fires when the 12th
-// request (counting from 1) enters admission. That keeps injection
+// This is the one module that decides what a `sim::FaultScript` event
+// does when it fires. The script is armed against the RUNNING
+// SolveService — no simulated clock exists there, so script times are
+// read as REQUEST SEQUENCE NUMBERS: an event at time 12 fires when the
+// 12th request (counting from 1) enters admission. That keeps injection
 // deterministic and replayable regardless of wall-clock jitter: the
 // same (script, request stream) pair always perturbs the same
 // requests, which is what lets the soak harness commit a trajectory
 // and lets tests assert exact outcomes.
 //
-// Fault taxonomy mapping (documented here because the sim vocabulary
-// is reused verbatim — `to_text()` scripts round-trip through both):
+// Fault taxonomy mapping (the script's server and user targets become
+// worker shards and cache publishes; `to_text()` scripts round-trip):
 //
 //   crash <s>       kill worker shard s % shards. Cold solves routed
 //                   to a killed shard fail fast at dispatch; the

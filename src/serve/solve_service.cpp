@@ -1,6 +1,7 @@
 #include "serve/solve_service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -54,6 +55,25 @@ std::vector<mec::Placement> all_local_placement(std::size_t num_nodes) {
   return std::vector<mec::Placement>(num_nodes, mec::Placement::kLocal);
 }
 
+/// Returns an admitted request's in-flight slot on every exit from
+/// SolveService::solve, a throwing solve included: a leaked slot would
+/// keep await_idle from ever succeeding and shrink admission for good.
+class AdmittedSlot {
+ public:
+  explicit AdmittedSlot(std::atomic<std::size_t>& in_flight)
+      : in_flight_(in_flight) {}
+  AdmittedSlot(const AdmittedSlot&) = delete;
+  AdmittedSlot& operator=(const AdmittedSlot&) = delete;
+  ~AdmittedSlot() {
+    const std::size_t remaining =
+        in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+    MECOFF_GAUGE_SET("serve.solve.in_flight", static_cast<double>(remaining));
+  }
+
+ private:
+  std::atomic<std::size_t>& in_flight_;
+};
+
 }  // namespace
 
 SolveService::SolveService(SolveServiceOptions options)
@@ -106,8 +126,7 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
     MECOFF_COUNTER_ADD("serve.solve.drained", 1);
     SolveResponse response =
         degrade_response(request, Fingerprint{}, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds(),
-           /*was_admitted=*/false);
+    finish(response, request_id, timer.elapsed_seconds());
     return response;
   }
 
@@ -122,8 +141,7 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
     MECOFF_COUNTER_ADD("serve.solve.brownout_shed", 1);
     SolveResponse response =
         degrade_response(request, Fingerprint{}, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds(),
-           /*was_admitted=*/false);
+    finish(response, request_id, timer.elapsed_seconds());
     return response;
   }
   const std::size_t admitted =
@@ -134,10 +152,11 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
     MECOFF_COUNTER_ADD("serve.solve.shed", 1);
     SolveResponse response =
         degrade_response(request, Fingerprint{}, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds(),
-           /*was_admitted=*/false);
+    finish(response, request_id, timer.elapsed_seconds());
     return response;
   }
+  // Admitted: the slot taken above is returned however solve() exits.
+  const AdmittedSlot slot(in_flight_);
 
   FingerprintBuilder keyed(config_seed_);
   // Continue the config digest with the request content: same app +
@@ -234,7 +253,6 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
         // Never strand riders: hand the solve to one of them (or clear
         // the entry) before propagating.
         cache_.abandon(key);
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
         throw;
       }
       if (no_shard_alive) {
@@ -267,8 +285,7 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
     }
   }
 
-  finish(response, request_id, timer.elapsed_seconds(),
-         /*was_admitted=*/true);
+  finish(response, request_id, timer.elapsed_seconds());
   return response;
 }
 
@@ -391,7 +408,7 @@ bool SolveService::brownout_shed_decision(std::size_t in_flight_now) {
 }
 
 void SolveService::finish(SolveResponse& response, std::uint64_t request_id,
-                          double latency_seconds, bool was_admitted) {
+                          double latency_seconds) {
   response.request_id = request_id;
   // Hit/coalesced responses already carry the owner's id; every other
   // source (solved, hedged, the degrade fallbacks) was produced by this
@@ -399,11 +416,6 @@ void SolveService::finish(SolveResponse& response, std::uint64_t request_id,
   if (response.source != SolveSource::kCacheHit &&
       response.source != SolveSource::kCoalesced)
     response.served_by_request_id = request_id;
-  if (was_admitted) {
-    const std::size_t remaining =
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    MECOFF_GAUGE_SET("serve.solve.in_flight", static_cast<double>(remaining));
-  }
   response.latency_seconds = latency_seconds;
   MECOFF_QUANTILES_RECORD_ID("serve.solve.latency", latency_seconds,
                              request_id);

@@ -267,11 +267,11 @@ class SolveService {
   [[nodiscard]] bool brownout_shed_decision(std::size_t in_flight_now)
       EXCLUDES(brownout_mutex_);
 
-  /// Finish a response: correlation-id stamping, in-flight decrement,
-  /// latency record (id-tagged for the p99 exemplar), and — when the
-  /// brownout controller reads it — the p99 window refresh.
+  /// Finish a response: correlation-id stamping, latency record
+  /// (id-tagged for the p99 exemplar), and — when the brownout
+  /// controller reads it — the p99 window refresh.
   void finish(SolveResponse& response, std::uint64_t request_id,
-              double latency_seconds, bool was_admitted);
+              double latency_seconds);
 
   [[nodiscard]] SolveResponse degrade_response(const SolveRequest& request,
                                                const Fingerprint& key,

@@ -1,7 +1,9 @@
 // Discrete-event simulation core: a clock and a time-ordered event
 // queue. Events scheduled for the same instant fire in scheduling order
 // (FIFO tie-break via a monotone sequence number), which keeps runs
-// fully deterministic.
+// fully deterministic. The batch executor (sim/executor.hpp) and its
+// channel and resource models run on it; fault scripts do not, because
+// serve::FaultInjector replays them against the live service instead.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,7 @@ class SimEngine {
   ///
   /// HAZARD: unbounded. A handler that perpetually reschedules itself
   /// (a polling loop, a flapping link) makes this spin forever; when
-  /// handlers are not known to terminate, use run_until() or the
-  /// max-event overload instead.
+  /// handlers are not known to terminate, use run_until() instead.
   SimTime run();
 
   /// Run events with time <= `horizon` (>= now); later events stay
@@ -39,14 +40,10 @@ class SimEngine {
   /// earlier, so follow-up schedule_after() calls are horizon-relative.
   SimTime run_until(SimTime horizon);
 
-  /// Run at most `max_events` events, stopping earlier if the queue
-  /// drains. The budget backstop for chaos runs and fault scripts.
-  SimTime run(std::size_t max_events);
-
   /// Number of events executed by the last run()/run_until().
   [[nodiscard]] std::size_t events_executed() const { return executed_; }
 
-  /// Events still queued (nonzero after a horizon/budget stop).
+  /// Events still queued (nonzero after a horizon stop).
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
@@ -61,7 +58,7 @@ class SimEngine {
     }
   };
 
-  SimTime run_core(SimTime horizon, std::size_t max_events);
+  SimTime run_core(SimTime horizon);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/contracts.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 
 namespace mecoff::sim {
@@ -73,16 +72,6 @@ std::vector<FaultEvent> FaultScript::ordered() const {
   return sorted;
 }
 
-void FaultScript::arm(SimEngine& engine,
-                      std::function<void(const FaultEvent&)> handler) const {
-  MECOFF_EXPECTS(handler != nullptr);
-  // Scheduling in replay order keeps same-instant faults firing in the
-  // script's insertion order (the engine tie-breaks FIFO).
-  for (const FaultEvent& event : ordered())
-    engine.schedule_at(event.time,
-                       [event, handler] { handler(event); });
-}
-
 std::string FaultScript::to_text() const {
   std::ostringstream out;
   for (const FaultEvent& event : ordered()) out << event.describe() << '\n';
@@ -138,41 +127,6 @@ Result<FaultScript> FaultScript::parse(const std::string& text) {
     std::string extra;
     if (fields >> extra) return fail("trailing garbage '" + extra + "'");
     script.add(event);
-  }
-  return script;
-}
-
-FaultScript FaultScript::random(const RandomFaultParams& params) {
-  MECOFF_EXPECTS(params.servers > 0);
-  MECOFF_EXPECTS(params.horizon > 0.0);
-  Rng rng(params.seed);
-  FaultScript script;
-  for (std::size_t i = 0; i < params.events; ++i) {
-    // Episodes start inside the first 80% of the horizon so paired
-    // recoveries have room to land before it.
-    const SimTime t = rng.uniform(0.0, params.horizon * 0.8);
-    const bool recovers = rng.bernoulli(params.recovery_probability);
-    const SimTime recover_at =
-        t + rng.uniform(params.horizon * 0.01, params.horizon * 0.19);
-    const bool can_disconnect = params.users > 0;
-    const std::size_t die = rng.index(can_disconnect ? 3 : 2);
-    switch (die) {
-      case 0: {
-        const std::size_t server = rng.index(params.servers);
-        script.crash_server(t, server);
-        if (recovers) script.recover_server(recover_at, server);
-        break;
-      }
-      case 1: {
-        const std::size_t server = rng.index(params.servers);
-        script.degrade_link(t, server, rng.uniform(0.05, 0.95));
-        if (recovers) script.restore_link(recover_at, server);
-        break;
-      }
-      default:
-        script.disconnect_user(t, rng.index(params.users));
-        break;
-    }
   }
   return script;
 }

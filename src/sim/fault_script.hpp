@@ -1,17 +1,16 @@
-// Scripted fault injection for the DES.
+// Scripted fault injection: the text format of a fault scenario.
 //
 // A FaultScript is a time-ordered list of infrastructure faults —
-// server crash/recover, link degrade/restore, user disconnect — that
-// can be armed on a SimEngine. Scripts are plain data: they can be
-// built programmatically, parsed from text, or generated pseudo-
-// randomly from a seed, and the SAME (script, seed) pair always yields
-// the SAME event sequence, which is what makes failure runs replayable
-// bit-for-bit (the chaos harness in sim/chaos.hpp asserts exactly
-// that).
+// server crash/recover, link degrade/restore, user disconnect. Scripts
+// are plain data: they are built programmatically or parsed from text,
+// and to_text()/parse() round-trip them exactly, so a failure run is
+// replayable from its script alone. What an event does when it fires is
+// decided in one place, serve::FaultInjector, which replays the script
+// against the live SolveService with times read as request sequence
+// numbers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,18 +43,6 @@ struct FaultEvent {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Parameters for FaultScript::random().
-struct RandomFaultParams {
-  std::uint64_t seed = 0xfa171;
-  std::size_t servers = 2;  ///< server ids drawn from [0, servers)
-  std::size_t users = 0;    ///< 0 disables disconnect events
-  std::size_t events = 8;   ///< crash/degrade episodes (each may add a
-                            ///< paired recover/restore)
-  SimTime horizon = 100.0;  ///< fault times fall in [0, horizon)
-  /// Fraction of episodes that recover/restore before the horizon.
-  double recovery_probability = 0.75;
-};
-
 class FaultScript {
  public:
   FaultScript() = default;
@@ -81,11 +68,6 @@ class FaultScript {
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
 
-  /// Schedule every event on `engine`, firing `handler` at each fault's
-  /// time. Requires the engine clock at or before the earliest event.
-  void arm(SimEngine& engine,
-           std::function<void(const FaultEvent&)> handler) const;
-
   /// One describe() line per event, in replay order; parse() inverts.
   [[nodiscard]] std::string to_text() const;
 
@@ -93,10 +75,6 @@ class FaultScript {
   /// lines are skipped. Garbage, negative times, unknown fault names
   /// and bad severities yield an error Result, never a throw.
   [[nodiscard]] static Result<FaultScript> parse(const std::string& text);
-
-  /// Deterministic pseudo-random crash/degrade/disconnect scenario:
-  /// the same params (seed included) always produce the same script.
-  [[nodiscard]] static FaultScript random(const RandomFaultParams& params);
 
  private:
   std::vector<FaultEvent> events_;

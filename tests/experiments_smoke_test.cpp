@@ -93,7 +93,8 @@ TEST(LoadHarness, PercentileIsCorrectForSamplesInAnyOrder) {
   outcome.latencies = {0.129, 0.090, 0.010, 0.050, 0.070};
   EXPECT_EQ(outcome.percentile(0.0), 0.010);
   EXPECT_EQ(outcome.percentile(0.5), 0.070);
-  EXPECT_EQ(outcome.percentile(0.95), 0.090);
+  // Interpolated: 0.090 + 0.8 * (0.129 - 0.090).
+  EXPECT_NEAR(outcome.percentile(0.95), 0.1212, 1e-12);
   EXPECT_EQ(outcome.percentile(1.0), 0.129);
 }
 

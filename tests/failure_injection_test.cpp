@@ -19,7 +19,6 @@
 #include "mec/multiserver.hpp"
 #include "mec/profiles.hpp"
 #include "mec/offloader.hpp"
-#include "sim/chaos.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_script.hpp"
 #include "sim/resources.hpp"
@@ -190,34 +189,6 @@ TEST(FailureInjection, FaultScriptParserSurvivesGarbageBytes) {
   }
 }
 
-TEST(FailureInjection, FailoverWithZeroSurvivorsFailsCleanAllLocal) {
-  mec::MultiServerSystem system;
-  system.device.mobile_power = 1.0;
-  system.device.mobile_capacity = 5.0;
-  system.servers = {mec::ServerSpec{300.0, 20.0, 8.0}};
-  mec::UserApp user;
-  user.graph = graph::path_graph(6);
-  user.unoffloadable.assign(6, false);
-  system.users = {user, user};
-
-  mec::FailoverController controller(system);
-  const auto step = controller.on_server_failed(0);
-  // The LAST server died: a typed error reports it, and the state has
-  // already degraded to a valid all-local scheme — never an invalid
-  // placement, never a throw.
-  ASSERT_FALSE(step.ok());
-  EXPECT_NE(step.error().message.find("no survivors"), std::string::npos);
-  EXPECT_TRUE(controller.all_local_fallback());
-  for (const auto& placement : controller.current().scheme.placement)
-    for (const mec::Placement p : placement)
-      EXPECT_EQ(p, mec::Placement::kLocal);
-  // Follow-up faults on the dead world stay typed errors.
-  EXPECT_FALSE(controller.on_server_failed(0).ok());
-  EXPECT_FALSE(controller.on_link_degraded(0, 0.5).ok());
-  EXPECT_FALSE(controller.on_server_failed(7).ok());    // no such server
-  EXPECT_FALSE(controller.on_user_disconnected(9).ok()); // no such user
-}
-
 TEST(FailureInjection, ZeroDeadlineDegradesGracefully) {
   mec::UserApp user;
   user.graph = graph::path_graph(8);
@@ -228,14 +199,6 @@ TEST(FailureInjection, ZeroDeadlineDegradesGracefully) {
   const mec::OffloadingScheme scheme = offloader.solve(system);
   EXPECT_TRUE(scheme.valid_for(system));
   EXPECT_TRUE(offloader.last_stats().deadline_expired);
-}
-
-TEST(FailureInjection, ChaosHarnessRejectsBrokenSystems) {
-  sim::FaultScript script;
-  script.crash_server(1.0, 0);
-  mec::MultiServerSystem no_servers;
-  no_servers.users.push_back(mec::UserApp{graph::path_graph(2), {}, {}});
-  EXPECT_FALSE(sim::run_chaos(no_servers, script).ok());
 }
 
 TEST(FailureInjection, ProfileLookupFailsClosed) {

@@ -1,6 +1,6 @@
-// Fault-tolerant serving path: fault scripts, server failover with
-// hysteresis, the degrade-don't-die solver chain, and the chaos
-// harness's bit-identical replay guarantee.
+// Fault scripts (builders, replay order, hostile input, the exact text
+// round-trip serve::FaultInjector's input relies on) and the
+// degrade-don't-die solver chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,20 +9,12 @@
 
 #include "common/contracts.hpp"
 #include "graph/generators.hpp"
-#include "mec/multiserver.hpp"
 #include "mec/offloader.hpp"
-#include "sim/chaos.hpp"
 #include "sim/fault_script.hpp"
 
 namespace mecoff {
 namespace {
 
-using mec::FailoverController;
-using mec::FailoverOptions;
-using mec::FailoverStep;
-using mec::MultiServerSystem;
-using mec::Placement;
-using mec::ServerSpec;
 using mec::UserApp;
 using sim::FaultEvent;
 using sim::FaultKind;
@@ -38,18 +30,6 @@ UserApp netgen_user(std::uint64_t seed, std::size_t nodes = 60) {
   user.unoffloadable.assign(nodes, false);
   user.unoffloadable[0] = true;
   return user;
-}
-
-MultiServerSystem make_system(std::size_t users, std::size_t servers = 3) {
-  MultiServerSystem system;
-  system.device.mobile_power = 1.0;
-  system.device.mobile_capacity = 5.0;
-  system.device.contention_factor = 0.5;
-  for (std::size_t s = 0; s < servers; ++s)
-    system.servers.push_back(ServerSpec{300.0 + 50.0 * s, 20.0, 8.0});
-  for (std::size_t i = 0; i < users; ++i)
-    system.users.push_back(netgen_user(100 + i));
-  return system;
 }
 
 // ---------------------------------------------------------------- scripts
@@ -126,209 +106,6 @@ TEST(FaultScript, ParseSkipsCommentsAndRejectsGarbage) {
     const auto r = FaultScript::parse(junk);
     EXPECT_FALSE(r.ok()) << junk;
   }
-}
-
-TEST(FaultScript, RandomScriptsAreSeedDeterministic) {
-  sim::RandomFaultParams params;
-  params.servers = 3;
-  params.users = 5;
-  params.events = 12;
-  const FaultScript a = FaultScript::random(params);
-  const FaultScript b = FaultScript::random(params);
-  EXPECT_EQ(a.to_text(), b.to_text());
-  EXPECT_FALSE(a.empty());
-
-  params.seed ^= 0xdead;
-  const FaultScript c = FaultScript::random(params);
-  EXPECT_NE(a.to_text(), c.to_text());  // astronomically unlikely to tie
-
-  for (const FaultEvent& e : a.events()) {
-    EXPECT_GE(e.time, 0.0);
-    EXPECT_LT(e.time, params.horizon);
-  }
-}
-
-// --------------------------------------------------------------- failover
-
-TEST(Failover, CrashMovesOrphansToSurvivorsAndKeepsSchemeValid) {
-  const MultiServerSystem system = make_system(6);
-  FailoverController controller(system);
-  const std::size_t dead = 1;
-  std::size_t orphans = 0;
-  for (std::size_t u = 0; u < system.users.size(); ++u)
-    if (controller.current().server_of_user[u] == dead) ++orphans;
-
-  const auto step = controller.on_server_failed(dead);
-  ASSERT_TRUE(step.ok()) << step.error().message;
-  EXPECT_EQ(step.value().moved_users.size(), orphans);
-  EXPECT_EQ(controller.alive_servers(), system.servers.size() - 1);
-  for (std::size_t u = 0; u < system.users.size(); ++u) {
-    const std::size_t home = controller.current().server_of_user[u];
-    EXPECT_NE(home, dead);
-    EXPECT_TRUE(controller.health()[home].alive);
-    // Pinned function stays on the device through the re-solve.
-    EXPECT_EQ(controller.current().scheme.placement[u][0], Placement::kLocal);
-  }
-  // A second crash of the same server is a clean typed error.
-  EXPECT_FALSE(controller.on_server_failed(dead).ok());
-}
-
-TEST(Failover, LastServerDeathDegradesToAllLocalWithTypedError) {
-  const MultiServerSystem system = make_system(4, 2);
-  FailoverController controller(system);
-  ASSERT_TRUE(controller.on_server_failed(0).ok());
-
-  const auto step = controller.on_server_failed(1);
-  EXPECT_FALSE(step.ok());  // the typed error reports the degrade
-  EXPECT_TRUE(controller.all_local_fallback());
-  EXPECT_EQ(controller.alive_servers(), 0u);
-  for (std::size_t u = 0; u < system.users.size(); ++u)
-    for (const Placement p : controller.current().scheme.placement[u])
-      EXPECT_EQ(p, Placement::kLocal);
-  // All-local still has a finite, evaluable objective.
-  EXPECT_GT(controller.objective(), 0.0);
-}
-
-TEST(Failover, RecoveryLeavesAllLocalFallback) {
-  const MultiServerSystem system = make_system(4, 2);
-  FailoverController controller(system);
-  ASSERT_TRUE(controller.on_server_failed(0).ok());
-  (void)controller.on_server_failed(1);  // typed error; state degraded
-  ASSERT_TRUE(controller.all_local_fallback());
-
-  const auto step = controller.on_server_recovered(1);
-  ASSERT_TRUE(step.ok()) << step.error().message;
-  EXPECT_FALSE(controller.all_local_fallback());
-  // Everyone re-attaches to the one live server and offloading resumes.
-  std::size_t remote = 0;
-  for (std::size_t u = 0; u < system.users.size(); ++u) {
-    EXPECT_EQ(controller.current().server_of_user[u], 1u);
-    for (const Placement p : controller.current().scheme.placement[u])
-      if (p == Placement::kRemote) ++remote;
-  }
-  EXPECT_GT(remote, 0u);
-}
-
-TEST(Failover, HysteresisSuppressesLinkFlapReplacement) {
-  const MultiServerSystem system = make_system(5);
-  FailoverOptions options;
-  options.hysteresis_margin = 1e9;  // nothing can clear this bar
-  FailoverController controller(system, options);
-  const mec::OffloadingScheme before = controller.current().scheme;
-  const double healthy = controller.objective();
-
-  for (int flap = 0; flap < 3; ++flap) {
-    const auto down = controller.on_link_degraded(0, 0.05);
-    ASSERT_TRUE(down.ok());
-    EXPECT_FALSE(down.value().adopted);
-    // Kept placements are still re-PRICED under the degraded link —
-    // scaling bandwidth down can only raise the bill.
-    EXPECT_GE(controller.objective(), healthy * (1.0 - 1e-12));
-    const auto up = controller.on_link_restored(0);
-    ASSERT_TRUE(up.ok());
-  }
-  EXPECT_GE(controller.suppressed_resolves(), 3u);
-  // Placements never thrashed, and the restored bill is the healthy one.
-  EXPECT_EQ(controller.current().scheme.placement, before.placement);
-  EXPECT_NEAR(controller.objective(), healthy, 1e-9 * healthy);
-}
-
-TEST(Failover, ZeroMarginDegradeStaysConsistentAndBookkept) {
-  const MultiServerSystem system = make_system(5);
-  FailoverOptions options;
-  options.hysteresis_margin = 0.0;  // adopt any strict improvement
-  FailoverController controller(system, options);
-
-  const auto step = controller.on_link_degraded(0, 0.01);
-  ASSERT_TRUE(step.ok());
-  // Adopted re-solve or suppressed keep — either way the bookkeeping
-  // must be consistent and the state evaluable.
-  if (!step.value().adopted) EXPECT_GE(controller.suppressed_resolves(), 1u);
-  EXPECT_GT(controller.objective(), 0.0);
-  EXPECT_TRUE(std::isfinite(controller.objective()));
-  const auto restored = controller.on_link_restored(0);
-  ASSERT_TRUE(restored.ok());
-  // Degrading a dead server's link is a typed error, not UB.
-  ASSERT_TRUE(controller.on_server_failed(0).ok());
-  EXPECT_FALSE(controller.on_link_degraded(0, 0.5).ok());
-}
-
-TEST(Failover, DisconnectDropsUserAndNeverWorsensTheGroup) {
-  const MultiServerSystem system = make_system(6);
-  FailoverController controller(system);
-  const auto step = controller.on_user_disconnected(2);
-  ASSERT_TRUE(step.ok());
-  EXPECT_FALSE(controller.user_active(2));
-  EXPECT_EQ(controller.active_users(), system.users.size() - 1);
-  // Load left; the kept-or-resolved group cannot cost more than before.
-  EXPECT_LE(step.value().objective_after, step.value().objective_before);
-  for (const Placement p : controller.current().scheme.placement[2])
-    EXPECT_EQ(p, Placement::kLocal);
-  EXPECT_FALSE(controller.on_user_disconnected(2).ok());  // double
-}
-
-// ------------------------------------------------------------------ chaos
-
-FaultScript chaos_script() {
-  FaultScript script;
-  script.degrade_link(2.0, 0, 0.2)
-      .crash_server(5.0, 1)
-      .disconnect_user(6.5, 3)
-      .restore_link(8.0, 0)
-      .recover_server(12.0, 1)
-      .crash_server(12.0, 1)  // same-instant re-crash: tie-break matters
-      .recover_server(20.0, 1);
-  return script;
-}
-
-TEST(Chaos, ScriptedScenarioReplaysBitIdentically) {
-  const MultiServerSystem system = make_system(6);
-  const FaultScript script = chaos_script();
-
-  const auto first = sim::run_chaos(system, script);
-  const auto second = sim::run_chaos(system, script);
-  ASSERT_TRUE(first.ok()) << first.error().message;
-  ASSERT_TRUE(second.ok()) << second.error().message;
-
-  // The acceptance bar: recovery traces AND final schemes bit-identical
-  // across runs of the same (system, script).
-  EXPECT_EQ(first.value().trace, second.value().trace);
-  EXPECT_EQ(first.value().final_result.scheme.placement,
-            second.value().final_result.scheme.placement);
-  EXPECT_EQ(first.value().final_result.server_of_user,
-            second.value().final_result.server_of_user);
-  EXPECT_EQ(first.value().faults_applied, second.value().faults_applied);
-  EXPECT_EQ(first.value().faults_rejected, second.value().faults_rejected);
-
-  // Every scripted fault is accounted for, one way or the other.
-  EXPECT_EQ(first.value().faults_applied + first.value().faults_rejected,
-            script.size());
-  // init line + one line per fault + final line.
-  EXPECT_EQ(first.value().trace.size(), script.size() + 2);
-  EXPECT_FALSE(first.value().all_local_fallback);
-}
-
-TEST(Chaos, RandomScriptReplayIsAlsoDeterministic) {
-  const MultiServerSystem system = make_system(5);
-  sim::RandomFaultParams params;
-  params.servers = system.servers.size();
-  params.users = system.users.size();
-  params.events = 10;
-  const FaultScript script = FaultScript::random(params);
-
-  const auto a = sim::run_chaos(system, script);
-  const auto b = sim::run_chaos(system, script);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().trace, b.value().trace);
-  EXPECT_EQ(a.value().final_result.scheme.placement,
-            b.value().final_result.scheme.placement);
-}
-
-TEST(Chaos, InvalidSystemIsACleanError) {
-  MultiServerSystem broken = make_system(2);
-  broken.servers.clear();
-  EXPECT_FALSE(sim::run_chaos(broken, chaos_script()).ok());
 }
 
 // ----------------------------------------------------- degrade-don't-die

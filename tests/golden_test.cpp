@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "mec/scheme_io.hpp"
 #include "sim/fault_script.hpp"
 
@@ -137,14 +138,21 @@ TEST(GoldenFaultScript, OutOfOrderAddsNormalizeToFixtureBytes) {
 
 TEST(GoldenFaultScript, RandomScriptsRoundTripExactly) {
   // %.17g rendering must survive arbitrary doubles, not just the tidy
-  // fixture values — the generated scripts exercise that.
+  // fixture values — seeded random times and severities exercise that.
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    sim::RandomFaultParams params;
-    params.seed = seed;
-    params.servers = 3;
-    params.users = 5;
-    params.events = 12;
-    const sim::FaultScript script = sim::FaultScript::random(params);
+    Rng rng(seed);
+    sim::FaultScript script;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const double t = rng.uniform(0.0, 100.0);
+      const std::size_t target = rng.index(5);
+      switch (rng.index(5)) {
+        case 0: script.crash_server(t, target); break;
+        case 1: script.recover_server(t, target); break;
+        case 2: script.degrade_link(t, target, rng.uniform(0.05, 0.95)); break;
+        case 3: script.restore_link(t, target); break;
+        default: script.disconnect_user(t, target); break;
+      }
+    }
     const Result<sim::FaultScript> reparsed =
         sim::FaultScript::parse(script.to_text());
     ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "graph/weighted_graph.hpp"
 #include "mec/model.hpp"
 #include "mec/offloader.hpp"
@@ -686,6 +687,44 @@ TEST(SolveServiceTest, RiderHedgesPastStalledOwnerBitIdentical) {
   ASSERT_TRUE(hot.ok());
   EXPECT_EQ(hot.value().source, SolveSource::kCacheHit);
   EXPECT_EQ(hot.value().placement, expected);
+}
+
+// A hedge whose cold solve throws must return its admission slot, as
+// a throwing owner always did; a leaked slot keeps await_idle from ever
+// succeeding and shrinks max_in_flight admission for good.
+TEST(SolveServiceTest, ThrowingHedgeReturnsItsInFlightSlot) {
+  FaultInjector::Options fopts;
+  fopts.shards = 2;
+  fopts.latency_scale_seconds = 0.25;
+  FaultInjector injector(fopts);
+  sim::FaultScript script;
+  // 0.2 s stall on BOTH shards: the owner is still stalled when the
+  // rider's wait budget runs out, so the rider hedges.
+  script.degrade_link(1, 0, 0.8).degrade_link(1, 1, 0.8);
+  injector.arm(script);
+
+  SolveServiceOptions options;
+  options.shards = 2;
+  options.injector = &injector;
+  // Zero rounds fail propagate_labels' precondition: every cold solve,
+  // the owner's and the hedge's alike, throws.
+  options.solver.propagation.max_rounds = 0;
+  SolveService service(options);
+
+  SolveRequest owner_request{make_app(150.0, 5), mec::SystemParams{}};
+  owner_request.deadline_seconds = 5.0;
+  std::future<Result<SolveResponse>> owner = std::async(
+      std::launch::async, [&] { return service.solve(owner_request); });
+  // Rider: budget 0.1 s, so it parks at most 0.05 s behind the owner,
+  // well inside the owner's 0.2 s stall, then hedges with budget left.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  SolveRequest rider_request = owner_request;
+  rider_request.deadline_seconds = 0.1;
+  EXPECT_THROW((void)service.solve(rider_request), PreconditionError);
+  EXPECT_THROW((void)owner.get(), PreconditionError);
+
+  EXPECT_EQ(service.stats().cache.timeouts, 1u);
+  EXPECT_TRUE(service.await_idle(0.5));
 }
 
 TEST(SolveServiceTest, StolenPublishServesRequesterButNeverCaches) {

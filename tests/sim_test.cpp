@@ -77,25 +77,6 @@ TEST(Engine, RunUntilIncludesEventsExactlyAtTheHorizon) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Engine, EventBudgetStopsASelfPerpetuatingHandler) {
-  // An unbounded run() would never return on this workload — the
-  // documented hazard the budget overload exists for.
-  SimEngine engine;
-  std::size_t fired = 0;
-  std::function<void()> tick = [&] {
-    ++fired;
-    engine.schedule_after(1.0, tick);
-  };
-  engine.schedule_at(0.0, tick);
-  engine.run(100);
-  EXPECT_EQ(fired, 100u);
-  EXPECT_EQ(engine.events_executed(), 100u);
-  EXPECT_EQ(engine.pending(), 1u);  // the next tick is queued, not run
-  // The budget is per-call: a fresh budget resumes the same queue.
-  engine.run(50);
-  EXPECT_EQ(fired, 150u);
-}
-
 TEST(FifoResource, SingleJobNoWait) {
   SimEngine engine;
   FifoResource server(engine, 10.0);

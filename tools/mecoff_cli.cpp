@@ -13,15 +13,6 @@
 //       solve, then replay the scheme on the batch simulator
 //   mecoff_cli stats <graph.edgelist>
 //       validate the file and print structural statistics
-//   mecoff_cli serve <app.dsl> [users=N threads=T port=P servers=S
-//                               iterations=K interval=ms faults=script
-//                               dump_dir=DIR ...solve params]
-//       long-running solve loop with live telemetry on 127.0.0.1:P —
-//       /metrics (Prometheus), /varz (JSON), /healthz (503 while
-//       degraded), /flightz (anomaly flight recorder). iterations=0
-//       loops until SIGINT. faults= replays a fault script whose times
-//       are iteration indices against a FailoverController driving
-//       /healthz. dump_dir= arms flight-recorder post-mortem dumps.
 //   mecoff_cli serve-solve <app.dsl> [port=P threads=T shards=S
 //                                     cache=N max_inflight=M clients=C
 //                                     selfcheck=K duration=secs
@@ -44,10 +35,10 @@
 //       self-contained smoke mode CI and ctest drive. duration=secs
 //       (0 = until a signal) bounds the serving window otherwise.
 //       deadline_budget= sets the default per-request budget (riders
-//       hedge a duplicate solve after hedge=F of it; an exhausted
-//       budget degrades to all-local). brownout=N arms progressive
-//       shedding at in-flight tiers N/2N/4N (brownout_p99= adds a
-//       latency bump to the controller). faults= arms a fault script
+//       hedge a duplicate solve after hedge=F of it, F in (0, 1]; an
+//       exhausted budget degrades to all-local). brownout=N arms
+//       progressive shedding at in-flight tiers N/2N/4N (brownout_p99=
+//       adds a latency bump to the controller). faults= arms a fault script
 //       whose times are REQUEST numbers on a serve::FaultInjector
 //       (shard kills, injected solve latency, stolen cache publishes);
 //       latency_scale= scales injected stalls. timeline=N mounts
@@ -104,7 +95,6 @@
 #include "common/config.hpp"
 #include "common/stopwatch.hpp"
 #include "common/strings.hpp"
-#include "common/thread_annotations.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
@@ -112,7 +102,6 @@
 #include "kl/kernighan_lin.hpp"
 #include "lpa/pipeline.hpp"
 #include "mec/costs.hpp"
-#include "mec/multiserver.hpp"
 #include "mec/offloader.hpp"
 #include "mec/profiles.hpp"
 #include "mec/scheme_io.hpp"
@@ -137,8 +126,8 @@ using namespace mecoff;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mecoff_cli <generate|compress|cut|solve|simulate> "
-               "[file] [key=value...]\n"
+               "usage: mecoff_cli <generate|compress|cut|solve|simulate|"
+               "stats|serve-solve> [file] [key=value...]\n"
                "run with a subcommand for details (see tools/mecoff_cli.cpp "
                "header)\n");
   return 2;
@@ -160,7 +149,7 @@ Result<graph::WeightedGraph> load_graph(const std::string& path) {
 
 /// Strict numeric option parsing for every command: a PRESENT but
 /// malformed value is a usage error (exit 2), never a silent fallback —
-/// a typo'd iterations= must not turn a bounded smoke run into a
+/// a typo'd duration= must not turn a bounded serve-solve run into a
 /// forever-server.
 bool strict_int(const Config& cfg, const char* key, long long fallback,
                 long long& out) {
@@ -523,216 +512,16 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
 }
 
 // ---------------------------------------------------------------------------
-// serve: long-running solve loop with live telemetry.
+// serve-solve: the online solve service — per-request ingest over
+// HTTP, sharded across a pool, coalesced through the scheme cache.
 
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop_signal(int) { g_stop = 1; }
 
-/// SIGTERM on the serving commands means DRAIN, not die: degrade new
-/// requests, finish in-flight ones, dump the flight recorder, exit 0.
+/// SIGTERM on serve-solve means DRAIN, not die: degrade new requests,
+/// finish in-flight ones, dump the flight recorder, exit 0.
 volatile std::sig_atomic_t g_drain = 0;
 void handle_drain_signal(int) { g_drain = 1; }
-
-int cmd_serve(const std::string& path, const Config& cfg) {
-  mec::SystemParams params;
-  long long users_arg = 0;
-  long long servers_arg = 0;
-  long long threads_arg = 0;
-  long long iterations = 0;  // 0 = ∞
-  long long interval_ms = 0;
-  long long port_arg = 0;
-  double threshold = 10.0;
-  double deadline = -1.0;
-  if (!params_from(cfg, params) || !strict_int(cfg, "users", 1, users_arg) ||
-      !strict_int(cfg, "servers", 2, servers_arg) ||
-      !strict_int(cfg, "threads", 0, threads_arg) ||
-      !strict_int(cfg, "iterations", 0, iterations) ||
-      !strict_int(cfg, "interval", 100, interval_ms) ||
-      !strict_int(cfg, "port", 0, port_arg) ||
-      !strict_double(cfg, "threshold", 10.0, threshold) ||
-      !strict_double(cfg, "deadline", -1.0, deadline))
-    return 2;
-  if (port_arg < 0 || port_arg > 65535) {
-    std::fprintf(stderr, "usage error: port must be in [0, 65535]\n");
-    return 2;
-  }
-  const Result<appmodel::Application> parsed = load_app(path);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
-    return 1;
-  }
-  const appmodel::Application& app = parsed.value();
-
-  mec::UserApp user;
-  user.graph = app.to_graph();
-  user.unoffloadable = app.unoffloadable_mask();
-  user.components = app.component_ids();
-  const std::size_t num_users =
-      static_cast<std::size_t>(std::max<long long>(1, users_arg));
-  const std::size_t num_servers =
-      static_cast<std::size_t>(std::max<long long>(1, servers_arg));
-
-  // The steady-state solve target (feeds mec.solve.latency each
-  // iteration) and the multi-server deployment /healthz reports on.
-  mec::MecSystem system{params, {}};
-  system.users.assign(num_users, user);
-  mec::MultiServerSystem msystem;
-  msystem.device = params;
-  msystem.servers.assign(
-      num_servers, mec::ServerSpec{params.server_capacity, params.bandwidth,
-                                   params.transmit_power});
-  msystem.users.assign(num_users, user);
-  if (!system.valid() || !msystem.valid()) {
-    std::fprintf(stderr, "error: invalid system parameters\n");
-    return 1;
-  }
-
-  const std::string dump_dir = cfg.get_string("dump_dir", "");
-  if (!dump_dir.empty())
-    obs::FlightRecorder::global().set_dump_dir(dump_dir);
-  const std::string trace_path = cfg.get_string("trace", "");
-  if (!trace_path.empty()) obs::TraceCollector::global().enable();
-
-  // Fault script, replayed by ITERATION INDEX: an event at time t fires
-  // just before iteration t solves. Same text format as the chaos
-  // harness (sim/fault_script.hpp).
-  sim::FaultScript script;
-  const std::string faults_path = cfg.get_string("faults", "");
-  if (!faults_path.empty()) {
-    const Result<std::string> text = read_file(faults_path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "error: %s\n", text.error().message.c_str());
-      return 1;
-    }
-    Result<sim::FaultScript> loaded = sim::FaultScript::parse(text.value());
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "fault script error: %s\n",
-                   loaded.error().message.c_str());
-      return 1;
-    }
-    script = std::move(loaded).value();
-  }
-  const std::vector<sim::FaultEvent> faults = script.ordered();
-
-  mec::FailoverOptions fopts;
-  fopts.base.pipeline.deadline.seconds = deadline;
-  mec::FailoverController controller(msystem, fopts);
-
-  // /healthz source. The callback runs on the server thread, so it only
-  // copies this snapshot; the loop below refreshes it after every fault
-  // (the controller itself is not thread-safe).
-  mecoff::Mutex health_mutex;
-  obs::serve::HealthStatus health;
-  const auto refresh_health = [&] {
-    obs::serve::HealthStatus fresh;
-    const std::size_t alive = controller.alive_servers();
-    if (controller.all_local_fallback()) {
-      fresh.ok = false;
-      fresh.reason = "degraded: all-local fallback (0/" +
-                     std::to_string(num_servers) + " servers alive)";
-    } else if (alive < num_servers) {
-      fresh.ok = false;
-      fresh.reason = "degraded: " + std::to_string(alive) + "/" +
-                     std::to_string(num_servers) + " servers alive";
-    }
-    const mecoff::MutexLock lock(health_mutex);
-    health = std::move(fresh);
-  };
-  refresh_health();
-
-  obs::serve::TelemetryServer server;
-  server.set_health_callback([&health_mutex, &health] {
-    const mecoff::MutexLock lock(health_mutex);
-    return health;
-  });
-  const Result<std::uint16_t> bound =
-      server.start(static_cast<std::uint16_t>(port_arg));
-  if (!bound.ok()) {
-    std::fprintf(stderr, "error: %s\n", bound.error().message.c_str());
-    return 1;
-  }
-  std::printf("serving telemetry on 127.0.0.1:%u "
-              "(/metrics /varz /healthz /flightz)\n",
-              static_cast<unsigned>(bound.value()));
-  std::fflush(stdout);
-
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-
-  mec::PipelineOptions options;
-  options.propagation.coupling_threshold = threshold;
-  options.deadline.seconds = deadline;
-  const std::size_t threads =
-      static_cast<std::size_t>(std::max<long long>(0, threads_arg));
-  std::unique_ptr<parallel::ThreadPool> pool;
-  if (threads > 0) {
-    pool = std::make_unique<parallel::ThreadPool>(threads);
-    options.pool = pool.get();
-  }
-  mec::PipelineOffloader offloader(options);
-
-  std::size_t next_fault = 0;
-  long long iter = 0;
-  for (; g_stop == 0 && (iterations <= 0 || iter < iterations); ++iter) {
-    while (next_fault < faults.size() &&
-           faults[next_fault].time <= static_cast<double>(iter)) {
-      const sim::FaultEvent& event = faults[next_fault++];
-      const Result<mec::FailoverStep> step = [&]() -> Result<mec::FailoverStep> {
-        switch (event.kind) {
-          case sim::FaultKind::kServerCrash:
-            return controller.on_server_failed(event.target);
-          case sim::FaultKind::kServerRecover:
-            return controller.on_server_recovered(event.target);
-          case sim::FaultKind::kLinkDegrade:
-            return controller.on_link_degraded(event.target, event.severity);
-          case sim::FaultKind::kLinkRestore:
-            return controller.on_link_restored(event.target);
-          case sim::FaultKind::kUserDisconnect:
-            return controller.on_user_disconnected(event.target);
-        }
-        return Error("unknown fault kind");
-      }();
-      std::printf("iteration %lld: %s%s%s\n", iter, event.describe().c_str(),
-                  step.ok() ? "" : " rejected: ",
-                  step.ok() ? "" : step.error().message.c_str());
-      refresh_health();
-    }
-    (void)offloader.solve(system);
-    if (interval_ms > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-  }
-  server.stop();
-
-  std::printf("served %lld iterations, %llu http requests%s\n", iter,
-              static_cast<unsigned long long>(server.requests_served()),
-              g_stop != 0 ? " (interrupted)" : "");
-  std::printf("flight recorder: %llu records, %llu anomalies, %llu dumps%s%s\n",
-              static_cast<unsigned long long>(
-                  obs::FlightRecorder::global().total_records()),
-              static_cast<unsigned long long>(
-                  obs::FlightRecorder::global().anomaly_count()),
-              static_cast<unsigned long long>(
-                  obs::FlightRecorder::global().dump_count()),
-              obs::FlightRecorder::global().last_dump_path().empty()
-                  ? ""
-                  : ", last ",
-              obs::FlightRecorder::global().last_dump_path().c_str());
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (out) {
-      obs::TraceCollector::global().write_chrome_trace(out);
-      std::printf("wrote %zu trace events to %s (dropped %zu)\n",
-                  obs::TraceCollector::global().event_count(),
-                  trace_path.c_str(),
-                  obs::TraceCollector::global().dropped_count());
-    }
-  }
-  print_obs_summary();
-  return 0;
-}
-
-// serve-solve: the online solve service — per-request ingest over
-// HTTP, sharded across a pool, coalesced through the scheme cache.
 
 mec::UserApp user_from_app(const appmodel::Application& app) {
   mec::UserApp user;
@@ -804,6 +593,10 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     return 2;
   if (port_arg < 0 || port_arg > 65535) {
     std::fprintf(stderr, "usage error: port must be in [0, 65535]\n");
+    return 2;
+  }
+  if (!(hedge > 0.0 && hedge <= 1.0)) {
+    std::fprintf(stderr, "usage error: hedge= must be in (0, 1]\n");
     return 2;
   }
   if (timeline_period < 0) {
@@ -884,7 +677,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   if (max_inflight >= 0)
     sopts.max_in_flight = static_cast<std::size_t>(max_inflight);
   sopts.default_deadline_seconds = deadline_budget;
-  sopts.hedge_fraction = hedge;  // the service clamps out-of-range
+  sopts.hedge_fraction = hedge;
   if (brownout_arg > 0) {
     sopts.brownout.enabled = true;
     sopts.brownout.tier1_in_flight = static_cast<std::size_t>(brownout_arg);
@@ -1119,7 +912,6 @@ int main(int argc, char** argv) {
   if (command == "solve" && has_file) return cmd_solve(file, cfg, false);
   if (command == "simulate" && has_file) return cmd_solve(file, cfg, true);
   if (command == "stats" && has_file) return cmd_stats(file);
-  if (command == "serve" && has_file) return cmd_serve(file, cfg);
   if (command == "serve-solve" && has_file) return cmd_serve_solve(file, cfg);
   return usage();
 }
