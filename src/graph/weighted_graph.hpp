@@ -84,6 +84,11 @@ class WeightedGraph {
   /// Weight of edge {u, v}; 0.0 when absent.
   [[nodiscard]] double edge_weight_between(NodeId u, NodeId v) const;
 
+  /// Identity of the shared payload: copies of one built graph return
+  /// the same pointer, separately built graphs never do (whatever their
+  /// contents), so equal ids imply equal graphs without a comparison.
+  [[nodiscard]] const void* payload_id() const { return data_.get(); }
+
  private:
   friend class GraphBuilder;
 

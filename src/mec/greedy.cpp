@@ -1,10 +1,13 @@
 #include "mec/greedy.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <queue>
+#include <span>
+#include <unordered_map>
 
 #include "common/contracts.hpp"
 #include "obs/obs.hpp"
@@ -88,6 +91,52 @@ GreedyResult generate_scheme(const MecSystem& system,
                   });
   }
 
+  // Candidate id space: [0, P) single parts, [P, P+G) group retreats.
+  // A user's candidates in id order: its single parts in index order,
+  // then its group retreats.
+  const std::size_t num_parts = parts.size();
+  const std::size_t num_candidates = num_parts + group_members.size();
+  std::vector<std::vector<std::size_t>> candidates_of_user(
+      system.num_users());
+  for (std::size_t id = 0; id < num_candidates; ++id) {
+    const std::size_t user_index =
+        id < num_parts ? parts[id].user
+                       : parts[group_members[id - num_parts].front()].user;
+    candidates_of_user[user_index].push_back(id);
+  }
+  const auto single_parts = [&](std::size_t u) {
+    const std::vector<std::size_t>& ids = candidates_of_user[u];
+    return std::span<const std::size_t>(
+        ids.begin(), std::lower_bound(ids.begin(), ids.end(), num_parts));
+  };
+
+  // Replica users. A user's initial separable state — its aggregates
+  // and every single part's delta — depends only on its graph and its
+  // parts. A user whose graph shares the payload of the first user
+  // holding that graph, and whose parts equal that user's part for part
+  // in index order, starts where that user starts, so it copies the
+  // state instead of recomputing it. prototype[u] == u: u computes its
+  // own.
+  std::vector<std::size_t> prototype(system.num_users());
+  std::unordered_map<const void*, std::size_t> first_user_of_graph;
+  first_user_of_graph.reserve(system.num_users());
+  for (std::size_t u = 0; u < system.num_users(); ++u) {
+    prototype[u] = u;
+    const auto [it, inserted] = first_user_of_graph.try_emplace(
+        system.users[u].graph.payload_id(), u);
+    if (inserted) continue;
+    const auto mine = single_parts(u);
+    const auto theirs = single_parts(it->second);
+    if (std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return parts[a].nodes == parts[b].nodes &&
+                            parts[a].weight == parts[b].weight &&
+                            parts[a].initially_local ==
+                                parts[b].initially_local;
+                   }))
+      prototype[u] = it->second;
+  }
+
   // Per-user aggregates under the current placement.
   std::vector<double> user_local_w(system.num_users(), 0.0);
   std::vector<double> user_remote_w(system.num_users(), 0.0);
@@ -97,17 +146,24 @@ GreedyResult generate_scheme(const MecSystem& system,
   double separable = 0.0;  // Σ (t_c + e_c + t_t + e_t), scalarized
 
   for (std::size_t u = 0; u < system.num_users(); ++u) {
-    const UserApp& user = system.users[u];
-    for (graph::NodeId v = 0; v < user.graph.num_nodes(); ++v) {
-      const double w = user.graph.node_weight(v);
-      if (result.scheme.placement[u][v] == Placement::kLocal)
-        user_local_w[u] += w;
-      else
-        user_remote_w[u] += w;
+    if (const std::size_t proto = prototype[u]; proto != u) {
+      user_local_w[u] = user_local_w[proto];
+      user_remote_w[u] = user_remote_w[proto];
+      user_cross_w[u] = user_cross_w[proto];
+    } else {
+      const UserApp& user = system.users[u];
+      for (graph::NodeId v = 0; v < user.graph.num_nodes(); ++v) {
+        const double w = user.graph.node_weight(v);
+        if (result.scheme.placement[u][v] == Placement::kLocal)
+          user_local_w[u] += w;
+        else
+          user_remote_w[u] += w;
+      }
+      for (const graph::Edge& e : user.graph.edges())
+        if (result.scheme.placement[u][e.u] !=
+            result.scheme.placement[u][e.v])
+          user_cross_w[u] += e.weight;
     }
-    for (const graph::Edge& e : user.graph.edges())
-      if (result.scheme.placement[u][e.u] != result.scheme.placement[u][e.v])
-        user_cross_w[u] += e.weight;
     total_remote += user_remote_w[u];
     if (user_remote_w[u] > 0.0) ++active_users;
     separable += user_local_w[u] * local_factor +
@@ -156,10 +212,6 @@ GreedyResult generate_scheme(const MecSystem& system,
     }
     return delta;
   };
-
-  // Candidate id space: [0, P) single parts, [P, P+G) group retreats.
-  const std::size_t num_parts = parts.size();
-  const std::size_t num_candidates = num_parts + group_members.size();
 
   std::vector<std::size_t> move_scratch;
   const auto candidate_moves =
@@ -287,16 +339,24 @@ GreedyResult generate_scheme(const MecSystem& system,
     return false;
   };
 
-  std::vector<std::vector<std::size_t>> candidates_of_user(
-      system.num_users());
-  for (std::size_t id = 0; id < num_candidates; ++id) {
-    refresh_candidate(id);
-    insert_candidate(id);
-    const std::size_t user_index =
-        id < num_parts ? parts[id].user
-                       : parts[group_members[id - num_parts].front()].user;
-    candidates_of_user[user_index].push_back(id);
+  // Initial deltas: every candidate's own, except a replica's single
+  // parts, which copy their prototype's counterparts once those are
+  // computed (parts may interleave across users). Insertion stays in id
+  // order, so class-bucket order — the tie-break — is unchanged.
+  for (std::size_t id = 0; id < num_candidates; ++id)
+    if (id >= num_parts || prototype[parts[id].user] == parts[id].user)
+      refresh_candidate(id);
+  for (std::size_t u = 0; u < system.num_users(); ++u) {
+    if (prototype[u] == u) continue;
+    const auto to = single_parts(u);
+    const auto from = single_parts(prototype[u]);
+    for (std::size_t k = 0; k < to.size(); ++k) {
+      cand_sep[to[k]] = cand_sep[from[k]];
+      cand_weight[to[k]] = cand_weight[from[k]];
+      cand_user[to[k]] = u;
+    }
   }
+  for (std::size_t id = 0; id < num_candidates; ++id) insert_candidate(id);
 
   // Greedy loop.
   while (result.moves < options.max_moves) {

@@ -8,9 +8,12 @@
 // The scan uses incremental deltas — O(1) per part for the coupled
 // server-contention term plus O(deg(part)) cross-weight updates only for
 // the committing user's parts that contain or touch a moved node — so
-// multi-user runs with tens of thousands of parts stay tractable. Tests
-// verify the incremental objective against a full evaluate() after every
-// move, and the placements against a from-scratch reference greedy.
+// multi-user runs with tens of thousands of parts stay tractable. A user
+// whose graph payload and parts replicate an earlier user's copies that
+// user's set-up (aggregates and initial deltas) instead of recomputing
+// it. Tests verify the incremental objective against a full evaluate()
+// after every move, and the placements against a from-scratch reference
+// greedy and against a run where nothing is copied.
 #pragma once
 
 #include <vector>

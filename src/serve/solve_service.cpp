@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/contracts.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/obs.hpp"
 #include "obs/request_id.hpp"
@@ -81,9 +82,10 @@ SolveService::SolveService(SolveServiceOptions options)
       config_seed_(fingerprint_solver_config(options_.solver)),
       cache_(options_.cache),
       admission_limit_(options_.max_in_flight) {
-  if (options_.shards == 0) options_.shards = 1;
-  if (options_.hedge_fraction <= 0.0 || options_.hedge_fraction > 1.0)
-    options_.hedge_fraction = 0.5;
+  MECOFF_EXPECTS(options_.shards >= 1);
+  // Written so that a NaN fraction fails too.
+  MECOFF_EXPECTS(options_.hedge_fraction > 0.0 &&
+                 options_.hedge_fraction <= 1.0);
 }
 
 SolveResponse SolveService::degrade_response(const SolveRequest& request,
@@ -179,6 +181,13 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
         0.0, budget * options_.hedge_fraction - timer.elapsed_seconds());
   }
 
+  // A cold solve that throws leaves without a response; it is counted
+  // once, as failed, so every request still lands in one outcome.
+  const auto count_failed = [this] {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    MECOFF_COUNTER_ADD("serve.solve.failed", 1);
+  };
+
   SolveResponse response;
   response.key = key;
   SchemeCache::Lookup lookup = cache_.acquire(key, wait_budget, request_id);
@@ -210,9 +219,14 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
       }
       bool degraded = false;
       bool no_shard_alive = false;
-      response.placement = run_cold_solve(request, key, remaining,
-                                          /*shard_offset=*/1, request_id,
-                                          degraded, no_shard_alive);
+      try {
+        response.placement = run_cold_solve(request, key, remaining,
+                                            /*shard_offset=*/1, request_id,
+                                            degraded, no_shard_alive);
+      } catch (...) {
+        count_failed();
+        throw;
+      }
       if (no_shard_alive) {
         deadline_degraded_.fetch_add(1, std::memory_order_relaxed);
         MECOFF_COUNTER_ADD("serve.solve.deadline_degraded", 1);
@@ -253,6 +267,7 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
         // Never strand riders: hand the solve to one of them (or clear
         // the entry) before propagating.
         cache_.abandon(key);
+        count_failed();
         throw;
       }
       if (no_shard_alive) {
@@ -449,6 +464,7 @@ SolveService::Stats SolveService::stats() const {
   out.drained = drained_.load(std::memory_order_relaxed);
   out.brownout_shed = brownout_shed_.load(std::memory_order_relaxed);
   out.shard_failovers = shard_failovers_.load(std::memory_order_relaxed);
+  out.failed = failed_.load(std::memory_order_relaxed);
   {
     const MutexLock lock(brownout_mutex_);
     out.brownout_tier = brownout_tier_;

@@ -70,7 +70,7 @@
 // Metrics (all through the obs facade):
 //   serve.solve.requests / cache_hits / cache_misses / coalesced /
 //   shed / degraded / hedged / deadline_degraded / drained /
-//   brownout_shed / shard_failovers                  counters
+//   brownout_shed / shard_failovers / failed         counters
 //   serve.cache.evictions / wait_timeouts / publish_failures  counters
 //   serve.solve.in_flight / brownout_tier            gauges
 //   serve.solve.latency                              quantiles
@@ -175,7 +175,8 @@ struct SolveServiceOptions {
   /// null = solve on the calling thread.
   parallel::ThreadPool* pool = nullptr;
   /// Logical shards cold solves map to (keyed by fingerprint): the
-  /// unit the fault injector kills and stalls. At least 1.
+  /// unit the fault injector kills and stalls. At least 1; the
+  /// constructor rejects 0.
   std::size_t shards = 4;
   SchemeCache::Options cache;
   /// Admission hard cap: requests beyond this many concurrently
@@ -187,7 +188,8 @@ struct SolveServiceOptions {
   /// negative. Negative = unlimited (the seed behavior).
   double default_deadline_seconds = -1.0;
   /// Fraction of a request's budget a rider spends waiting on an
-  /// in-flight owner before hedging its own solve. In (0, 1].
+  /// in-flight owner before hedging its own solve. In (0, 1]; the
+  /// constructor rejects anything else, NaN included.
   double hedge_fraction = 0.5;
   /// Optional deterministic fault injection; not owned. The injector
   /// must outlive the service. null = no faults.
@@ -242,6 +244,8 @@ class SolveService {
     std::uint64_t drained = 0;  ///< requests answered in drain mode
     std::uint64_t brownout_shed = 0;
     std::uint64_t shard_failovers = 0;  ///< killed shard skipped
+    /// Cold solves (owner or hedge) that threw; solve() rethrew.
+    std::uint64_t failed = 0;
     int brownout_tier = 0;      ///< current tier (0 = healthy)
     SchemeCache::Stats cache;
   };
@@ -295,6 +299,7 @@ class SolveService {
   std::atomic<std::uint64_t> drained_{0};
   std::atomic<std::uint64_t> brownout_shed_{0};
   std::atomic<std::uint64_t> shard_failovers_{0};
+  std::atomic<std::uint64_t> failed_{0};
 
   /// Brownout controller state. The latency window is owned per
   /// service because the registry's serve.solve.latency is

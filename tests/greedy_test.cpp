@@ -2,6 +2,7 @@
 // incremental bookkeeping with the full cost model, and termination.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "mec/costs.hpp"
 #include "mec/greedy.hpp"
+#include "obs/metrics.hpp"
 
 namespace mecoff::mec {
 namespace {
@@ -512,6 +514,130 @@ TEST(GreedyCongestion, ConvexWaitCapsOffloadedAmount) {
   const double large = offloaded_for(16);
   EXPECT_GT(small, 0.0);
   EXPECT_LT(large, 4.0 * small);  // strictly sublinear growth
+}
+
+
+/// A content-equal copy of `g` with its own payload: same nodes, edges
+/// and weights, built anew, so no user holding it shares a graph
+/// payload with a user holding `g`.
+mecoff::graph::WeightedGraph rebuilt(const mecoff::graph::WeightedGraph& g) {
+  mecoff::graph::GraphBuilder builder;
+  for (mecoff::graph::NodeId v = 0; v < g.num_nodes(); ++v)
+    builder.add_node(g.node_weight(v));
+  for (const mecoff::graph::Edge& e : g.edges())
+    builder.add_edge(e.u, e.v, e.weight);
+  return builder.build();
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
+  // 3 prototype graphs × 12 users: make_uniform_system cycles the pool,
+  // so user u shares its graph payload with users u ± 3. Every 7th node
+  // is pinned; the rest are cut into 8-node-range parts, paired into
+  // groups, some starting local. Two users are not replicas although
+  // their graphs are equal: kFlipped starts one part local that its
+  // prototype (user 1) starts remote, and kRebuilt holds a content-equal
+  // rebuild of its graph. The parts vector interleaves users in a
+  // rotating order, so some replicas' parts precede their prototype's.
+  constexpr std::size_t kProtos = 3;
+  constexpr std::size_t kUsers = 36;
+  constexpr std::size_t kFlipped = 7;
+  constexpr std::size_t kRebuilt = 11;
+  const mecoff::obs::Counter& evaluations =
+      mecoff::obs::MetricsRegistry::global().counter(
+          "mec.greedy.delta_evaluations");
+  std::size_t total_moves = 0;
+  for (const std::uint64_t seed : {3ULL, 5ULL, 8ULL, 13ULL}) {
+    // The first seed is the smallest case, small enough for the
+    // from-scratch reference greedy.
+    const bool smallest = seed == 3;
+    std::vector<UserApp> pool;
+    std::vector<std::vector<Part>> pool_parts;
+    for (std::size_t g = 0; g < kProtos; ++g) {
+      mecoff::graph::NetgenParams gp;
+      gp.nodes = (smallest ? 24 : 48) + 8 * g;
+      gp.edges = 4 * gp.nodes;
+      gp.components = 3;
+      gp.seed = seed * 10 + g;
+      UserApp app;
+      app.graph = mecoff::graph::netgen_style(gp);
+      app.unoffloadable.assign(gp.nodes, false);
+      for (std::size_t v = 0; v < gp.nodes; v += 7) app.unoffloadable[v] = true;
+      std::vector<Part> graph_parts;
+      for (std::size_t k = 0; k < gp.nodes / 8; ++k) {
+        Part part;
+        part.group = k / 2;
+        part.initially_local = (k + seed) % 5 == 0;
+        for (auto v = static_cast<mecoff::graph::NodeId>(k * 8);
+             v < (k + 1) * 8; ++v) {
+          if (app.unoffloadable[v]) continue;
+          part.nodes.push_back(v);
+          part.weight += app.graph.node_weight(v);
+        }
+        graph_parts.push_back(std::move(part));
+      }
+      pool.push_back(std::move(app));
+      pool_parts.push_back(std::move(graph_parts));
+    }
+    MecSystem system = mecoff::mec::make_uniform_system(ext_params(), pool,
+                                                         kUsers);
+    system.users[kRebuilt].graph = rebuilt(system.users[kRebuilt].graph);
+
+    std::vector<Part> parts;
+    for (std::size_t k = 0; k < pool_parts.back().size(); ++k) {
+      for (std::size_t j = 0; j < kUsers; ++j) {
+        const std::size_t u = (5 * j + k) % kUsers;
+        if (k >= pool_parts[u % kProtos].size()) continue;
+        Part part = pool_parts[u % kProtos][k];
+        part.user = u;
+        if (u == kFlipped && k == 0) part.initially_local = !part.initially_local;
+        parts.push_back(std::move(part));
+      }
+    }
+    // Each replica skips exactly its initially-remote single parts.
+    std::uint64_t copied_deltas = 0;
+    for (std::size_t u = kProtos; u < kUsers; ++u) {
+      if (u == kFlipped || u == kRebuilt) continue;
+      for (const Part& part : pool_parts[u % kProtos])
+        if (!part.initially_local) ++copied_deltas;
+    }
+    ASSERT_GT(copied_deltas, 0u);
+
+    // The same instance with every graph rebuilt: no user is a replica.
+    MecSystem fresh = system;
+    for (UserApp& user : fresh.users) user.graph = rebuilt(user.graph);
+
+    for (const bool group_moves : {false, true}) {
+      GreedyOptions opts;
+      opts.enable_group_moves = group_moves;
+      const std::uint64_t before = evaluations.value();
+      const GreedyResult copied = generate_scheme(system, parts, opts);
+      const std::uint64_t between = evaluations.value();
+      const GreedyResult computed = generate_scheme(fresh, parts, opts);
+      const std::uint64_t after = evaluations.value();
+
+      EXPECT_EQ(copied.scheme, computed.scheme)
+          << "seed " << seed << " groups " << group_moves;
+      EXPECT_EQ(copied.moves, computed.moves)
+          << "seed " << seed << " groups " << group_moves;
+      EXPECT_EQ(bits_of(copied.objective_history),
+                bits_of(computed.objective_history))
+          << "seed " << seed << " groups " << group_moves;
+      EXPECT_EQ((after - between) - (between - before), copied_deltas)
+          << "seed " << seed << " groups " << group_moves;
+      if (smallest) {
+        EXPECT_EQ(copied.scheme, reference_greedy(system, parts, group_moves))
+            << "groups " << group_moves;
+      }
+      total_moves += copied.moves;
+    }
+  }
+  EXPECT_GT(total_moves, 0u);
 }
 
 }  // namespace greedy_extensions

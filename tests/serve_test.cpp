@@ -15,10 +15,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <future>
+#include <exception>
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -589,6 +592,56 @@ TEST(FaultInjectorTest, ArmResetsSequenceAndStandingFaults) {
 
 // ---- Deadline budgets, hedging, faults, brownout, drain -------------------
 
+/// One solve on its own thread, for tests that need a request in flight
+/// while the test thread acts. GCC 12 reports a false
+/// -Wfree-nonheap-object wherever a temporary Result<SolveResponse> is
+/// moved from and destroyed, as std::async's future does; so the result
+/// is built in place on the heap instead.
+class BackgroundSolve {
+ public:
+  BackgroundSolve(SolveService& service, SolveRequest request)
+      : thread_([this, &service, request = std::move(request)] {
+          try {
+            result_.reset(new Result<SolveResponse>(service.solve(request)));
+          } catch (...) {
+            error_ = std::current_exception();
+          }
+        }) {}
+  BackgroundSolve(const BackgroundSolve&) = delete;
+  BackgroundSolve& operator=(const BackgroundSolve&) = delete;
+  ~BackgroundSolve() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Waits for the solve; rethrows what it threw.
+  Result<SolveResponse> get() {
+    thread_.join();
+    if (error_) std::rethrow_exception(error_);
+    return std::move(*result_);
+  }
+
+ private:
+  std::unique_ptr<Result<SolveResponse>> result_;
+  std::exception_ptr error_;
+  std::thread thread_;  // last: it starts writing the members above
+};
+
+TEST(SolveServiceTest, ConstructorRejectsZeroShardsAndOutOfRangeHedge) {
+  SolveServiceOptions no_shards;
+  no_shards.shards = 0;
+  EXPECT_THROW(SolveService{no_shards}, PreconditionError);
+  for (const double hedge : {0.0, -0.1, 1.5,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    SolveServiceOptions options;
+    options.hedge_fraction = hedge;
+    EXPECT_THROW(SolveService{options}, PreconditionError) << hedge;
+  }
+  SolveServiceOptions edge;
+  edge.shards = 1;
+  edge.hedge_fraction = 1.0;
+  EXPECT_NO_THROW(SolveService{edge});
+}
+
 TEST(SolveServiceTest, ZeroBudgetDegradesToValidAllLocalAndCachesNothing) {
   SolveService service;  // no pool: inline solves
   SolveRequest request{make_app(130.0, 4), mec::SystemParams{}};
@@ -655,8 +708,7 @@ TEST(SolveServiceTest, RiderHedgesPastStalledOwnerBitIdentical) {
       reference.solve(system).placement.front();
 
   // Owner: unlimited budget, eats the full injected stall.
-  std::future<Result<SolveResponse>> owner = std::async(
-      std::launch::async, [&] { return service.solve(request); });
+  BackgroundSolve owner(service, request);
   // Rider: budget 0.8 s, so it parks at most 0.2 s (hedge_fraction)
   // behind the owner — far less than the 0.4 s stall — then hedges.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -713,8 +765,7 @@ TEST(SolveServiceTest, ThrowingHedgeReturnsItsInFlightSlot) {
 
   SolveRequest owner_request{make_app(150.0, 5), mec::SystemParams{}};
   owner_request.deadline_seconds = 5.0;
-  std::future<Result<SolveResponse>> owner = std::async(
-      std::launch::async, [&] { return service.solve(owner_request); });
+  BackgroundSolve owner(service, owner_request);
   // Rider: budget 0.1 s, so it parks at most 0.05 s behind the owner,
   // well inside the owner's 0.2 s stall, then hedges with budget left.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -723,7 +774,15 @@ TEST(SolveServiceTest, ThrowingHedgeReturnsItsInFlightSlot) {
   EXPECT_THROW((void)service.solve(rider_request), PreconditionError);
   EXPECT_THROW((void)owner.get(), PreconditionError);
 
-  EXPECT_EQ(service.stats().cache.timeouts, 1u);
+  const SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.cache.timeouts, 1u);
+  // Both throwing solves are counted, once each, and every request
+  // lands in exactly one outcome.
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.requests,
+            stats.drained + stats.brownout_shed + stats.shed +
+                stats.cache_hits + stats.coalesced + stats.solved +
+                stats.deadline_degraded + stats.failed);
   EXPECT_TRUE(service.await_idle(0.5));
 }
 
@@ -919,8 +978,7 @@ TEST(SolveServiceTest, DrainAnswersNewImmediatelyAndFinishesInFlight) {
   const std::vector<mec::Placement> expected =
       reference.solve(system).placement.front();
 
-  std::future<Result<SolveResponse>> in_flight = std::async(
-      std::launch::async, [&] { return service.solve(request); });
+  BackgroundSolve in_flight(service, request);
   // Wait until the in-flight request OWNS the cache entry (the miss is
   // counted after admission), so drain provably starts with work live.
   while (service.stats().cache.misses == 0) std::this_thread::yield();

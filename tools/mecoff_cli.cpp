@@ -595,6 +595,10 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     std::fprintf(stderr, "usage error: port must be in [0, 65535]\n");
     return 2;
   }
+  if (shards_arg < 1) {
+    std::fprintf(stderr, "usage error: shards= must be at least 1\n");
+    return 2;
+  }
   if (!(hedge > 0.0 && hedge <= 1.0)) {
     std::fprintf(stderr, "usage error: hedge= must be in (0, 1]\n");
     return 2;
@@ -639,8 +643,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
       static_cast<std::size_t>(std::max<long long>(1, threads_arg));
   parallel::ThreadPool pool(threads);
 
-  const std::size_t shards =
-      static_cast<std::size_t>(std::max<long long>(1, shards_arg));
+  const auto shards = static_cast<std::size_t>(shards_arg);
   serve::FaultInjector::Options fault_options;
   fault_options.shards = shards;
   fault_options.latency_scale_seconds = latency_scale;
