@@ -226,13 +226,15 @@ GreedyResult generate_scheme(const MecSystem& system,
     return move_scratch;
   };
 
-  // Cached separable delta and moving weight per candidate; only a
-  // commit by the SAME user that moves one of its parts or a neighbour
-  // of one of its parts can change them, so they are refreshed exactly
-  // then. kInvalid marks exhausted candidates.
+  // Cached separable delta, moving weight and cross-weight change per
+  // candidate; only a commit by the SAME user that moves one of its
+  // parts or a neighbour of one of its parts can change them, so they
+  // are refreshed exactly then, and a commit reads its own from here.
+  // kInvalid marks exhausted candidates.
   constexpr double kInvalid = std::numeric_limits<double>::infinity();
   std::vector<double> cand_sep(num_candidates, kInvalid);
   std::vector<double> cand_weight(num_candidates, 0.0);
+  std::vector<double> cand_cross(num_candidates, 0.0);
   std::vector<std::size_t> cand_user(num_candidates, 0);
   const auto refresh_candidate = [&](std::size_t id) {
     const std::vector<std::size_t>& move = candidate_moves(id);
@@ -244,8 +246,8 @@ GreedyResult generate_scheme(const MecSystem& system,
     for (const std::size_t i : move) weight += parts[i].weight;
     cand_weight[id] = weight;
     cand_user[id] = parts[move.front()].user;
-    cand_sep[id] =
-        weight * local_factor + cross_delta(move) * cross_factor;
+    cand_cross[id] = cross_delta(move);
+    cand_sep[id] = weight * local_factor + cand_cross[id] * cross_factor;
   };
 
 
@@ -285,8 +287,11 @@ GreedyResult generate_scheme(const MecSystem& system,
     std::vector<std::size_t> ids;
     bool queued = false;
   };
-  std::map<ClassKey, ClassBucket> classes;
-  std::vector<ClassKey> cand_key(num_candidates);
+  using ClassMap = std::map<ClassKey, ClassBucket>;
+  ClassMap classes;
+  // A bucketed candidate's class and its position in the class's ids;
+  // cand_pos == SIZE_MAX: in no bucket, and cand_class is stale.
+  std::vector<ClassMap::iterator> cand_class(num_candidates);
   std::vector<std::size_t> cand_pos(num_candidates, SIZE_MAX);
 
   // Lazy best-first queue over CLASSES (CELF-style). Key monotonicity:
@@ -301,29 +306,35 @@ GreedyResult generate_scheme(const MecSystem& system,
                       std::greater<QueueEntry>>
       queue;
 
-  const auto insert_candidate = [&](std::size_t id) {
-    if (cand_sep[id] == kInvalid) return;
-    const ClassKey key = key_of(id);
-    cand_key[id] = key;
-    ClassBucket& bucket = classes[key];
-    cand_pos[id] = bucket.ids.size();
-    bucket.ids.push_back(id);
-    if (!bucket.queued) {
-      bucket.queued = true;
-      queue.emplace(class_delta(key), key);
+  // Push-back into a class, queueing the class if it has no live entry.
+  const auto append = [&](std::size_t id, ClassMap::iterator it) {
+    cand_class[id] = it;
+    cand_pos[id] = it->second.ids.size();
+    it->second.ids.push_back(id);
+    if (!it->second.queued) {
+      it->second.queued = true;
+      queue.emplace(class_delta(it->first), it->first);
     }
   };
-  const auto remove_candidate = [&](std::size_t id) {
-    if (cand_pos[id] == SIZE_MAX) return;
-    const auto it = classes.find(cand_key[id]);
-    std::vector<std::size_t>& ids = it->second.ids;
+  const auto insert_candidate = [&](std::size_t id) {
+    if (cand_sep[id] == kInvalid) return;
+    append(id, classes.try_emplace(key_of(id)).first);
+  };
+  // Swap-remove from its class; true if that left the class empty.
+  const auto unlink = [&](std::size_t id) {
+    std::vector<std::size_t>& ids = cand_class[id]->second.ids;
     const std::size_t last = ids.back();
     ids[cand_pos[id]] = last;
     cand_pos[last] = cand_pos[id];
     ids.pop_back();
     cand_pos[id] = SIZE_MAX;
-    if (ids.empty()) classes.erase(it);  // a queued stale entry may
-                                         // float; pops skip it safely
+    return ids.empty();
+  };
+  const auto remove_candidate = [&](std::size_t id) {
+    if (cand_pos[id] == SIZE_MAX) return;
+    const ClassMap::iterator it = cand_class[id];
+    if (unlink(id)) classes.erase(it);  // a queued stale entry may
+                                        // float; pops skip it safely
   };
 
   // Parts a commit touched: the moved parts and every part adjacent to
@@ -342,10 +353,13 @@ GreedyResult generate_scheme(const MecSystem& system,
   // Initial deltas: every candidate's own, except a replica's single
   // parts, which copy their prototype's counterparts once those are
   // computed (parts may interleave across users). Insertion stays in id
-  // order, so class-bucket order — the tie-break — is unchanged.
+  // order, so class-bucket order — the tie-break — is unchanged; a
+  // copied part whose counterpart is already in a class with its key
+  // joins that class without a map lookup.
   for (std::size_t id = 0; id < num_candidates; ++id)
     if (id >= num_parts || prototype[parts[id].user] == parts[id].user)
       refresh_candidate(id);
+  std::vector<std::uint32_t> counterpart(num_candidates, kNoPart);
   for (std::size_t u = 0; u < system.num_users(); ++u) {
     if (prototype[u] == u) continue;
     const auto to = single_parts(u);
@@ -353,10 +367,19 @@ GreedyResult generate_scheme(const MecSystem& system,
     for (std::size_t k = 0; k < to.size(); ++k) {
       cand_sep[to[k]] = cand_sep[from[k]];
       cand_weight[to[k]] = cand_weight[from[k]];
+      cand_cross[to[k]] = cand_cross[from[k]];
       cand_user[to[k]] = u;
+      counterpart[to[k]] = static_cast<std::uint32_t>(from[k]);
     }
   }
-  for (std::size_t id = 0; id < num_candidates; ++id) insert_candidate(id);
+  for (std::size_t id = 0; id < num_candidates; ++id) {
+    if (const std::uint32_t c = counterpart[id];
+        c != kNoPart && cand_pos[c] != SIZE_MAX &&
+        key_of(id) == cand_class[c]->first)
+      append(id, cand_class[c]);
+    else
+      insert_candidate(id);
+  }
 
   // Greedy loop.
   while (result.moves < options.max_moves) {
@@ -395,11 +418,10 @@ GreedyResult generate_scheme(const MecSystem& system,
     MECOFF_ENSURES(!move.empty());
     const std::size_t user_index = parts[move.front()].user;
     const graph::WeightedGraph& g = system.users[user_index].graph;
-    const double dx = cross_delta(move);
-    double weight = 0.0;
+    const double dx = cand_cross[best];
+    const double weight = cand_weight[best];
     ++commit_epoch;
     for (const std::size_t i : move) {
-      weight += parts[i].weight;
       touched_epoch[i] = commit_epoch;
       for (const graph::NodeId v : parts[i].nodes) {
         result.scheme.placement[user_index][v] = Placement::kLocal;
@@ -425,13 +447,25 @@ GreedyResult generate_scheme(const MecSystem& system,
     result.objective_history.push_back(objective);
     ++result.moves;
 
-    // This user's deactivation flag changed for every candidate, and the
-    // touched ones also changed cross weights or remaining group members:
-    // re-class them all, in the same order, with fresh queue entries so
-    // the lazy queue's lower-bound invariant and bucket order hold.
+    // This user's deactivation flag may have changed for every
+    // candidate, and the touched ones also changed cross weights or
+    // remaining group members: re-class them all, in the same order, with
+    // fresh queue entries so the lazy queue's lower-bound invariant and
+    // bucket order hold. An untouched candidate whose key is unchanged
+    // replays its remove + insert inside its own class: swap-remove,
+    // push-back, and a fresh entry if the class had no other member
+    // (remove would have dissolved it, insert re-created it unqueued).
     for (const std::size_t id : candidates_of_user[user_index]) {
+      const bool stale = touched(id);
+      if (!stale && cand_pos[id] != SIZE_MAX &&
+          key_of(id) == cand_class[id]->first) {
+        const ClassMap::iterator it = cand_class[id];
+        if (unlink(id)) it->second.queued = false;
+        append(id, it);
+        continue;
+      }
       remove_candidate(id);
-      if (touched(id)) refresh_candidate(id);
+      if (stale) refresh_candidate(id);
       insert_candidate(id);
     }
     // The selected class consumed its queue entry; if it survived the

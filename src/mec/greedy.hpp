@@ -8,12 +8,19 @@
 // The scan uses incremental deltas — O(1) per part for the coupled
 // server-contention term plus O(deg(part)) cross-weight updates only for
 // the committing user's parts that contain or touch a moved node — so
-// multi-user runs with tens of thousands of parts stay tractable. A user
-// whose graph payload and parts replicate an earlier user's copies that
-// user's set-up (aggregates and initial deltas) instead of recomputing
-// it. Tests verify the incremental objective against a full evaluate()
-// after every move, and the placements against a from-scratch reference
-// greedy and against a run where nothing is copied.
+// multi-user runs with tens of thousands of parts stay tractable. A
+// commit reuses its candidate's cached cross-weight change, and only the
+// committing user's candidates whose class key changed go through the
+// class map; the rest are re-appended inside the class bucket they hold,
+// in the order a remove + re-insert would leave them, which is the
+// tie-break. A user whose graph payload and parts replicate an earlier
+// user's copies that user's set-up (aggregates, initial deltas and class
+// buckets) instead of recomputing it. Tests verify the incremental
+// objective against a full evaluate() after every move, and the
+// placements against a from-scratch reference greedy, against a run
+// where nothing is copied, and — tie order and objective bits included —
+// against the lazy greedy that took every re-classed candidate through
+// the map.
 #pragma once
 
 #include <vector>

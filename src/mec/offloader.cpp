@@ -375,8 +375,9 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   // clock — so last_stats() and the metrics dump can never disagree
   // (asserted in tests/obs_test.cpp). Counters accumulate across
   // solves; gauges reflect the most recent one.
-  MECOFF_GAUGE_SET("mec.solve.compress_seconds", stats_.compress_seconds);
-  MECOFF_GAUGE_SET("mec.solve.cut_seconds", stats_.cut_seconds);
+  MECOFF_GAUGE_SET("mec.solve.compress_task_seconds",
+                   stats_.compress_seconds);
+  MECOFF_GAUGE_SET("mec.solve.cut_task_seconds", stats_.cut_seconds);
   MECOFF_GAUGE_SET("mec.solve.greedy_seconds", stats_.greedy_seconds);
   MECOFF_GAUGE_SET("mec.solve.total_seconds", stats_.total_seconds);
   MECOFF_GAUGE_SET("mec.solve.final_objective", stats_.final_objective);

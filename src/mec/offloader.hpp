@@ -145,10 +145,11 @@ class PipelineOffloader final : public Offloader {
     std::size_t greedy_moves = 0;
     double final_objective = 0.0;
     /// Per-stage wall clock of the last solve(). `compress_seconds` and
-    /// `cut_seconds` are summed over the per-user tasks (CPU-seconds:
-    /// with a pool they may exceed the solve's wall clock); the greedy
-    /// is a single global pass, so `greedy_seconds` and `total_seconds`
-    /// are plain wall clock.
+    /// `cut_seconds` add up the per-user tasks' wall times (with a pool
+    /// the tasks overlap, so they may exceed the solve's wall clock;
+    /// gauges `mec.solve.{compress,cut}_task_seconds`); the greedy is a
+    /// single global pass, so `greedy_seconds` and `total_seconds` are
+    /// plain wall clock.
     double compress_seconds = 0.0;
     double cut_seconds = 0.0;
     double greedy_seconds = 0.0;

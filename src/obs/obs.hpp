@@ -11,7 +11,7 @@
 // Naming convention (see docs/observability.md for the full taxonomy):
 // metric and span names are dot-separated, lowercase, rooted at the
 // owning layer — "lpa.propagation.rounds", "linalg.lanczos.matvecs",
-// "mec.solve.compress_seconds", "sim.events".
+// "mec.solve.compress_task_seconds", "sim.events".
 #pragma once
 
 #include "obs/metrics.hpp"

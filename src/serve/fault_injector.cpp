@@ -2,14 +2,15 @@
 
 #include <string>
 
+#include "common/contracts.hpp"
 #include "obs/obs.hpp"
 
 namespace mecoff::serve {
 
 FaultInjector::FaultInjector(Options options) : options_(options) {
-  const std::size_t shards = options_.shards == 0 ? 1 : options_.shards;
-  killed_.assign(shards, 0);
-  latency_.assign(shards, 0.0);
+  MECOFF_EXPECTS(options_.shards >= 1);
+  killed_.assign(options_.shards, 0);
+  latency_.assign(options_.shards, 0.0);
 }
 
 void FaultInjector::arm(const sim::FaultScript& script) {

@@ -2,8 +2,17 @@
 // incremental bookkeeping with the full cost model, and termination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
+#include <queue>
+#include <span>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -641,3 +650,550 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
 }
 
 }  // namespace greedy_extensions
+
+// ---- Differential: generate_scheme against the lazy greedy it replaced --
+
+namespace mecoff::mec {
+namespace {
+
+// The generate_scheme that took every re-classed candidate out of its
+// class through the map and put it back, and re-evaluated the committed
+// candidate's cross delta, kept verbatim (minus its counter) as the
+// oracle for tie order: placements, moves and objective bits must match.
+
+constexpr std::uint32_t kNoPart = UINT32_MAX;
+constexpr double kImprovementEps = 1e-12;
+
+/// Coupled server term of T for K active offloaders with total remote
+/// weight S:
+///   Σ t_s = Σ W_s^i / (I_S/K) = K·S/I_S
+///   Σ w_t = Σ κ·S·W_s^i/I_S² = κ·S²/I_S²
+double coupled_time(double total_remote, std::size_t active_users,
+                    const SystemParams& p) {
+  if (active_users == 0) return 0.0;
+  const double k = static_cast<double>(active_users);
+  const double linear = k * total_remote / p.server_capacity;
+  const double congestion = p.contention_factor * total_remote *
+                            total_remote /
+                            (p.server_capacity * p.server_capacity);
+  return linear + congestion;
+}
+
+GreedyResult reference_lazy_greedy(const MecSystem& system,
+                                   const std::vector<Part>& parts,
+                                   const GreedyOptions& options) {
+  MECOFF_EXPECTS(system.valid());
+  const SystemParams& p = system.params;
+
+  GreedyResult result;
+  result.scheme = OffloadingScheme::all_local(system);
+
+  // Scalarized objective factors: moving weight w to the device adds
+  // local_factor·w; cross-weight x adds cross_factor·x; the coupled
+  // server term (pure time) scales by time_weight.
+  const double local_factor = (options.time_weight +
+                               options.energy_weight * p.mobile_power) /
+                              p.mobile_capacity;
+  const double cross_factor = (options.time_weight +
+                               options.energy_weight * p.transmit_power) /
+                              p.bandwidth;
+
+  // part_of[user][node] = index into `parts` (kNoPart for pinned nodes).
+  std::vector<std::vector<std::uint32_t>> part_of(system.num_users());
+  for (std::size_t u = 0; u < system.num_users(); ++u)
+    part_of[u].assign(system.users[u].graph.num_nodes(), kNoPart);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const Part& part = parts[i];
+    MECOFF_EXPECTS(part.user < system.num_users());
+    for (const graph::NodeId v : part.nodes) {
+      MECOFF_EXPECTS(v < part_of[part.user].size());
+      MECOFF_EXPECTS(part_of[part.user][v] == kNoPart);  // disjointness
+      part_of[part.user][v] = static_cast<std::uint32_t>(i);
+      result.scheme.placement[part.user][v] =
+          part.initially_local ? Placement::kLocal : Placement::kRemote;
+    }
+  }
+
+  // Composite-move groups (user-components). Dense group list from the
+  // sparse Part::group ids.
+  std::vector<std::vector<std::size_t>> group_members;
+  if (options.enable_group_moves) {
+    std::map<std::pair<std::size_t, std::size_t>, std::size_t> dense;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (parts[i].group == SIZE_MAX) continue;
+      const auto key = std::make_pair(parts[i].user, parts[i].group);
+      const auto [it, inserted] =
+          dense.try_emplace(key, group_members.size());
+      if (inserted) group_members.emplace_back();
+      group_members[it->second].push_back(i);
+    }
+    // Singleton groups add nothing over their lone part.
+    std::erase_if(group_members,
+                  [](const std::vector<std::size_t>& m) {
+                    return m.size() < 2;
+                  });
+  }
+
+  // Candidate id space: [0, P) single parts, [P, P+G) group retreats.
+  // A user's candidates in id order: its single parts in index order,
+  // then its group retreats.
+  const std::size_t num_parts = parts.size();
+  const std::size_t num_candidates = num_parts + group_members.size();
+  std::vector<std::vector<std::size_t>> candidates_of_user(
+      system.num_users());
+  for (std::size_t id = 0; id < num_candidates; ++id) {
+    const std::size_t user_index =
+        id < num_parts ? parts[id].user
+                       : parts[group_members[id - num_parts].front()].user;
+    candidates_of_user[user_index].push_back(id);
+  }
+  const auto single_parts = [&](std::size_t u) {
+    const std::vector<std::size_t>& ids = candidates_of_user[u];
+    return std::span<const std::size_t>(
+        ids.begin(), std::lower_bound(ids.begin(), ids.end(), num_parts));
+  };
+
+  // Replica users. A user's initial separable state — its aggregates
+  // and every single part's delta — depends only on its graph and its
+  // parts. A user whose graph shares the payload of the first user
+  // holding that graph, and whose parts equal that user's part for part
+  // in index order, starts where that user starts, so it copies the
+  // state instead of recomputing it. prototype[u] == u: u computes its
+  // own.
+  std::vector<std::size_t> prototype(system.num_users());
+  std::unordered_map<const void*, std::size_t> first_user_of_graph;
+  first_user_of_graph.reserve(system.num_users());
+  for (std::size_t u = 0; u < system.num_users(); ++u) {
+    prototype[u] = u;
+    const auto [it, inserted] = first_user_of_graph.try_emplace(
+        system.users[u].graph.payload_id(), u);
+    if (inserted) continue;
+    const auto mine = single_parts(u);
+    const auto theirs = single_parts(it->second);
+    if (std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return parts[a].nodes == parts[b].nodes &&
+                            parts[a].weight == parts[b].weight &&
+                            parts[a].initially_local ==
+                                parts[b].initially_local;
+                   }))
+      prototype[u] = it->second;
+  }
+
+  // Per-user aggregates under the current placement.
+  std::vector<double> user_local_w(system.num_users(), 0.0);
+  std::vector<double> user_remote_w(system.num_users(), 0.0);
+  std::vector<double> user_cross_w(system.num_users(), 0.0);
+  double total_remote = 0.0;
+  std::size_t active_users = 0;
+  double separable = 0.0;  // Σ (t_c + e_c + t_t + e_t), scalarized
+
+  for (std::size_t u = 0; u < system.num_users(); ++u) {
+    if (const std::size_t proto = prototype[u]; proto != u) {
+      user_local_w[u] = user_local_w[proto];
+      user_remote_w[u] = user_remote_w[proto];
+      user_cross_w[u] = user_cross_w[proto];
+    } else {
+      const UserApp& user = system.users[u];
+      for (graph::NodeId v = 0; v < user.graph.num_nodes(); ++v) {
+        const double w = user.graph.node_weight(v);
+        if (result.scheme.placement[u][v] == Placement::kLocal)
+          user_local_w[u] += w;
+        else
+          user_remote_w[u] += w;
+      }
+      for (const graph::Edge& e : user.graph.edges())
+        if (result.scheme.placement[u][e.u] !=
+            result.scheme.placement[u][e.v])
+          user_cross_w[u] += e.weight;
+    }
+    total_remote += user_remote_w[u];
+    if (user_remote_w[u] > 0.0) ++active_users;
+    separable += user_local_w[u] * local_factor +
+                 user_cross_w[u] * cross_factor;
+  }
+
+  double objective =
+      separable +
+      options.time_weight * coupled_time(total_remote, active_users, p);
+  result.objective_history.push_back(objective);
+
+  std::vector<std::uint8_t> is_remote(parts.size(), 1);
+  for (std::size_t i = 0; i < parts.size(); ++i)
+    if (parts[i].initially_local) is_remote[i] = 0;
+
+  // Δcross of moving the still-remote parts in `move` (all same user)
+  // from remote to local under the CURRENT placement: edges to remote
+  // outsiders become cross (+), edges to local outsiders stop being
+  // cross (−); edges internal to the moving set never cross. Scratch
+  // membership marks use an epoch stamp so the per-call cost is the
+  // moving set's size, not the user's whole graph.
+  std::vector<std::uint64_t> in_move_epoch;
+  std::uint64_t move_epoch = 0;
+  std::size_t delta_evaluations = 0;
+  const auto cross_delta = [&](const std::vector<std::size_t>& move) {
+    const std::size_t user_index = parts[move.front()].user;
+    const UserApp& user = system.users[user_index];
+    if (in_move_epoch.size() < user.graph.num_nodes())
+      in_move_epoch.resize(user.graph.num_nodes(), 0);
+    ++move_epoch;
+    ++delta_evaluations;
+    for (const std::size_t i : move)
+      for (const graph::NodeId v : parts[i].nodes)
+        in_move_epoch[v] = move_epoch;
+    double delta = 0.0;
+    for (const std::size_t i : move) {
+      for (const graph::NodeId v : parts[i].nodes) {
+        for (const graph::Adjacency& adj : user.graph.neighbors(v)) {
+          if (in_move_epoch[adj.neighbor] == move_epoch) continue;
+          delta += result.scheme.placement[user_index][adj.neighbor] ==
+                           Placement::kRemote
+                       ? adj.weight
+                       : -adj.weight;
+        }
+      }
+    }
+    return delta;
+  };
+
+  std::vector<std::size_t> move_scratch;
+  const auto candidate_moves =
+      [&](std::size_t id) -> const std::vector<std::size_t>& {
+    move_scratch.clear();
+    if (id < num_parts) {
+      if (is_remote[id]) move_scratch.push_back(id);
+    } else {
+      for (const std::size_t i : group_members[id - num_parts])
+        if (is_remote[i]) move_scratch.push_back(i);
+    }
+    return move_scratch;
+  };
+
+  // Cached separable delta and moving weight per candidate; only a
+  // commit by the SAME user that moves one of its parts or a neighbour
+  // of one of its parts can change them, so they are refreshed exactly
+  // then. kInvalid marks exhausted candidates.
+  constexpr double kInvalid = std::numeric_limits<double>::infinity();
+  std::vector<double> cand_sep(num_candidates, kInvalid);
+  std::vector<double> cand_weight(num_candidates, 0.0);
+  std::vector<std::size_t> cand_user(num_candidates, 0);
+  const auto refresh_candidate = [&](std::size_t id) {
+    const std::vector<std::size_t>& move = candidate_moves(id);
+    if (move.empty()) {
+      cand_sep[id] = kInvalid;
+      return;
+    }
+    double weight = 0.0;
+    for (const std::size_t i : move) weight += parts[i].weight;
+    cand_weight[id] = weight;
+    cand_user[id] = parts[move.front()].user;
+    cand_sep[id] =
+        weight * local_factor + cross_delta(move) * cross_factor;
+  };
+
+
+  // Replica classes: candidates with identical (separable delta,
+  // moving weight, deactivation flag) have identical objective deltas
+  // under ANY global state, so they are interchangeable argmins. In
+  // multi-user systems whose users cycle over a few prototype graphs,
+  // thousands of candidates collapse into a handful of classes — and
+  // collapsing them is what keeps the lazy queue from thrashing on
+  // bitwise ties (cycling an entire tie class per commit, O(P²)).
+  struct ClassKey {
+    double sep;
+    double weight;
+    bool deactivates;
+    auto operator<=>(const ClassKey&) const = default;
+  };
+  const auto key_of = [&](std::size_t id) {
+    return ClassKey{cand_sep[id], cand_weight[id],
+                    user_remote_w[cand_user[id]] - cand_weight[id] <=
+                        kImprovementEps};
+  };
+  // Delta shared by every member of a class — O(1).
+  const auto class_delta = [&](const ClassKey& key) {
+    const double coupled_now =
+        options.time_weight * coupled_time(total_remote, active_users, p);
+    const double coupled_after =
+        options.time_weight *
+        coupled_time(total_remote - key.weight,
+                     key.deactivates ? active_users - 1 : active_users, p);
+    return key.sep + (coupled_after - coupled_now);
+  };
+
+  // One live queue entry per class keeps the lazy queue duplicate-free:
+  // without this, every membership change pushes another entry and the
+  // validate loop drowns in stale duplicates.
+  struct ClassBucket {
+    std::vector<std::size_t> ids;
+    bool queued = false;
+  };
+  std::map<ClassKey, ClassBucket> classes;
+  std::vector<ClassKey> cand_key(num_candidates);
+  std::vector<std::size_t> cand_pos(num_candidates, SIZE_MAX);
+
+  // Lazy best-first queue over CLASSES (CELF-style). Key monotonicity:
+  // for a fixed (sep, weight, deactivates), the delta only INCREASES as
+  // S and K shrink; members whose sep/deactivation change (same-user
+  // commits only) are re-classed with a fresh queue entry. A popped
+  // stale key is therefore a lower bound on the class's current delta,
+  // so validating the head against the next stale key reproduces the
+  // exact argmin scan of Algorithm 2 at O(log P) per evaluation.
+  using QueueEntry = std::pair<double, ClassKey>;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
+                      std::greater<QueueEntry>>
+      queue;
+
+  const auto insert_candidate = [&](std::size_t id) {
+    if (cand_sep[id] == kInvalid) return;
+    const ClassKey key = key_of(id);
+    cand_key[id] = key;
+    ClassBucket& bucket = classes[key];
+    cand_pos[id] = bucket.ids.size();
+    bucket.ids.push_back(id);
+    if (!bucket.queued) {
+      bucket.queued = true;
+      queue.emplace(class_delta(key), key);
+    }
+  };
+  const auto remove_candidate = [&](std::size_t id) {
+    if (cand_pos[id] == SIZE_MAX) return;
+    const auto it = classes.find(cand_key[id]);
+    std::vector<std::size_t>& ids = it->second.ids;
+    const std::size_t last = ids.back();
+    ids[cand_pos[id]] = last;
+    cand_pos[last] = cand_pos[id];
+    ids.pop_back();
+    cand_pos[id] = SIZE_MAX;
+    if (ids.empty()) classes.erase(it);  // a queued stale entry may
+                                         // float; pops skip it safely
+  };
+
+  // Parts a commit touched: the moved parts and every part adjacent to
+  // a moved node, stamped with the commit's epoch. A candidate without a
+  // touched part keeps its move set, part weights and neighbour
+  // placements, so its cached separable delta is still exact.
+  std::vector<std::uint64_t> touched_epoch(num_parts, 0);
+  std::uint64_t commit_epoch = 0;
+  const auto touched = [&](std::size_t id) {
+    if (id < num_parts) return touched_epoch[id] == commit_epoch;
+    for (const std::size_t i : group_members[id - num_parts])
+      if (touched_epoch[i] == commit_epoch) return true;
+    return false;
+  };
+
+  // Initial deltas: every candidate's own, except a replica's single
+  // parts, which copy their prototype's counterparts once those are
+  // computed (parts may interleave across users). Insertion stays in id
+  // order, so class-bucket order — the tie-break — is unchanged.
+  for (std::size_t id = 0; id < num_candidates; ++id)
+    if (id >= num_parts || prototype[parts[id].user] == parts[id].user)
+      refresh_candidate(id);
+  for (std::size_t u = 0; u < system.num_users(); ++u) {
+    if (prototype[u] == u) continue;
+    const auto to = single_parts(u);
+    const auto from = single_parts(prototype[u]);
+    for (std::size_t k = 0; k < to.size(); ++k) {
+      cand_sep[to[k]] = cand_sep[from[k]];
+      cand_weight[to[k]] = cand_weight[from[k]];
+      cand_user[to[k]] = u;
+    }
+  }
+  for (std::size_t id = 0; id < num_candidates; ++id) insert_candidate(id);
+
+  // Greedy loop.
+  while (result.moves < options.max_moves) {
+    double best_delta = std::numeric_limits<double>::infinity();
+    std::size_t best = SIZE_MAX;
+    ClassKey best_key{};
+    while (!queue.empty()) {
+      const auto [stale_delta, key] = queue.top();
+      queue.pop();
+      const auto it = classes.find(key);
+      if (it == classes.end()) continue;  // class dissolved
+      const double fresh = class_delta(key);
+      if (queue.empty() || fresh <= queue.top().first + 1e-15) {
+        it->second.queued = false;  // its entry is consumed
+        best = it->second.ids.back();  // members are interchangeable
+        best_key = key;
+        best_delta = fresh;
+        break;
+      }
+      queue.emplace(fresh, key);  // single live entry, refreshed key
+    }
+    if (best == SIZE_MAX || best_delta >= -kImprovementEps) {
+      // Leave consistent state for a hypothetical continuation.
+      if (best != SIZE_MAX) {
+        const auto it = classes.find(best_key);
+        if (it != classes.end() && !it->second.queued) {
+          it->second.queued = true;
+          queue.emplace(best_delta, best_key);
+        }
+      }
+      break;
+    }
+
+    // Commit: move every still-remote part of the candidate local.
+    const std::vector<std::size_t> move = candidate_moves(best);
+    MECOFF_ENSURES(!move.empty());
+    const std::size_t user_index = parts[move.front()].user;
+    const graph::WeightedGraph& g = system.users[user_index].graph;
+    const double dx = cross_delta(move);
+    double weight = 0.0;
+    ++commit_epoch;
+    for (const std::size_t i : move) {
+      weight += parts[i].weight;
+      touched_epoch[i] = commit_epoch;
+      for (const graph::NodeId v : parts[i].nodes) {
+        result.scheme.placement[user_index][v] = Placement::kLocal;
+        for (const graph::Adjacency& adj : g.neighbors(v))
+          if (const std::uint32_t j = part_of[user_index][adj.neighbor];
+              j != kNoPart)
+            touched_epoch[j] = commit_epoch;
+      }
+      is_remote[i] = 0;
+    }
+    user_local_w[user_index] += weight;
+    user_remote_w[user_index] -= weight;
+    if (user_remote_w[user_index] <= kImprovementEps) {
+      user_remote_w[user_index] = 0.0;
+      --active_users;
+    }
+    user_cross_w[user_index] += dx;
+    total_remote -= weight;
+    if (total_remote < 0.0) total_remote = 0.0;
+    separable += weight * local_factor + dx * cross_factor;
+    objective = separable + options.time_weight *
+                                coupled_time(total_remote, active_users, p);
+    result.objective_history.push_back(objective);
+    ++result.moves;
+
+    // This user's deactivation flag changed for every candidate, and the
+    // touched ones also changed cross weights or remaining group members:
+    // re-class them all, in the same order, with fresh queue entries so
+    // the lazy queue's lower-bound invariant and bucket order hold.
+    for (const std::size_t id : candidates_of_user[user_index]) {
+      remove_candidate(id);
+      if (touched(id)) refresh_candidate(id);
+      insert_candidate(id);
+    }
+    // The selected class consumed its queue entry; if it survived the
+    // refresh with members left, give it a fresh one.
+    if (const auto it = classes.find(best_key);
+        it != classes.end() && !it->second.queued) {
+      it->second.queued = true;
+      queue.emplace(class_delta(best_key), best_key);
+    }
+  }
+
+  return result;
+}
+
+/// Parts as the pipeline cuts them: a user's offloadable nodes in
+/// 6-node ranges, two ranges per group (a component's two cut sides).
+/// With `anchor` (the pipeline's anchor_initial_parts), some groups
+/// start one side local.
+std::vector<Part> ranged_parts(const UserApp& app, std::size_t user,
+                               bool anchor, std::uint64_t seed) {
+  constexpr std::size_t kRange = 6;
+  std::vector<Part> parts;
+  const std::size_t n = app.graph.num_nodes();
+  for (std::size_t k = 0; k * kRange < n; ++k) {
+    Part part;
+    part.user = user;
+    part.group = k / 2;
+    part.initially_local = anchor && (k + seed) % 5 == 1;
+    for (std::size_t v = k * kRange; v < std::min(n, (k + 1) * kRange); ++v) {
+      if (app.unoffloadable[v]) continue;
+      part.nodes.push_back(static_cast<graph::NodeId>(v));
+      part.weight += app.graph.node_weight(static_cast<graph::NodeId>(v));
+    }
+    if (!part.nodes.empty()) parts.push_back(std::move(part));
+  }
+  return parts;
+}
+
+/// A netgen graph of `nodes` nodes with every 9th node pinned.
+UserApp pinned_netgen_user(std::size_t nodes, std::uint64_t seed) {
+  graph::NetgenParams gp;
+  gp.nodes = nodes;
+  gp.edges = 4 * nodes;
+  gp.components = 3;
+  gp.seed = seed;
+  UserApp app;
+  app.graph = graph::netgen_style(gp);
+  app.unoffloadable.assign(nodes, false);
+  for (std::size_t v = 0; v < nodes; v += 9) app.unoffloadable[v] = true;
+  return app;
+}
+
+TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
+  // Which of several tied candidates the greedy commits — the back of
+  // its class bucket — shows up only in which user's placement moves,
+  // so the reference must agree bit for bit, not just in objective.
+  // Replica-heavy systems (many users over 3 prototypes) fill class
+  // buckets with bitwise ties; distinct-user systems make one-member
+  // classes. The parameter sets range from a roomy server to a tiny
+  // congested one, so users retreat completely and untouched
+  // candidates flip their deactivation flag.
+  std::vector<SystemParams> param_sets;
+  for (const auto& [capacity, contention, transmit] :
+       {std::tuple{100.0, 0.5, 8.0}, std::tuple{30.0, 4.0, 8.0},
+        std::tuple{300.0, 0.1, 2.0}, std::tuple{60.0, 1.0, 40.0}}) {
+    SystemParams p;
+    p.mobile_power = 1.0;
+    p.transmit_power = transmit;
+    p.bandwidth = 10.0;
+    p.mobile_capacity = 4.0;
+    p.server_capacity = capacity;
+    p.contention_factor = contention;
+    param_sets.push_back(p);
+  }
+  std::size_t total_moves = 0;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+    for (const bool replicas : {true, false}) {
+      std::vector<UserApp> users;
+      if (replicas) {
+        std::vector<UserApp> pool;
+        for (std::size_t g = 0; g < 3; ++g)
+          pool.push_back(pinned_netgen_user(30 + 6 * g, seed * 10 + g));
+        users = make_uniform_system(SystemParams{}, pool, 40).users;
+      } else {
+        for (std::size_t u = 0; u < 8; ++u)
+          users.push_back(pinned_netgen_user(30 + 3 * u, seed * 100 + u));
+      }
+      for (const bool anchor : {true, false}) {
+        std::vector<Part> parts;
+        for (std::size_t u = 0; u < users.size(); ++u)
+          for (Part& part : ranged_parts(users[u], u, anchor, seed))
+            parts.push_back(std::move(part));
+        for (const SystemParams& params : param_sets) {
+          const MecSystem system{params, users};
+          for (const bool group_moves : {false, true}) {
+            GreedyOptions opts;
+            opts.enable_group_moves = group_moves;
+            const GreedyResult got = generate_scheme(system, parts, opts);
+            const GreedyResult want =
+                reference_lazy_greedy(system, parts, opts);
+            const std::string where =
+                "seed " + std::to_string(seed) + " replicas " +
+                std::to_string(replicas) + " anchor " +
+                std::to_string(anchor) + " capacity " +
+                std::to_string(params.server_capacity) + " groups " +
+                std::to_string(group_moves);
+            EXPECT_EQ(got.scheme, want.scheme) << where;
+            EXPECT_EQ(got.moves, want.moves) << where;
+            EXPECT_EQ(greedy_extensions::bits_of(got.objective_history),
+                      greedy_extensions::bits_of(want.objective_history))
+                << where;
+            total_moves += got.moves;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_moves, 0u);
+}
+
+}  // namespace
+}  // namespace mecoff::mec

@@ -562,6 +562,15 @@ TEST(FaultInjectorTest, TargetsFoldModuloShards) {
   EXPECT_FALSE(injector.shard_killed(0));
 }
 
+TEST(FaultInjectorTest, ConstructorRejectsZeroShards) {
+  FaultInjector::Options no_shards;
+  no_shards.shards = 0;
+  EXPECT_THROW(FaultInjector{no_shards}, PreconditionError);
+  FaultInjector::Options one_shard;
+  one_shard.shards = 1;
+  EXPECT_NO_THROW(FaultInjector{one_shard});
+}
+
 TEST(FaultInjectorTest, ArmResetsSequenceAndStandingFaults) {
   FaultInjector::Options opts;
   opts.shards = 2;

@@ -67,7 +67,8 @@
 // Every command parses its numeric options strictly: a malformed value
 // is a usage error (exit 2), never a silent default. `generate` also
 // rejects an out-of-range nodes=, edges=, seed=, components= or
-// cluster_size=.
+// cluster_size=; `solve`/`simulate` a users= below 1 or threads= below
+// 0; `serve-solve` a threads=, shards=, cache= or clients= below 1.
 //
 // Observability (see docs/observability.md):
 //   users=<n>      replicate the application into an n-user system
@@ -170,6 +171,14 @@ bool strict_double(const Config& cfg, const char* key, double fallback,
   if (parse_double(text, out)) return true;
   std::fprintf(stderr, "usage error: %s= expects a number, got '%s'\n",
                key, text.c_str());
+  return false;
+}
+
+/// Range check for a parsed count: below `min` is a usage error, never
+/// clamped to `min`.
+bool at_least(const char* key, long long value, long long min) {
+  if (value >= min) return true;
+  std::fprintf(stderr, "usage error: %s= must be at least %lld\n", key, min);
   return false;
 }
 
@@ -389,6 +398,9 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
                      options.propagation.coupling_threshold) ||
       !strict_double(cfg, "deadline", -1.0, options.deadline.seconds))
     return 2;
+  if (!at_least("users", users_arg, 1) ||
+      !at_least("threads", threads_arg, 0))
+    return 2;
   const Result<appmodel::Application> parsed = load_app(path);
   if (!parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
@@ -400,8 +412,7 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
   user.graph = app.to_graph();
   user.unoffloadable = app.unoffloadable_mask();
   user.components = app.component_ids();
-  const std::size_t num_users =
-      static_cast<std::size_t>(std::max<long long>(1, users_arg));
+  const auto num_users = static_cast<std::size_t>(users_arg);
   mec::MecSystem system{params, {}};
   system.users.assign(num_users, user);
 
@@ -411,8 +422,7 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
   const bool dump_metrics = metrics_arg != 0;
   if (!trace_path.empty()) obs::TraceCollector::global().enable();
 
-  const std::size_t threads =
-      static_cast<std::size_t>(std::max<long long>(0, threads_arg));
+  const auto threads = static_cast<std::size_t>(threads_arg);
   std::unique_ptr<parallel::ThreadPool> pool;
   if (threads > 0) {
     pool = std::make_unique<parallel::ThreadPool>(threads);
@@ -595,10 +605,11 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     std::fprintf(stderr, "usage error: port must be in [0, 65535]\n");
     return 2;
   }
-  if (shards_arg < 1) {
-    std::fprintf(stderr, "usage error: shards= must be at least 1\n");
+  if (!at_least("threads", threads_arg, 1) ||
+      !at_least("shards", shards_arg, 1) ||
+      !at_least("cache", cache_arg, 1) ||
+      !at_least("clients", clients_arg, 1))
     return 2;
-  }
   if (!(hedge > 0.0 && hedge <= 1.0)) {
     std::fprintf(stderr, "usage error: hedge= must be in (0, 1]\n");
     return 2;
@@ -639,9 +650,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   for (char& ch : rid_header_lower)
     ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
 
-  const std::size_t threads =
-      static_cast<std::size_t>(std::max<long long>(1, threads_arg));
-  parallel::ThreadPool pool(threads);
+  parallel::ThreadPool pool(static_cast<std::size_t>(threads_arg));
 
   const auto shards = static_cast<std::size_t>(shards_arg);
   serve::FaultInjector::Options fault_options;
@@ -675,8 +684,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   serve::SolveServiceOptions sopts;
   sopts.pool = &pool;
   sopts.shards = shards;
-  sopts.cache.capacity =
-      static_cast<std::size_t>(std::max<long long>(1, cache_arg));
+  sopts.cache.capacity = static_cast<std::size_t>(cache_arg);
   if (max_inflight >= 0)
     sopts.max_in_flight = static_cast<std::size_t>(max_inflight);
   sopts.default_deadline_seconds = deadline_budget;
@@ -819,8 +827,7 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     mec::MecSystem ref_system{params, {base_user}};
     const mec::OffloadingScheme ref_scheme = reference.solve(ref_system);
 
-    const std::size_t clients =
-        static_cast<std::size_t>(std::max<long long>(1, clients_arg));
+    const auto clients = static_cast<std::size_t>(clients_arg);
     const auto total = static_cast<std::size_t>(selfcheck);
     bench::LoadOptions load;
     load.clients = clients;
