@@ -20,6 +20,13 @@ std::size_t fn(Application& app, const std::string& name, double compute,
   return app.add_function(std::move(info));
 }
 
+/// `prefix` followed by the decimal `index`, e.g. "f12".
+std::string indexed_name(char prefix, std::size_t index) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 }  // namespace
 
 Application make_face_recognition_app() {
@@ -221,9 +228,9 @@ Application make_random_app(std::size_t functions,
       1, functions / 24);
   for (std::size_t i = 0; i < functions; ++i) {
     FunctionInfo info;
-    info.name = "f" + std::to_string(i);
+    info.name = indexed_name('f', i);
     info.computation = rng.uniform(1.0, 200.0);
-    info.component = "c" + std::to_string(i % num_components);
+    info.component = indexed_name('c', i % num_components);
     info.unoffloadable = rng.bernoulli(unoffloadable_fraction);
     app.add_function(std::move(info));
   }

@@ -81,14 +81,9 @@ CompressionPipelineResult compress_application(
         compress_by_labels(result.component.graph, result.propagation.labels);
   };
 
-  if (pool == nullptr) {
-    for (std::size_t c = 0; c < out.components.size(); ++c)
-      process_component(c);
-  } else {
-    // "create new process" per sub-graph (Line 6). Inside a pooled
-    // per-user solve this runs inline: users are the parallel level.
-    pool->parallel_for(0, out.components.size(), process_component);
-  }
+  // "create new process" per sub-graph (Line 6). Inside a pooled
+  // per-user solve this runs inline: users are the parallel level.
+  parallel::for_each_index(pool, out.components.size(), process_component);
   return out;
 }
 

@@ -38,12 +38,14 @@ double coupled_time(double total_remote, std::size_t active_users,
 
 GreedyResult generate_scheme(const MecSystem& system,
                              const std::vector<Part>& parts,
-                             const GreedyOptions& options) {
+                             const GreedyOptions& options,
+                             parallel::ThreadPool* pool) {
   MECOFF_EXPECTS(system.valid());
   const SystemParams& p = system.params;
+  const std::size_t num_users = system.num_users();
 
   GreedyResult result;
-  result.scheme = OffloadingScheme::all_local(system);
+  result.scheme.placement.resize(num_users);
 
   // Scalarized objective factors: moving weight w to the device adds
   // local_factor·w; cross-weight x adds cross_factor·x; the coupled
@@ -54,22 +56,6 @@ GreedyResult generate_scheme(const MecSystem& system,
   const double cross_factor = (options.time_weight +
                                options.energy_weight * p.transmit_power) /
                               p.bandwidth;
-
-  // part_of[user][node] = index into `parts` (kNoPart for pinned nodes).
-  std::vector<std::vector<std::uint32_t>> part_of(system.num_users());
-  for (std::size_t u = 0; u < system.num_users(); ++u)
-    part_of[u].assign(system.users[u].graph.num_nodes(), kNoPart);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const Part& part = parts[i];
-    MECOFF_EXPECTS(part.user < system.num_users());
-    for (const graph::NodeId v : part.nodes) {
-      MECOFF_EXPECTS(v < part_of[part.user].size());
-      MECOFF_EXPECTS(part_of[part.user][v] == kNoPart);  // disjointness
-      part_of[part.user][v] = static_cast<std::uint32_t>(i);
-      result.scheme.placement[part.user][v] =
-          part.initially_local ? Placement::kLocal : Placement::kRemote;
-    }
-  }
 
   // Composite-move groups (user-components). Dense group list from the
   // sparse Part::group ids.
@@ -93,15 +79,20 @@ GreedyResult generate_scheme(const MecSystem& system,
 
   // Candidate id space: [0, P) single parts, [P, P+G) group retreats.
   // A user's candidates in id order: its single parts in index order,
-  // then its group retreats.
+  // then its group retreats. local_index[i] is part i's position among
+  // its user's single parts.
   const std::size_t num_parts = parts.size();
   const std::size_t num_candidates = num_parts + group_members.size();
-  std::vector<std::vector<std::size_t>> candidates_of_user(
-      system.num_users());
+  std::vector<std::vector<std::size_t>> candidates_of_user(num_users);
+  std::vector<std::uint32_t> local_index(num_parts);
   for (std::size_t id = 0; id < num_candidates; ++id) {
     const std::size_t user_index =
         id < num_parts ? parts[id].user
                        : parts[group_members[id - num_parts].front()].user;
+    MECOFF_EXPECTS(user_index < num_users);
+    if (id < num_parts)
+      local_index[id] =
+          static_cast<std::uint32_t>(candidates_of_user[user_index].size());
     candidates_of_user[user_index].push_back(id);
   }
   const auto single_parts = [&](std::size_t u) {
@@ -110,60 +101,154 @@ GreedyResult generate_scheme(const MecSystem& system,
         ids.begin(), std::lower_bound(ids.begin(), ids.end(), num_parts));
   };
 
-  // Replica users. A user's initial separable state — its aggregates
-  // and every single part's delta — depends only on its graph and its
-  // parts. A user whose graph shares the payload of the first user
-  // holding that graph, and whose parts equal that user's part for part
-  // in index order, starts where that user starts, so it copies the
-  // state instead of recomputing it. prototype[u] == u: u computes its
-  // own.
-  std::vector<std::size_t> prototype(system.num_users());
+  // Replica users. A user's initial separable state — its placement,
+  // its aggregates, every single part's delta and its parts' adjacency
+  // — depends only on its graph and its parts. A user whose graph
+  // shares the payload of the first user holding that graph, and whose
+  // parts equal that user's part for part in index order, starts where
+  // that user starts, so it copies the state instead of recomputing it.
+  // prototype[u] starts as the first user holding u's graph, and the
+  // set-up resets it to u when the parts differ; prototype[u] == u: u
+  // computes its own.
+  std::vector<std::size_t> prototype(num_users);
   std::unordered_map<const void*, std::size_t> first_user_of_graph;
-  first_user_of_graph.reserve(system.num_users());
-  for (std::size_t u = 0; u < system.num_users(); ++u) {
-    prototype[u] = u;
-    const auto [it, inserted] = first_user_of_graph.try_emplace(
-        system.users[u].graph.payload_id(), u);
-    if (inserted) continue;
-    const auto mine = single_parts(u);
-    const auto theirs = single_parts(it->second);
-    if (std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return parts[a].nodes == parts[b].nodes &&
-                            parts[a].weight == parts[b].weight &&
-                            parts[a].initially_local ==
-                                parts[b].initially_local;
-                   }))
-      prototype[u] = it->second;
-  }
+  first_user_of_graph.reserve(num_users);
+  for (std::size_t u = 0; u < num_users; ++u)
+    prototype[u] = first_user_of_graph
+                       .try_emplace(system.users[u].graph.payload_id(), u)
+                       .first->second;
 
   // Per-user aggregates under the current placement.
-  std::vector<double> user_local_w(system.num_users(), 0.0);
-  std::vector<double> user_remote_w(system.num_users(), 0.0);
-  std::vector<double> user_cross_w(system.num_users(), 0.0);
+  std::vector<double> user_local_w(num_users, 0.0);
+  std::vector<double> user_remote_w(num_users, 0.0);
+  std::vector<double> user_cross_w(num_users, 0.0);
+
+  // Cached separable delta, moving weight and cross-weight change per
+  // candidate; only a commit by the SAME user that moves one of its
+  // parts or a neighbour of one of its parts can change them, so they
+  // are refreshed exactly then, and a commit reads its own from here.
+  // kInvalid marks exhausted candidates.
+  constexpr double kInvalid = std::numeric_limits<double>::infinity();
+  std::vector<double> cand_sep(num_candidates, kInvalid);
+  std::vector<double> cand_weight(num_candidates, 0.0);
+  std::vector<double> cand_cross(num_candidates, 0.0);
+  std::vector<std::size_t> cand_user(num_candidates, 0);
+  // A replica's single part's counterpart among its prototype's parts.
+  std::vector<std::uint32_t> counterpart(num_candidates, kNoPart);
+
+  // A prototype's part adjacency: for its initially-remote single part
+  // k (user-local index), neighbours[offsets[k], offsets[k+1]) holds the
+  // user-local indices of the other parts holding a node adjacent to one
+  // of k's nodes. Only those parts are ever committed, and a commit
+  // touches exactly the parts it moves and their neighbours.
+  struct PartAdjacency {
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> neighbours;
+  };
+  std::vector<PartAdjacency> adjacency(num_users);
+
+  // Per-user set-up, one index per user. A user that is not the first
+  // holder of its graph checks whether it replicates that user; a
+  // replica is done until the copy below. Every other user lays out
+  // its placement (all local except its initially-remote parts) and
+  // its aggregates, then, in one pass over each initially-remote
+  // part's adjacency, that part's initial delta and its neighbour
+  // list. The sums run in the same order as the move evaluation below,
+  // so they are the same doubles.
+  parallel::for_each_index(pool, num_users, [&](std::size_t u) {
+    const auto mine = single_parts(u);
+    if (prototype[u] != u) {
+      const auto theirs = single_parts(prototype[u]);
+      if (std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return parts[a].nodes == parts[b].nodes &&
+                              parts[a].weight == parts[b].weight &&
+                              parts[a].initially_local ==
+                                  parts[b].initially_local;
+                     }))
+        return;
+      prototype[u] = u;
+    }
+    const graph::WeightedGraph& g = system.users[u].graph;
+    std::vector<Placement>& placement = result.scheme.placement[u];
+    placement.assign(g.num_nodes(), Placement::kLocal);
+    // part_of[node] = user-local part index (kNoPart: in no part).
+    std::vector<std::uint32_t> part_of(g.num_nodes(), kNoPart);
+    for (std::uint32_t k = 0; k < mine.size(); ++k) {
+      const Part& part = parts[mine[k]];
+      for (const graph::NodeId v : part.nodes) {
+        MECOFF_EXPECTS(v < part_of.size());
+        MECOFF_EXPECTS(part_of[v] == kNoPart);  // disjointness
+        part_of[v] = k;
+        placement[v] =
+            part.initially_local ? Placement::kLocal : Placement::kRemote;
+      }
+    }
+
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const double w = g.node_weight(v);
+      if (placement[v] == Placement::kLocal)
+        user_local_w[u] += w;
+      else
+        user_remote_w[u] += w;
+    }
+    for (const graph::Edge& e : g.edges())
+      if (placement[e.u] != placement[e.v]) user_cross_w[u] += e.weight;
+
+    PartAdjacency& out = adjacency[u];
+    out.offsets.resize(mine.size() + 1);
+    std::vector<std::uint32_t> listed_by(mine.size(), kNoPart);
+    for (std::uint32_t k = 0; k < mine.size(); ++k) {
+      out.offsets[k] = static_cast<std::uint32_t>(out.neighbours.size());
+      const std::size_t id = mine[k];
+      const Part& part = parts[id];
+      if (part.initially_local) continue;
+      double cross = 0.0;
+      for (const graph::NodeId v : part.nodes) {
+        for (const graph::Adjacency& adj : g.neighbors(v)) {
+          const std::uint32_t j = part_of[adj.neighbor];
+          if (j == k) continue;
+          cross += placement[adj.neighbor] == Placement::kRemote
+                       ? adj.weight
+                       : -adj.weight;
+          if (j != kNoPart && listed_by[j] != k) {
+            listed_by[j] = k;
+            out.neighbours.push_back(j);
+          }
+        }
+      }
+      cand_weight[id] = part.weight;
+      cand_user[id] = u;
+      cand_cross[id] = cross;
+      cand_sep[id] = part.weight * local_factor + cross * cross_factor;
+    }
+    out.offsets[mine.size()] =
+        static_cast<std::uint32_t>(out.neighbours.size());
+  });
+  // Replicas copy their prototype's placement, aggregates and initial
+  // single-part deltas (parts may interleave across users).
+  parallel::for_each_index(pool, num_users, [&](std::size_t u) {
+    const std::size_t proto = prototype[u];
+    if (proto == u) return;
+    result.scheme.placement[u] = result.scheme.placement[proto];
+    user_local_w[u] = user_local_w[proto];
+    user_remote_w[u] = user_remote_w[proto];
+    user_cross_w[u] = user_cross_w[proto];
+    const auto to = single_parts(u);
+    const auto from = single_parts(proto);
+    for (std::size_t k = 0; k < to.size(); ++k) {
+      cand_sep[to[k]] = cand_sep[from[k]];
+      cand_weight[to[k]] = cand_weight[from[k]];
+      cand_cross[to[k]] = cand_cross[from[k]];
+      cand_user[to[k]] = u;
+      counterpart[to[k]] = static_cast<std::uint32_t>(from[k]);
+    }
+  });
+
   double total_remote = 0.0;
   std::size_t active_users = 0;
   double separable = 0.0;  // Σ (t_c + e_c + t_t + e_t), scalarized
-
-  for (std::size_t u = 0; u < system.num_users(); ++u) {
-    if (const std::size_t proto = prototype[u]; proto != u) {
-      user_local_w[u] = user_local_w[proto];
-      user_remote_w[u] = user_remote_w[proto];
-      user_cross_w[u] = user_cross_w[proto];
-    } else {
-      const UserApp& user = system.users[u];
-      for (graph::NodeId v = 0; v < user.graph.num_nodes(); ++v) {
-        const double w = user.graph.node_weight(v);
-        if (result.scheme.placement[u][v] == Placement::kLocal)
-          user_local_w[u] += w;
-        else
-          user_remote_w[u] += w;
-      }
-      for (const graph::Edge& e : user.graph.edges())
-        if (result.scheme.placement[u][e.u] !=
-            result.scheme.placement[u][e.v])
-          user_cross_w[u] += e.weight;
-    }
+  for (std::size_t u = 0; u < num_users; ++u) {
     total_remote += user_remote_w[u];
     if (user_remote_w[u] > 0.0) ++active_users;
     separable += user_local_w[u] * local_factor +
@@ -175,9 +260,15 @@ GreedyResult generate_scheme(const MecSystem& system,
       options.time_weight * coupled_time(total_remote, active_users, p);
   result.objective_history.push_back(objective);
 
-  std::vector<std::uint8_t> is_remote(parts.size(), 1);
-  for (std::size_t i = 0; i < parts.size(); ++i)
-    if (parts[i].initially_local) is_remote[i] = 0;
+  // The set-up evaluated one move per initially-remote prototype part.
+  std::size_t delta_evaluations = 0;
+  std::vector<std::uint8_t> is_remote(num_parts, 1);
+  for (std::size_t i = 0; i < num_parts; ++i) {
+    if (parts[i].initially_local)
+      is_remote[i] = 0;
+    else if (prototype[parts[i].user] == parts[i].user)
+      ++delta_evaluations;
+  }
 
   // Δcross of moving the still-remote parts in `move` (all same user)
   // from remote to local under the CURRENT placement: edges to remote
@@ -187,7 +278,6 @@ GreedyResult generate_scheme(const MecSystem& system,
   // moving set's size, not the user's whole graph.
   std::vector<std::uint64_t> in_move_epoch;
   std::uint64_t move_epoch = 0;
-  std::size_t delta_evaluations = 0;
   const auto cross_delta = [&](const std::vector<std::size_t>& move) {
     const std::size_t user_index = parts[move.front()].user;
     const UserApp& user = system.users[user_index];
@@ -226,16 +316,6 @@ GreedyResult generate_scheme(const MecSystem& system,
     return move_scratch;
   };
 
-  // Cached separable delta, moving weight and cross-weight change per
-  // candidate; only a commit by the SAME user that moves one of its
-  // parts or a neighbour of one of its parts can change them, so they
-  // are refreshed exactly then, and a commit reads its own from here.
-  // kInvalid marks exhausted candidates.
-  constexpr double kInvalid = std::numeric_limits<double>::infinity();
-  std::vector<double> cand_sep(num_candidates, kInvalid);
-  std::vector<double> cand_weight(num_candidates, 0.0);
-  std::vector<double> cand_cross(num_candidates, 0.0);
-  std::vector<std::size_t> cand_user(num_candidates, 0);
   const auto refresh_candidate = [&](std::size_t id) {
     const std::vector<std::size_t>& move = candidate_moves(id);
     if (move.empty()) {
@@ -338,9 +418,10 @@ GreedyResult generate_scheme(const MecSystem& system,
   };
 
   // Parts a commit touched: the moved parts and every part adjacent to
-  // a moved node, stamped with the commit's epoch. A candidate without a
-  // touched part keeps its move set, part weights and neighbour
-  // placements, so its cached separable delta is still exact.
+  // a moved node (the moved parts' neighbour lists), stamped with the
+  // commit's epoch. A candidate without a touched part keeps its move
+  // set, part weights and neighbour placements, so its cached separable
+  // delta is still exact.
   std::vector<std::uint64_t> touched_epoch(num_parts, 0);
   std::uint64_t commit_epoch = 0;
   const auto touched = [&](std::size_t id) {
@@ -350,28 +431,13 @@ GreedyResult generate_scheme(const MecSystem& system,
     return false;
   };
 
-  // Initial deltas: every candidate's own, except a replica's single
-  // parts, which copy their prototype's counterparts once those are
-  // computed (parts may interleave across users). Insertion stays in id
-  // order, so class-bucket order — the tie-break — is unchanged; a
-  // copied part whose counterpart is already in a class with its key
-  // joins that class without a map lookup.
-  for (std::size_t id = 0; id < num_candidates; ++id)
-    if (id >= num_parts || prototype[parts[id].user] == parts[id].user)
-      refresh_candidate(id);
-  std::vector<std::uint32_t> counterpart(num_candidates, kNoPart);
-  for (std::size_t u = 0; u < system.num_users(); ++u) {
-    if (prototype[u] == u) continue;
-    const auto to = single_parts(u);
-    const auto from = single_parts(prototype[u]);
-    for (std::size_t k = 0; k < to.size(); ++k) {
-      cand_sep[to[k]] = cand_sep[from[k]];
-      cand_weight[to[k]] = cand_weight[from[k]];
-      cand_cross[to[k]] = cand_cross[from[k]];
-      cand_user[to[k]] = u;
-      counterpart[to[k]] = static_cast<std::uint32_t>(from[k]);
-    }
-  }
+  // Group retreats evaluate their initial deltas here; single parts got
+  // theirs in the set-up. Insertion stays in id order, so class-bucket
+  // order — the tie-break — is unchanged; a copied part whose
+  // counterpart is already in a class with its key joins that class
+  // without a map lookup.
+  for (std::size_t id = num_parts; id < num_candidates; ++id)
+    refresh_candidate(id);
   for (std::size_t id = 0; id < num_candidates; ++id) {
     if (const std::uint32_t c = counterpart[id];
         c != kNoPart && cand_pos[c] != SIZE_MAX &&
@@ -413,23 +479,25 @@ GreedyResult generate_scheme(const MecSystem& system,
       break;
     }
 
-    // Commit: move every still-remote part of the candidate local.
-    const std::vector<std::size_t> move = candidate_moves(best);
+    // Commit: move every still-remote part of the candidate local. The
+    // move set is candidate_moves' scratch, read before the re-class
+    // below refills it.
+    const std::vector<std::size_t>& move = candidate_moves(best);
     MECOFF_ENSURES(!move.empty());
     const std::size_t user_index = parts[move.front()].user;
-    const graph::WeightedGraph& g = system.users[user_index].graph;
     const double dx = cand_cross[best];
     const double weight = cand_weight[best];
+    const PartAdjacency& part_adjacency = adjacency[prototype[user_index]];
+    const std::vector<std::size_t>& user_ids = candidates_of_user[user_index];
     ++commit_epoch;
     for (const std::size_t i : move) {
       touched_epoch[i] = commit_epoch;
-      for (const graph::NodeId v : parts[i].nodes) {
+      for (const graph::NodeId v : parts[i].nodes)
         result.scheme.placement[user_index][v] = Placement::kLocal;
-        for (const graph::Adjacency& adj : g.neighbors(v))
-          if (const std::uint32_t j = part_of[user_index][adj.neighbor];
-              j != kNoPart)
-            touched_epoch[j] = commit_epoch;
-      }
+      const std::uint32_t k = local_index[i];
+      for (std::uint32_t n = part_adjacency.offsets[k];
+           n < part_adjacency.offsets[k + 1]; ++n)
+        touched_epoch[user_ids[part_adjacency.neighbours[n]]] = commit_epoch;
       is_remote[i] = 0;
     }
     user_local_w[user_index] += weight;

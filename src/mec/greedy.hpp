@@ -9,18 +9,24 @@
 // server-contention term plus O(deg(part)) cross-weight updates only for
 // the committing user's parts that contain or touch a moved node — so
 // multi-user runs with tens of thousands of parts stay tractable. A
-// commit reuses its candidate's cached cross-weight change, and only the
-// committing user's candidates whose class key changed go through the
-// class map; the rest are re-appended inside the class bucket they hold,
-// in the order a remove + re-insert would leave them, which is the
-// tie-break. A user whose graph payload and parts replicate an earlier
-// user's copies that user's set-up (aggregates, initial deltas and class
-// buckets) instead of recomputing it. Tests verify the incremental
-// objective against a full evaluate() after every move, and the
-// placements against a from-scratch reference greedy, against a run
-// where nothing is copied, and — tie order and objective bits included —
-// against the lazy greedy that took every re-classed candidate through
-// the map.
+// commit finds the parts it touches in the moved parts' neighbour lists,
+// reuses its candidate's cached cross-weight change, and sends only the
+// committing user's candidates whose class key changed through the class
+// map; the rest are re-appended inside the class bucket they hold, in
+// the order a remove + re-insert would leave them, which is the
+// tie-break. Everything before the first commit is per user (users meet
+// only in the server term), so that set-up runs one index per user on
+// the caller's pool: a user's placement row, aggregates, initial
+// single-part deltas and part neighbour lists. A user whose graph
+// payload and parts replicate an earlier user's copies that user's
+// set-up instead of recomputing it. The totals, the group retreats'
+// deltas, class insertion and the commit loop stay serial, in user and
+// id order. Tests verify the incremental objective against a full
+// evaluate() after every move, and the placements against a
+// from-scratch reference greedy, against a run where nothing is copied,
+// against the same run with and without a pool, and — tie order and
+// objective bits included — against the lazy greedy that took every
+// re-classed candidate through the map.
 #pragma once
 
 #include <vector>
@@ -28,6 +34,7 @@
 #include "mec/costs.hpp"
 #include "mec/model.hpp"
 #include "mec/scheme.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mecoff::mec {
 
@@ -79,9 +86,12 @@ struct GreedyResult {
 
 /// Run the greedy over `parts`. Preconditions: parts are disjoint per
 /// user, cover only offloadable nodes, and every node weight is
-/// accounted (part.weight = Σ of its nodes' weights).
-[[nodiscard]] GreedyResult generate_scheme(const MecSystem& system,
-                                           const std::vector<Part>& parts,
-                                           const GreedyOptions& options = {});
+/// accounted (part.weight = Σ of its nodes' weights). `pool` may be
+/// null for a serial set-up; the per-user set-up fans out one index per
+/// user on it, and the result is bit-identical either way.
+[[nodiscard]] GreedyResult generate_scheme(
+    const MecSystem& system, const std::vector<Part>& parts,
+    const GreedyOptions& options = {},
+    parallel::ThreadPool* pool = nullptr);
 
 }  // namespace mecoff::mec

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -62,19 +61,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     return deadline_seconds >= 0.0 &&
            total_timer.elapsed_seconds() >= deadline_seconds;
   };
-
-  // Fan fn over [0, n): on the pool when there is one, else a plain
-  // loop. parallel_for runs inline when nested, so only the outermost
-  // level with more than one index fans out: distinct users in a
-  // multi-user solve, sub-graphs in a single-user one.
-  const auto for_each_index =
-      [this](std::size_t n, const std::function<void(std::size_t)>& fn) {
-        if (options_.pool != nullptr) {
-          options_.pool->parallel_for(0, n, fn);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) fn(i);
-        }
-      };
 
   // What one sub-graph's cut produces. Each index of the cut loop
   // writes only its own slot.
@@ -263,7 +249,10 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
       for (Part& part : sides)
         if (!part.nodes.empty()) result.parts.push_back(std::move(part));
     };
-    for_each_index(cuts.size(), cut_component);
+    // parallel_for runs inline when nested, so only the outermost level
+    // with more than one index fans out: distinct users in a multi-user
+    // solve, sub-graphs in a single-user one.
+    parallel::for_each_index(options_.pool, cuts.size(), cut_component);
 
     // Merge in component order, so part order is the serial loop's.
     for (ComponentCut& cut : cuts) {
@@ -293,23 +282,34 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   // Compression and the cut are per-user; only the final greedy
   // couples users, so indices never touch shared state.
   std::vector<UserSolve> solved(distinct);
-  for_each_index(distinct,
-                 [&](std::size_t u) { solved[u] = solve_user(u); });
+  parallel::for_each_index(options_.pool, distinct, [&](std::size_t u) {
+    solved[u] = solve_user(u);
+  });
 
-  // Merge in user order on this thread: part order — and therefore the
-  // greedy's tie-breaking and the final scheme — is bit-identical to
-  // the serial path no matter how tasks interleaved. Replicated users
-  // copy their prototype's parts AND account its compression stats, so
-  // aggregate counters reflect every user, not just the prototypes.
-  std::vector<Part> all_parts;
+  // Merge in user order: part order — and therefore the greedy's
+  // tie-breaking and the final scheme — is bit-identical to the serial
+  // path no matter how tasks interleaved. Every user's parts go to a
+  // slot range sized on this thread and are copied in on the pool.
+  // Replicated users copy their prototype's parts AND account its
+  // compression stats, so aggregate counters reflect every user, not
+  // just the prototypes.
+  const auto solved_for = [&](std::size_t u) -> const UserSolve& {
+    return solved[period > 0 ? u % period : u];
+  };
+  std::vector<std::size_t> first_part(num_users + 1, 0);
   for (std::size_t u = 0; u < num_users; ++u) {
-    const UserSolve& proto = solved[period > 0 ? u % period : u];
-    stats_.compression += proto.compression;
-    for (Part part : proto.parts) {
-      part.user = u;
-      all_parts.push_back(std::move(part));
-    }
+    stats_.compression += solved_for(u).compression;
+    first_part[u + 1] = first_part[u] + solved_for(u).parts.size();
   }
+  std::vector<Part> all_parts(first_part[num_users]);
+  parallel::for_each_index(options_.pool, num_users, [&](std::size_t u) {
+    const std::vector<Part>& proto_parts = solved_for(u).parts;
+    for (std::size_t k = 0; k < proto_parts.size(); ++k) {
+      Part& part = all_parts[first_part[u] + k];
+      part = proto_parts[k];
+      part.user = u;
+    }
+  });
   for (UserSolve& s : solved) {
     stats_.compress_seconds += s.compress_seconds;
     stats_.cut_seconds += s.cut_seconds;
@@ -330,7 +330,8 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   Stopwatch greedy_timer;
   GreedyResult greedy = [&] {
     MECOFF_TRACE_SPAN_ARG("mec.greedy", all_parts.size());
-    return generate_scheme(system, all_parts, options_.greedy);
+    return generate_scheme(system, all_parts, options_.greedy,
+                           options_.pool);
   }();
   // Warm greedy: ALSO start from the previous placement's projection
   // onto the new parts (a part starts local iff every one of its nodes
@@ -356,7 +357,8 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     if (differs) {
       GreedyResult warm_greedy = [&] {
         MECOFF_TRACE_SPAN_ARG("mec.greedy.warm", warm_parts.size());
-        return generate_scheme(system, warm_parts, options_.greedy);
+        return generate_scheme(system, warm_parts, options_.greedy,
+                               options_.pool);
       }();
       if (warm_greedy.objective_history.back() <
           greedy.objective_history.back()) {
@@ -430,7 +432,7 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     record.trace_dropped = obs::TraceCollector::global().dropped_count();
     (void)obs::FlightRecorder::global().record(std::move(record));
   }
-  return greedy.scheme;
+  return std::move(greedy.scheme);
 }
 
 RandomOffloader::RandomOffloader(double remote_probability,

@@ -67,10 +67,11 @@ struct PipelineOptions {
   /// Execution engine for the per-user solve stage (compression +
   /// cut). A multi-user solve fans out one parallel_for index per
   /// distinct user; a single-user solve fans out over its sub-graphs
-  /// instead (LPA compression, then the cut). Nested levels run inline
-  /// and every kernel stays serial. null = fully serial (Fig. 9's
-  /// "without Spark" configuration). Schemes are bit-identical either
-  /// way.
+  /// instead (LPA compression, then the cut). After that stage joins,
+  /// the copy of every user's parts and the greedy's per-user set-up
+  /// fan out one index per user. Nested levels run inline and every
+  /// kernel stays serial. null = fully serial (Fig. 9's "without
+  /// Spark" configuration). Schemes are bit-identical either way.
   parallel::ThreadPool* pool = nullptr;
   /// When > 0, users i and i mod period carry IDENTICAL graphs (the
   /// make_uniform_system layout): compression and cuts run once per

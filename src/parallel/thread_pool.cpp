@@ -148,4 +148,13 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   section->wait();
 }
 
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(0, n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace mecoff::parallel

@@ -14,7 +14,8 @@
 // Callers fan out at the coarsest independent unit: the distinct users
 // of PipelineOffloader::solve, or the sub-graphs of a single-user
 // solve (LPA compression and the per-component cut, Algorithm 1's
-// per-sub-graph process). Kernels such as SpMV and Lanczos stay
+// per-sub-graph process); once those have joined, the users of the
+// greedy's per-user set-up. Kernels such as SpMV and Lanczos stay
 // serial: the pipeline only eigensolves compressed sub-graphs of a few
 // dozen nodes, and per-matvec fan-out measured slower than serial.
 #pragma once
@@ -89,5 +90,10 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
   bool stopping_ GUARDED_BY(mutex_) = false;
 };
+
+/// Run fn(i) for every i in [0, n): through pool->parallel_for when
+/// `pool` is non-null, else in a plain loop on the calling thread.
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn);
 
 }  // namespace mecoff::parallel

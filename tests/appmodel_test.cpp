@@ -469,9 +469,14 @@ std::string full_dump(const Application& app) {
 /// A bench workload as the benchmark posts it to /solve: functions f0,
 /// f1, ... in node order, rendered with to_app_dsl.
 std::string served_body(const mec::UserApp& user, std::uint64_t seed) {
-  Application app("a" + std::to_string(seed));
+  const auto indexed = [](char prefix, std::uint64_t index) {
+    std::string name(1, prefix);
+    name += std::to_string(index);
+    return name;
+  };
+  Application app(indexed('a', seed));
   for (graph::NodeId v = 0; v < user.graph.num_nodes(); ++v)
-    app.add_function({"f" + std::to_string(v), user.graph.node_weight(v),
+    app.add_function({indexed('f', v), user.graph.node_weight(v),
                       !user.unoffloadable.empty() && user.unoffloadable[v],
                       ""});
   for (const graph::Edge& e : user.graph.edges())

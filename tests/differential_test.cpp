@@ -183,10 +183,13 @@ INSTANTIATE_TEST_SUITE_P(
     AllSmallGraphs, SmallGraphDifferential,
     ::testing::ValuesIn(small_graph_cases()),
     [](const ::testing::TestParamInfo<SmallGraphCase>& param_info) {
-      return "n" + std::to_string(param_info.param.nodes) + "_s" +
-             std::to_string(param_info.param.seed) + "_" +
-             (param_info.param.extra_edge_probability > 0.5 ? "dense"
-                                                            : "sparse");
+      std::string name(1, 'n');
+      name += std::to_string(param_info.param.nodes);
+      name += "_s";
+      name += std::to_string(param_info.param.seed);
+      name += param_info.param.extra_edge_probability > 0.5 ? "_dense"
+                                                            : "_sparse";
+      return name;
     });
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "mec/costs.hpp"
 #include "mec/greedy.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mecoff::mec {
 namespace {
@@ -208,6 +209,12 @@ TEST(Greedy, MultiUserContentionTriggersPullback) {
   const GreedyResult solo_r = generate_scheme(solo, barbell_parts(solo, 0));
   EXPECT_EQ(solo_r.scheme.remote_count(0), 8u);
 }
+
+// The lazy greedy kept verbatim further down, the bitwise oracle of
+// GreedyLazyQueue.MatchesParentTieOrderBitwise and of the replica test.
+GreedyResult reference_lazy_greedy(const MecSystem& system,
+                                   const std::vector<Part>& parts,
+                                   const GreedyOptions& options);
 
 }  // namespace
 }  // namespace mecoff::mec
@@ -544,6 +551,15 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
   return bits;
 }
 
+/// `got` and `want` agree in placements, moves and objective bits.
+void expect_bitwise_equal(const GreedyResult& got, const GreedyResult& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.scheme, want.scheme) << where;
+  EXPECT_EQ(got.moves, want.moves) << where;
+  EXPECT_EQ(bits_of(got.objective_history), bits_of(want.objective_history))
+      << where;
+}
+
 TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
   // 3 prototype graphs × 12 users: make_uniform_system cycles the pool,
   // so user u shares its graph payload with users u ± 3. Every 7th node
@@ -553,6 +569,9 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
   // prototype (user 1) starts remote, and kRebuilt holds a content-equal
   // rebuild of its graph. The parts vector interleaves users in a
   // rotating order, so some replicas' parts precede their prototype's.
+  // Both instances also run with the per-user set-up on a pool, which
+  // must change nothing, evaluation count included, and every seed is
+  // checked bit for bit against the lazy reference greedy.
   constexpr std::size_t kProtos = 3;
   constexpr std::size_t kUsers = 36;
   constexpr std::size_t kFlipped = 7;
@@ -560,6 +579,7 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
   const mecoff::obs::Counter& evaluations =
       mecoff::obs::MetricsRegistry::global().counter(
           "mec.greedy.delta_evaluations");
+  mecoff::parallel::ThreadPool workers(4);
   std::size_t total_moves = 0;
   for (const std::uint64_t seed : {3ULL, 5ULL, 8ULL, 13ULL}) {
     // The first seed is the smallest case, small enough for the
@@ -629,16 +649,26 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
       const std::uint64_t between = evaluations.value();
       const GreedyResult computed = generate_scheme(fresh, parts, opts);
       const std::uint64_t after = evaluations.value();
+      const GreedyResult copied_pooled =
+          generate_scheme(system, parts, opts, &workers);
+      const std::uint64_t after_pooled = evaluations.value();
+      const GreedyResult computed_pooled =
+          generate_scheme(fresh, parts, opts, &workers);
 
-      EXPECT_EQ(copied.scheme, computed.scheme)
-          << "seed " << seed << " groups " << group_moves;
-      EXPECT_EQ(copied.moves, computed.moves)
-          << "seed " << seed << " groups " << group_moves;
-      EXPECT_EQ(bits_of(copied.objective_history),
-                bits_of(computed.objective_history))
-          << "seed " << seed << " groups " << group_moves;
+      const GreedyResult want =
+          mecoff::mec::reference_lazy_greedy(system, parts, opts);
+
+      const std::string where = "seed " + std::to_string(seed) +
+                                " groups " + std::to_string(group_moves);
+      expect_bitwise_equal(copied, computed, where);
+      expect_bitwise_equal(copied, want, where + " reference");
+      expect_bitwise_equal(copied_pooled, copied, where + " pooled");
+      expect_bitwise_equal(copied_pooled, want, where + " pooled, reference");
+      expect_bitwise_equal(computed_pooled, computed,
+                           where + " pooled, rebuilt");
       EXPECT_EQ((after - between) - (between - before), copied_deltas)
-          << "seed " << seed << " groups " << group_moves;
+          << where;
+      EXPECT_EQ(after_pooled - after, between - before) << where;
       if (smallest) {
         EXPECT_EQ(copied.scheme, reference_greedy(system, parts, group_moves))
             << "groups " << group_moves;
@@ -1135,7 +1165,9 @@ TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
   // buckets with bitwise ties; distinct-user systems make one-member
   // classes. The parameter sets range from a roomy server to a tiny
   // congested one, so users retreat completely and untouched
-  // candidates flip their deactivation flag.
+  // candidates flip their deactivation flag. Every system also runs
+  // with the per-user set-up on a pool.
+  parallel::ThreadPool workers(4);
   std::vector<SystemParams> param_sets;
   for (const auto& [capacity, contention, transmit] :
        {std::tuple{100.0, 0.5, 8.0}, std::tuple{30.0, 4.0, 8.0},
@@ -1173,6 +1205,8 @@ TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
             GreedyOptions opts;
             opts.enable_group_moves = group_moves;
             const GreedyResult got = generate_scheme(system, parts, opts);
+            const GreedyResult pooled =
+                generate_scheme(system, parts, opts, &workers);
             const GreedyResult want =
                 reference_lazy_greedy(system, parts, opts);
             const std::string where =
@@ -1181,11 +1215,11 @@ TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
                 std::to_string(anchor) + " capacity " +
                 std::to_string(params.server_capacity) + " groups " +
                 std::to_string(group_moves);
-            EXPECT_EQ(got.scheme, want.scheme) << where;
-            EXPECT_EQ(got.moves, want.moves) << where;
-            EXPECT_EQ(greedy_extensions::bits_of(got.objective_history),
-                      greedy_extensions::bits_of(want.objective_history))
-                << where;
+            greedy_extensions::expect_bitwise_equal(got, want, where);
+            greedy_extensions::expect_bitwise_equal(pooled, got,
+                                                    where + " pooled");
+            greedy_extensions::expect_bitwise_equal(
+                pooled, want, where + " pooled, reference");
             total_moves += got.moves;
           }
         }

@@ -261,9 +261,13 @@ TEST_P(WorkloadProperty, PipelineNeverWorseThanAllLocal) {
 INSTANTIATE_TEST_SUITE_P(
     NetgenWorkloads, WorkloadProperty, ::testing::ValuesIn(workload_cases()),
     [](const ::testing::TestParamInfo<WorkloadCase>& param_info) {
-      return "n" + std::to_string(param_info.param.nodes) + "_c" +
-             std::to_string(param_info.param.components) + "_s" +
-             std::to_string(param_info.param.seed);
+      std::string name(1, 'n');
+      name += std::to_string(param_info.param.nodes);
+      name += "_c";
+      name += std::to_string(param_info.param.components);
+      name += "_s";
+      name += std::to_string(param_info.param.seed);
+      return name;
     });
 
 // ---- LPA threshold sweep -----------------------------------------------------

@@ -554,13 +554,6 @@ const char* source_name(serve::SolveSource source) {
 }
 
 int cmd_serve_solve(const std::string& path, const Config& cfg) {
-  const Result<appmodel::Application> parsed = load_app(path);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
-    return 1;
-  }
-  const appmodel::Application& app = parsed.value();
-  const mec::UserApp base_user = user_from_app(app);
   mec::SystemParams params;
 
   long long threads_arg = 0;
@@ -649,6 +642,14 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   std::string rid_header_lower = rid_header;
   for (char& ch : rid_header_lower)
     ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+
+  const Result<appmodel::Application> parsed = load_app(path);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.error().message.c_str());
+    return 1;
+  }
+  const appmodel::Application& app = parsed.value();
+  const mec::UserApp base_user = user_from_app(app);
 
   parallel::ThreadPool pool(static_cast<std::size_t>(threads_arg));
 
