@@ -4,8 +4,8 @@
 // Eight phases drive >= 10k requests through a SolveService while a
 // serve::FaultInjector replays seeded fault scripts against it (shard
 // kills with failover, injected solve latency that forces hedged
-// retries, a stolen cache publish, exhausted deadline budgets,
-// brownout admission under a client flood, and a graceful drain):
+// retries, a stolen cache publish, exhausted deadline budgets, the
+// in-flight cap under a client flood, and a graceful drain):
 //
 //   cold           each steady-state app solved once, sequentially —
 //                  fills the cache, records the reference placements;
@@ -27,10 +27,10 @@
 //   budget_zero    fresh app set with a 0-second budget: every request
 //                  deterministically degrades to the valid all-local
 //                  scheme (the budget is spent before any solve);
-//   brownout       a second service with tiny brownout tiers flooded
-//                  by 8 closed-loop clients — progressive shedding
-//                  engages and the hysteresis controller recovers as
-//                  the cache warms;
+//   flood          a second service admitting at most 4 requests in
+//                  flight, flooded by 8 closed-loop clients — requests
+//                  past the cap are shed to the all-local placement
+//                  while the cache warms;
 //   drain          begin_drain() on the main service while clients are
 //                  still sending: every response comes back instantly
 //                  as the all-local degrade, then await_idle confirms
@@ -447,15 +447,12 @@ int run(const std::string& out_path) {
                       run_load(service, budget_apps, {}, load)});
   }
 
-  // -- brownout: progressive shedding under a client flood ------------
+  // -- flood: the in-flight cap under more clients than it admits ----
   {
     serve::SolveServiceOptions flood_options;
     flood_options.pool = &pool;
     flood_options.shards = 4;
-    flood_options.brownout.enabled = true;
-    flood_options.brownout.tier1_in_flight = 2;
-    flood_options.brownout.tier2_in_flight = 4;
-    flood_options.brownout.tier3_in_flight = 6;
+    flood_options.max_in_flight = 4;
     serve::SolveService flood_service(flood_options);
     LoadOptions load;
     load.clients = 8;
@@ -464,7 +461,7 @@ int run(const std::string& out_path) {
     curve(load, issued);
     issued += load.total_requests;
     phases.push_back(
-        {"brownout", 8,
+        {"flood", 8,
          run_load(flood_service, steady_apps, steady_reference, load)});
   }
 

@@ -70,11 +70,6 @@ bool FaultInjector::shard_killed(std::size_t shard) const {
   return killed_[shard % killed_.size()] != 0;
 }
 
-bool FaultInjector::all_shards_killed() const {
-  const MutexLock lock(mutex_);
-  return killed_count_ == killed_.size();
-}
-
 double FaultInjector::injected_latency_seconds(std::size_t shard) const {
   const MutexLock lock(mutex_);
   return latency_[shard % latency_.size()];

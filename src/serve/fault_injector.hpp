@@ -84,9 +84,6 @@ class FaultInjector {
   /// Is `shard` currently killed? (Folded modulo shards.)
   [[nodiscard]] bool shard_killed(std::size_t shard) const EXCLUDES(mutex_);
 
-  /// True when every shard is killed — cold solves must degrade.
-  [[nodiscard]] bool all_shards_killed() const EXCLUDES(mutex_);
-
   /// Synthetic latency currently injected on `shard`, seconds; 0 when
   /// none. (Folded modulo shards.)
   [[nodiscard]] double injected_latency_seconds(std::size_t shard) const

@@ -75,6 +75,29 @@ class AdmittedSlot {
   std::atomic<std::size_t>& in_flight_;
 };
 
+/// Releases an owned cache entry on every exit from the cold-solve
+/// block that does not publish, a throwing solve included: an entry
+/// left solving would strand its riders until their wait budgets ran
+/// out. A hedge owns no entry, so its guard holds nothing.
+class OwnedEntry {
+ public:
+  OwnedEntry(SchemeCache& cache, const Fingerprint& key, bool owned)
+      : cache_(owned ? &cache : nullptr), key_(key) {}
+  OwnedEntry(const OwnedEntry&) = delete;
+  OwnedEntry& operator=(const OwnedEntry&) = delete;
+  ~OwnedEntry() {
+    if (cache_ != nullptr) cache_->abandon(key_);
+  }
+
+  void publish(std::vector<mec::Placement> placement) {
+    std::exchange(cache_, nullptr)->publish(key_, std::move(placement));
+  }
+
+ private:
+  SchemeCache* cache_;
+  const Fingerprint key_;
+};
+
 }  // namespace
 
 SolveService::SolveService(SolveServiceOptions options)
@@ -133,19 +156,8 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
   }
 
   // Admission control BEFORE fingerprinting or touching the cache: a
-  // shed request must cost O(1), that is the point of shedding. Brownout
-  // first (it reads the pre-increment occupancy), then the legacy hard
-  // cap.
+  // shed request must cost O(1), that is the point of shedding.
   const std::size_t limit = admission_limit_.load(std::memory_order_relaxed);
-  const std::size_t occupancy = in_flight_.load(std::memory_order_relaxed);
-  if (options_.brownout.enabled && brownout_shed_decision(occupancy)) {
-    brownout_shed_.fetch_add(1, std::memory_order_relaxed);
-    MECOFF_COUNTER_ADD("serve.solve.brownout_shed", 1);
-    SolveResponse response =
-        degrade_response(request, Fingerprint{}, SolveSource::kShed);
-    finish(response, request_id, timer.elapsed_seconds());
-    return response;
-  }
   const std::size_t admitted =
       in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (admitted > limit) {
@@ -181,13 +193,6 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
         0.0, budget * options_.hedge_fraction - timer.elapsed_seconds());
   }
 
-  // A cold solve that throws leaves without a response; it is counted
-  // once, as failed, so every request still lands in one outcome.
-  const auto count_failed = [this] {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    MECOFF_COUNTER_ADD("serve.solve.failed", 1);
-  };
-
   SolveResponse response;
   response.key = key;
   SchemeCache::Lookup lookup = cache_.acquire(key, wait_budget, request_id);
@@ -204,74 +209,37 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
       response.served_by_request_id = lookup.owner_request_id;
       MECOFF_COUNTER_ADD("serve.solve.coalesced", 1);
       break;
+    case SchemeCache::Outcome::kMiss:
     case SchemeCache::Outcome::kTimeout: {
-      // The owner blew this rider's wait budget: hedge a duplicate
-      // solve on ANOTHER shard (offset 1 rotates past the owner's).
-      // The rider holds no cache ownership — no publish, no abandon;
-      // the stalled owner still completes its own protocol.
+      // One cold solve, run by the entry's owner (kMiss) or by a rider
+      // whose owner blew its wait budget (kTimeout). The rider HEDGES:
+      // a duplicate solve on ANOTHER shard (offset 1 rotates past the
+      // owner's). Only the owner holds the cache entry, so only it
+      // counts the miss and publishes; `entry` abandons on every other
+      // exit, and a hedge neither publishes nor abandons — the stalled
+      // owner still completes its own protocol.
+      const bool owner = lookup.outcome == SchemeCache::Outcome::kMiss;
+      if (owner) MECOFF_COUNTER_ADD("serve.solve.cache_misses", 1);
+      OwnedEntry entry(cache_, key, owner);
       const double remaining =
           budget >= 0.0 ? budget - timer.elapsed_seconds() : -1.0;
-      if (budget >= 0.0 && remaining <= 0.0) {
-        deadline_degraded_.fetch_add(1, std::memory_order_relaxed);
-        MECOFF_COUNTER_ADD("serve.solve.deadline_degraded", 1);
-        response = degrade_response(request, key, SolveSource::kDeadlineDegraded);
-        break;
-      }
+      // Budget spent before the solve could start, or no shard alive.
+      bool expired = budget >= 0.0 && remaining <= 0.0;
       bool degraded = false;
-      bool no_shard_alive = false;
-      try {
-        response.placement = run_cold_solve(request, key, remaining,
-                                            /*shard_offset=*/1, request_id,
-                                            degraded, no_shard_alive);
-      } catch (...) {
-        count_failed();
-        throw;
+      if (!expired) {
+        try {
+          response.placement = run_cold_solve(
+              request, key, remaining, /*shard_offset=*/owner ? 0 : 1,
+              request_id, degraded, expired);
+        } catch (...) {
+          // Counted once, as failed, so every request still lands in
+          // one outcome; `entry` hands an owner's solve to a rider.
+          failed_.fetch_add(1, std::memory_order_relaxed);
+          MECOFF_COUNTER_ADD("serve.solve.failed", 1);
+          throw;
+        }
       }
-      if (no_shard_alive) {
-        deadline_degraded_.fetch_add(1, std::memory_order_relaxed);
-        MECOFF_COUNTER_ADD("serve.solve.deadline_degraded", 1);
-        response = degrade_response(request, key, SolveSource::kDeadlineDegraded);
-        break;
-      }
-      solved_.fetch_add(1, std::memory_order_relaxed);
-      hedged_.fetch_add(1, std::memory_order_relaxed);
-      MECOFF_COUNTER_ADD("serve.solve.hedged", 1);
-      response.source = SolveSource::kHedged;
-      response.degraded = degraded;
-      if (degraded) {
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        MECOFF_COUNTER_ADD("serve.solve.degraded", 1);
-      }
-      break;
-    }
-    case SchemeCache::Outcome::kMiss: {
-      MECOFF_COUNTER_ADD("serve.solve.cache_misses", 1);
-      const double remaining =
-          budget >= 0.0 ? budget - timer.elapsed_seconds() : -1.0;
-      if (budget >= 0.0 && remaining <= 0.0) {
-        // Budget spent before the solve could start. We still OWN the
-        // cache entry — release it before degrading.
-        cache_.abandon(key);
-        deadline_degraded_.fetch_add(1, std::memory_order_relaxed);
-        MECOFF_COUNTER_ADD("serve.solve.deadline_degraded", 1);
-        response = degrade_response(request, key, SolveSource::kDeadlineDegraded);
-        break;
-      }
-      bool degraded = false;
-      bool no_shard_alive = false;
-      try {
-        response.placement = run_cold_solve(request, key, remaining,
-                                            /*shard_offset=*/0, request_id,
-                                            degraded, no_shard_alive);
-      } catch (...) {
-        // Never strand riders: hand the solve to one of them (or clear
-        // the entry) before propagating.
-        cache_.abandon(key);
-        count_failed();
-        throw;
-      }
-      if (no_shard_alive) {
-        cache_.abandon(key);
+      if (expired) {
         deadline_degraded_.fetch_add(1, std::memory_order_relaxed);
         MECOFF_COUNTER_ADD("serve.solve.deadline_degraded", 1);
         response = degrade_response(request, key, SolveSource::kDeadlineDegraded);
@@ -279,22 +247,24 @@ Result<SolveResponse> SolveService::solve(const SolveRequest& request) {
       }
       solved_.fetch_add(1, std::memory_order_relaxed);
       response.source = SolveSource::kSolved;
+      if (!owner) {
+        hedged_.fetch_add(1, std::memory_order_relaxed);
+        MECOFF_COUNTER_ADD("serve.solve.hedged", 1);
+        response.source = SolveSource::kHedged;
+      }
       response.degraded = degraded;
-      const bool publish_stolen = !degraded && options_.injector != nullptr &&
-                                  options_.injector->steal_publish();
       if (degraded) {
         // Serve it, count it, but never cache it: a deadline-truncated
         // scheme must not outlive the overload that produced it.
         degraded_.fetch_add(1, std::memory_order_relaxed);
         MECOFF_COUNTER_ADD("serve.solve.degraded", 1);
-        cache_.abandon(key);
-      } else if (publish_stolen) {
-        // Injected "result lost on the way back": the requester still
-        // gets its full-quality placement, but the cache never sees it
-        // — one rider is promoted and re-solves.
-        cache_.abandon(key);
-      } else {
-        cache_.publish(key, response.placement);
+      } else if (owner && !(options_.injector != nullptr &&
+                            options_.injector->steal_publish())) {
+        // A stolen publish is the injected "result lost on the way
+        // back": the requester still gets its full-quality placement,
+        // but the cache never sees it — one rider is promoted and
+        // re-solves.
+        entry.publish(response.placement);
       }
       break;
     }
@@ -381,47 +351,6 @@ std::vector<mec::Placement> SolveService::run_cold_solve(
   return pool->submit(std::move(solve_now)).get();
 }
 
-bool SolveService::brownout_shed_decision(std::size_t in_flight_now) {
-  const BrownoutOptions& cfg = options_.brownout;
-  const MutexLock lock(brownout_mutex_);
-  // Tier from the rising in-flight thresholds, bumped one step when the
-  // sliding p99 is over the configured ceiling.
-  int tier = 0;
-  if (in_flight_now >= cfg.tier1_in_flight) tier = 1;
-  if (in_flight_now >= cfg.tier2_in_flight) tier = 2;
-  if (in_flight_now >= cfg.tier3_in_flight) tier = 3;
-  if (cfg.p99_bump_seconds > 0.0 && p99_seconds_ > cfg.p99_bump_seconds)
-    tier = std::min(3, tier + 1);
-
-  if (tier > brownout_tier_) {
-    brownout_tier_ = tier;
-    MECOFF_GAUGE_SET("serve.solve.brownout_tier",
-                     static_cast<double>(brownout_tier_));
-  } else if (tier < brownout_tier_) {
-    // Hysteresis: leave the current tier only once occupancy has
-    // fallen well below its entry threshold, so the controller does
-    // not flap at the boundary under steady load.
-    const std::size_t enter = brownout_tier_ == 1   ? cfg.tier1_in_flight
-                              : brownout_tier_ == 2 ? cfg.tier2_in_flight
-                                                    : cfg.tier3_in_flight;
-    const double exit_below =
-        static_cast<double>(enter) * cfg.exit_fraction;
-    if (static_cast<double>(in_flight_now) < exit_below) {
-      brownout_tier_ = tier;
-      MECOFF_GAUGE_SET("serve.solve.brownout_tier",
-                       static_cast<double>(brownout_tier_));
-    }
-  }
-
-  if (brownout_tier_ == 0) return false;
-  if (brownout_tier_ >= 3) return true;
-  // Deterministic fractional shed by admission counter: tier 1 sheds
-  // every 4th candidate, tier 2 every 2nd. No RNG — replays match.
-  const std::uint64_t candidate = brownout_candidates_++;
-  const std::uint64_t period = brownout_tier_ == 1 ? 4 : 2;
-  return candidate % period == 0;
-}
-
 void SolveService::finish(SolveResponse& response, std::uint64_t request_id,
                           double latency_seconds) {
   response.request_id = request_id;
@@ -434,14 +363,6 @@ void SolveService::finish(SolveResponse& response, std::uint64_t request_id,
   response.latency_seconds = latency_seconds;
   MECOFF_QUANTILES_RECORD_ID("serve.solve.latency", latency_seconds,
                              request_id);
-  // Only the brownout p99 term reads this window (see latency_window_).
-  // The cached p99 refreshes every 32 completions — the exact-sort
-  // query is too dear for every request.
-  if (options_.brownout.enabled && options_.brownout.p99_bump_seconds > 0.0) {
-    const MutexLock lock(brownout_mutex_);
-    latency_window_.record(latency_seconds);
-    if (++completions_ % 32 == 0) p99_seconds_ = latency_window_.quantile(0.99);
-  }
 }
 
 bool SolveService::await_idle(double timeout_seconds) const {
@@ -462,13 +383,8 @@ SolveService::Stats SolveService::stats() const {
   out.hedged = hedged_.load(std::memory_order_relaxed);
   out.deadline_degraded = deadline_degraded_.load(std::memory_order_relaxed);
   out.drained = drained_.load(std::memory_order_relaxed);
-  out.brownout_shed = brownout_shed_.load(std::memory_order_relaxed);
   out.shard_failovers = shard_failovers_.load(std::memory_order_relaxed);
   out.failed = failed_.load(std::memory_order_relaxed);
-  {
-    const MutexLock lock(brownout_mutex_);
-    out.brownout_tier = brownout_tier_;
-  }
   out.cache = cache_.stats();
   out.cache_hits = out.cache.hits;
   out.coalesced = out.cache.coalesced;

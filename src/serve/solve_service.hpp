@@ -19,15 +19,12 @@
 //   solve    PipelineOffloader on a single-user system, solver options
 //            fixed at service construction (and folded into the cache
 //            key as a seed fingerprint);
-//   shed     admission control, two layers. The legacy hard cap: at
-//            most `max_in_flight` requests admitted. On top, optional
-//            BROWNOUT tiers: health-aware progressive shedding driven
-//            by in-flight hysteresis and the sliding p99, shedding a
-//            deterministic fraction (1/4, 1/2, all) instead of
-//            flipping binary. Either way a rejected request is NOT
-//            dropped — it degrades to a valid all-local placement
-//            immediately (degrade-don't-die, same philosophy as the
-//            solver's spectral → KL → all-remote chain).
+//   shed     admission control: at most `max_in_flight` requests
+//            admitted (lowered at runtime by set_admission_limit). A
+//            rejected request is NOT dropped — it degrades to a valid
+//            all-local placement immediately (degrade-don't-die, same
+//            philosophy as the solver's spectral → KL → all-remote
+//            chain). The cap and drain are the only shed paths.
 //
 // DEADLINE BUDGETS + HEDGED RETRY: a request may carry a wall-clock
 // budget that flows through every stage. A rider parks behind an
@@ -70,9 +67,9 @@
 // Metrics (all through the obs facade):
 //   serve.solve.requests / cache_hits / cache_misses / coalesced /
 //   shed / degraded / hedged / deadline_degraded / drained /
-//   brownout_shed / shard_failovers / failed         counters
+//   shard_failovers / failed                         counters
 //   serve.cache.evictions / wait_timeouts / publish_failures  counters
-//   serve.solve.in_flight / brownout_tier            gauges
+//   serve.solve.in_flight                            gauge
 //   serve.solve.latency                              quantiles
 //     (p50/p95/p99 on /metrics via the standard exposition)
 #pragma once
@@ -82,11 +79,9 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "common/thread_annotations.hpp"
 #include "mec/model.hpp"
 #include "mec/offloader.hpp"
 #include "mec/scheme.hpp"
-#include "obs/quantiles.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/fault_injector.hpp"
 #include "serve/fingerprint.hpp"
@@ -119,7 +114,7 @@ enum class SolveSource : std::uint8_t {
   kCacheHit,   ///< served from a ready cache entry
   kCoalesced,  ///< rode a concurrent identical request's solve
   kShed,       ///< admission control: immediate all-local fallback
-               ///< (hard cap, brownout tier, or drain mode)
+               ///< (in-flight cap or drain mode)
   kHedged,     ///< owner blew the rider's wait budget; this request
                ///< ran its own duplicate solve on another shard
   kDeadlineDegraded,  ///< budget exhausted (or no shard alive) before
@@ -149,27 +144,6 @@ struct SolveResponse {
   std::uint64_t served_by_request_id = 0;
 };
 
-/// Progressive health-aware shedding. Three tiers above "healthy",
-/// entered on rising in-flight occupancy (and bumped one tier when the
-/// sliding p99 exceeds `p99_bump_seconds`), exited with hysteresis so
-/// the controller does not flap at a threshold. Each tier sheds a
-/// deterministic fraction of arriving requests by admission counter —
-/// no RNG, so soak runs replay exactly.
-struct BrownoutOptions {
-  bool enabled = false;
-  /// Rising in-flight thresholds entering tiers 1/2/3. Tier shedding:
-  /// tier 1 sheds every 4th candidate, tier 2 every 2nd, tier 3 all.
-  std::size_t tier1_in_flight = 64;
-  std::size_t tier2_in_flight = 128;
-  std::size_t tier3_in_flight = 256;
-  /// A tier is left only once in-flight falls below its entry
-  /// threshold times this fraction (classic hysteresis band).
-  double exit_fraction = 0.5;
-  /// Sliding-window p99 latency (seconds) above which the computed
-  /// tier is bumped by one. 0 disables the latency term.
-  double p99_bump_seconds = 0.0;
-};
-
 struct SolveServiceOptions {
   /// Execution engine for cold solves: one pool task per cold solve.
   /// null = solve on the calling thread.
@@ -182,8 +156,6 @@ struct SolveServiceOptions {
   /// Admission hard cap: requests beyond this many concurrently
   /// in-flight are shed. SIZE_MAX = unlimited; 0 sheds everything.
   std::size_t max_in_flight = SIZE_MAX;
-  /// Health-aware progressive shedding below the hard cap.
-  BrownoutOptions brownout;
   /// Default per-request budget when SolveRequest::deadline_seconds is
   /// negative. Negative = unlimited (the seed behavior).
   double default_deadline_seconds = -1.0;
@@ -237,16 +209,14 @@ class SolveService {
     std::uint64_t solved = 0;  ///< cold solves executed (hedges incl.)
     std::uint64_t cache_hits = 0;
     std::uint64_t coalesced = 0;
-    std::uint64_t shed = 0;     ///< hard-cap sheds
+    std::uint64_t shed = 0;     ///< in-flight cap sheds
     std::uint64_t degraded = 0;
     std::uint64_t hedged = 0;   ///< duplicate solves after owner stall
     std::uint64_t deadline_degraded = 0;
     std::uint64_t drained = 0;  ///< requests answered in drain mode
-    std::uint64_t brownout_shed = 0;
     std::uint64_t shard_failovers = 0;  ///< killed shard skipped
     /// Cold solves (owner or hedge) that threw; solve() rethrew.
     std::uint64_t failed = 0;
-    int brownout_tier = 0;      ///< current tier (0 = healthy)
     SchemeCache::Stats cache;
   };
   [[nodiscard]] Stats stats() const;
@@ -267,13 +237,8 @@ class SolveService {
       double remaining_budget_seconds, std::size_t shard_offset,
       std::uint64_t request_id, bool& degraded, bool& no_shard_alive);
 
-  /// Brownout controller step at admission; true = shed this request.
-  [[nodiscard]] bool brownout_shed_decision(std::size_t in_flight_now)
-      EXCLUDES(brownout_mutex_);
-
-  /// Finish a response: correlation-id stamping, latency record
-  /// (id-tagged for the p99 exemplar), and — when the brownout
-  /// controller reads it — the p99 window refresh.
+  /// Finish a response: correlation-id stamping and the latency
+  /// record (id-tagged for the p99 exemplar).
   void finish(SolveResponse& response, std::uint64_t request_id,
               double latency_seconds);
 
@@ -297,25 +262,8 @@ class SolveService {
   std::atomic<std::uint64_t> hedged_{0};
   std::atomic<std::uint64_t> deadline_degraded_{0};
   std::atomic<std::uint64_t> drained_{0};
-  std::atomic<std::uint64_t> brownout_shed_{0};
   std::atomic<std::uint64_t> shard_failovers_{0};
   std::atomic<std::uint64_t> failed_{0};
-
-  /// Brownout controller state. The latency window is owned per
-  /// service because the registry's serve.solve.latency is
-  /// process-wide: every service in the process feeds it, so its p99
-  /// would bump one service's tier on another's latency. The window is
-  /// fed only when the p99 term is armed (brownout enabled with
-  /// p99_bump_seconds > 0). The window's internal lock nests under
-  /// brownout_mutex_ (record and quantile evaluation happen inside the
-  /// controller's critical section), never the reverse.
-  // lock-order: SolveService::brownout_mutex_ -> Quantiles::mutex_
-  mutable Mutex brownout_mutex_;
-  obs::Quantiles latency_window_ GUARDED_BY(brownout_mutex_);
-  std::uint64_t completions_ GUARDED_BY(brownout_mutex_) = 0;
-  double p99_seconds_ GUARDED_BY(brownout_mutex_) = 0.0;
-  int brownout_tier_ GUARDED_BY(brownout_mutex_) = 0;
-  std::uint64_t brownout_candidates_ GUARDED_BY(brownout_mutex_) = 0;
 };
 
 }  // namespace mecoff::serve

@@ -38,7 +38,6 @@ EXPECTED = {
 TREE_EDGES = {
     ("FlightRecorder::mutex_", "Quantiles::mutex_"),
     ("MetricsRegistry::mutex_", "Quantiles::mutex_"),
-    ("SolveService::brownout_mutex_", "Quantiles::mutex_"),
     ("Timeline::mutex_", "MetricsRegistry::mutex_"),
     ("TraceCollector::registry_mutex_", "TraceCollector::ThreadLog::mutex"),
 }

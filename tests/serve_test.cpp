@@ -3,7 +3,7 @@
 // deterministic FaultInjector, and SolveService end-to-end (cache hits
 // bit-identical to cold solves, coalescing under concurrency,
 // admission-control shedding, deadline budgets with hedged retries,
-// brownout tiers with hysteresis, and graceful drain).
+// and graceful drain).
 //
 // Everything here observes behavior through return values and
 // SolveService::stats() (plain atomics), so the suite runs identically
@@ -522,7 +522,7 @@ TEST(FaultInjectorTest, RequestSequenceScheduleFiresDeterministically) {
   EXPECT_FALSE(a.shard_killed(0));
   EXPECT_EQ(a.begin_request(), 2u);  // crash 0 fires exactly here
   EXPECT_TRUE(a.shard_killed(0));
-  EXPECT_FALSE(a.all_shards_killed());
+  EXPECT_EQ(a.stats().shards_killed, 1u);  // one of two: not all dead
   EXPECT_EQ(a.begin_request(), 3u);  // degrade 1 @ severity 0.5
   EXPECT_DOUBLE_EQ(a.injected_latency_seconds(1), 0.05);
   EXPECT_EQ(a.injected_latency_seconds(0), 0.0);
@@ -599,7 +599,7 @@ TEST(FaultInjectorTest, ArmResetsSequenceAndStandingFaults) {
   EXPECT_EQ(injector.begin_request(), 1u);  // sequence restarted
 }
 
-// ---- Deadline budgets, hedging, faults, brownout, drain -------------------
+// ---- Deadline budgets, hedging, faults, drain -----------------------------
 
 /// One solve on its own thread, for tests that need a request in flight
 /// while the test thread acts. GCC 12 reports a false
@@ -687,6 +687,38 @@ TEST(SolveServiceTest, ZeroBudgetDegradesToValidAllLocalAndCachesNothing) {
   const Result<SolveResponse> d = strict_service.solve(plain);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.value().source, SolveSource::kDeadlineDegraded);
+}
+
+// An owner whose cold solve comes back degraded through the solver's
+// own fallback chain serves it but must release the entry it owns: a
+// stranded entry would turn the next identical request into a rider
+// that times out and hedges.
+TEST(SolveServiceTest, DegradedOwnerServesAndReleasesItsEntry) {
+  SolveServiceOptions options;  // no pool: inline solves
+  options.solver.deadline.seconds = 0.0;  // every solve expires at once
+  SolveService service(options);
+
+  SolveRequest request{make_app(140.0, 4), mec::SystemParams{}};
+  const Result<SolveResponse> first = service.solve(request);
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  EXPECT_EQ(first.value().source, SolveSource::kSolved);
+  EXPECT_TRUE(first.value().degraded);
+  ASSERT_EQ(first.value().placement.size(), request.user.graph.num_nodes());
+  EXPECT_EQ(service.stats().degraded, 1u);
+  EXPECT_EQ(service.stats().cache.entries, 0u);
+
+  // A budget bounds the wait a stranded entry would impose: a rider
+  // would give up after hedge_fraction of it and hedge.
+  request.deadline_seconds = 0.5;
+  const Result<SolveResponse> second = service.solve(request);
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  EXPECT_EQ(second.value().source, SolveSource::kSolved);
+  EXPECT_TRUE(second.value().degraded);
+  const SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.degraded, 2u);
+  EXPECT_EQ(stats.hedged, 0u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.cache.entries, 0u);
 }
 
 TEST(SolveServiceTest, RiderHedgesPastStalledOwnerBitIdentical) {
@@ -789,7 +821,7 @@ TEST(SolveServiceTest, ThrowingHedgeReturnsItsInFlightSlot) {
   // lands in exactly one outcome.
   EXPECT_EQ(stats.failed, 2u);
   EXPECT_EQ(stats.requests,
-            stats.drained + stats.brownout_shed + stats.shed +
+            stats.drained + stats.shed +
                 stats.cache_hits + stats.coalesced + stats.solved +
                 stats.deadline_degraded + stats.failed);
   EXPECT_TRUE(service.await_idle(0.5));
@@ -894,73 +926,6 @@ TEST(SolveServiceTest, KilledShardFailsOverFullKillDegradesThenRecovers) {
   ASSERT_TRUE(revived.ok());
   EXPECT_EQ(revived.value().source, SolveSource::kSolved);
   EXPECT_FALSE(revived.value().degraded);
-}
-
-TEST(SolveServiceTest, BrownoutEntersOnP99ShedsDeterministicallyRecovers) {
-  // Single-threaded on purpose: occupancy is always 0 at admission, so
-  // tier entry is driven purely by the p99 bump — which makes the shed
-  // pattern exactly reproducible (no scheduling dependence).
-  FaultInjector::Options fopts;
-  fopts.shards = 2;
-  fopts.latency_scale_seconds = 0.01;
-  FaultInjector injector(fopts);
-  sim::FaultScript script;
-  script.degrade_link(1, 0, 0.5).degrade_link(1, 1, 0.5);  // 5 ms/solve
-  injector.arm(script);
-
-  SolveServiceOptions options;  // no pool: inline solves
-  options.shards = 2;
-  options.injector = &injector;
-  options.brownout.enabled = true;
-  options.brownout.tier1_in_flight = 8;  // unreachable single-threaded
-  options.brownout.tier2_in_flight = 16;
-  options.brownout.tier3_in_flight = 32;
-  options.brownout.p99_bump_seconds = 0.001;
-  SolveService service(options);
-
-  // 32 cold solves at >= 5 ms each: the controller refreshes its p99
-  // on the 32nd completion, after which it exceeds the 1 ms bump.
-  for (int i = 0; i < 32; ++i) {
-    SolveRequest request{make_app(100.0 + static_cast<double>(i)),
-                         mec::SystemParams{}};
-    const Result<SolveResponse> r = service.solve(request);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value().source, SolveSource::kSolved);
-  }
-  EXPECT_EQ(service.stats().brownout_shed, 0u);
-
-  // Tier 1 sheds every 4th candidate by admission counter: among the
-  // next 8 requests exactly candidates 0 and 4 are shed — and a shed
-  // response is still a valid all-local placement.
-  const SolveRequest hot{make_app(100.0), mec::SystemParams{}};
-  std::size_t shed_seen = 0;
-  for (int i = 0; i < 8; ++i) {
-    const Result<SolveResponse> r = service.solve(hot);
-    ASSERT_TRUE(r.ok());
-    if (r.value().source == SolveSource::kShed) {
-      ++shed_seen;
-      EXPECT_TRUE(r.value().degraded);
-      ASSERT_EQ(r.value().placement.size(), hot.user.graph.num_nodes());
-      for (const mec::Placement p : r.value().placement)
-        EXPECT_EQ(p, mec::Placement::kLocal);
-    }
-  }
-  EXPECT_EQ(shed_seen, 2u);
-  EXPECT_EQ(service.stats().brownout_shed, 2u);
-  EXPECT_EQ(service.stats().brownout_tier, 1);
-
-  // Thousands of fast cache hits dilute the 32 slow samples out of the
-  // sliding p99; once the bump clears, hysteresis releases the tier
-  // (occupancy 0 is far below the tier-1 exit band) and shedding stops.
-  for (int i = 0; i < 4000; ++i) (void)service.solve(hot);
-  const std::uint64_t shed_before = service.stats().brownout_shed;
-  for (int i = 0; i < 8; ++i) {
-    const Result<SolveResponse> r = service.solve(hot);
-    ASSERT_TRUE(r.ok());
-    EXPECT_NE(r.value().source, SolveSource::kShed);
-  }
-  EXPECT_EQ(service.stats().brownout_shed, shed_before);
-  EXPECT_EQ(service.stats().brownout_tier, 0);
 }
 
 TEST(SolveServiceTest, DrainAnswersNewImmediatelyAndFinishesInFlight) {

@@ -17,7 +17,6 @@
 //                                     cache=N max_inflight=M clients=C
 //                                     selfcheck=K duration=secs
 //                                     deadline_budget=secs hedge=F
-//                                     brownout=N brownout_p99=secs
 //                                     faults=script latency_scale=secs
 //                                     timeline=N timeline_interval=secs
 //                                     request_id_header=NAME
@@ -29,17 +28,16 @@
 //       alongside, /varz gaining a scheme_cache health section.
 //       Requests are sharded over a T-worker pool and coalesced
 //       through the content-addressed scheme cache (capacity N);
-//       max_inflight=M arms admission control. selfcheck=K skips the
+//       max_inflight=M caps admitted requests (the rest get the
+//       all-local placement at once). selfcheck=K skips the
 //       wait loop: C in-process client threads issue K requests,
 //       verify bit-identity against a cold solve, and exit — the
 //       self-contained smoke mode CI and ctest drive. duration=secs
 //       (0 = until a signal) bounds the serving window otherwise.
 //       deadline_budget= sets the default per-request budget (riders
 //       hedge a duplicate solve after hedge=F of it, F in (0, 1]; an
-//       exhausted budget degrades to all-local). brownout=N arms
-//       progressive shedding at in-flight tiers N/2N/4N (brownout_p99=
-//       adds a latency bump to the controller). faults= arms a fault script
-//       whose times are REQUEST numbers on a serve::FaultInjector
+//       exhausted budget degrades to all-local). faults= arms a fault
+//       script whose times are REQUEST numbers on a serve::FaultInjector
 //       (shard kills, injected solve latency, stolen cache publishes);
 //       latency_scale= scales injected stalls. timeline=N mounts
 //       GET /timez, sampled every N /solve requests (tick mode:
@@ -58,17 +56,21 @@
 // remaining sub-graphs degrade to cheaper cuts (spectral → KL →
 // all-remote) instead of hanging; fallback counts are printed.
 //
-// `solve`/`simulate` accept profile=<name> to start from a
-// deployment preset (wifi_campus, lte_smallcell, mmwave_hotspot,
+// `solve`, `simulate` and `serve-solve` accept profile=<name> to start
+// from a deployment preset (wifi_campus, lte_smallcell, mmwave_hotspot,
 // congested_venue); explicit key=value options override preset fields.
+// An unknown preset is a usage error (exit 2) that lists the presets.
 // `solve`, `simulate` and `serve-solve` take algo=spectral|maxflow|kl
 // for the cut step; any other name is a usage error (exit 2).
 //
-// Every command parses its numeric options strictly: a malformed value
-// is a usage error (exit 2), never a silent default. `generate` also
-// rejects an out-of-range nodes=, edges=, seed=, components= or
-// cluster_size=; `solve`/`simulate` a users= below 1 or threads= below
-// 0; `serve-solve` a threads=, shards=, cache= or clients= below 1.
+// Each command has a fixed key list (the known_keys call at its top):
+// any other key is a usage error (exit 2, "unknown key <k>=") before
+// anything runs. Every command parses its numeric options strictly: a
+// malformed value is a usage error (exit 2), never a silent default.
+// `generate` also rejects an out-of-range nodes=, edges=, seed=,
+// components= or cluster_size=; `solve`/`simulate` a users= below 1 or
+// threads= below 0; `serve-solve` a threads=, shards=, cache= or
+// clients= below 1.
 //
 // Observability (see docs/observability.md):
 //   users=<n>      replicate the application into an n-user system
@@ -86,9 +88,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -182,16 +187,40 @@ bool at_least(const char* key, long long value, long long min) {
   return false;
 }
 
+/// The keys params_from reads.
+constexpr std::string_view kParamKeys[] = {"profile", "pc", "pt", "b",
+                                           "ic",      "is", "kappa"};
+
+/// Every command names the keys it reads; any other key is a usage
+/// error before anything runs, never ignored — a typo'd or retired key
+/// must not run on defaults. `with_params` adds kParamKeys.
+bool known_keys(const Config& cfg,
+                std::initializer_list<std::string_view> keys,
+                bool with_params = false) {
+  for (const auto& [key, value] : cfg.entries()) {
+    const auto is_key = [&key](std::string_view known) { return known == key; };
+    if (std::none_of(keys.begin(), keys.end(), is_key) &&
+        !(with_params && std::any_of(std::begin(kParamKeys),
+                                     std::end(kParamKeys), is_key))) {
+      std::fprintf(stderr, "usage error: unknown key %s=\n", key.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 /// System parameters: the profile= preset (or the defaults), then the
-/// pc=/pt=/b=/ic=/is=/kappa= overrides. False on a malformed override.
+/// pc=/pt=/b=/ic=/is=/kappa= overrides. False on an unknown preset or
+/// a malformed override.
 bool params_from(const Config& cfg, mec::SystemParams& p) {
   const std::string profile = cfg.get_string("profile", "");
   if (!profile.empty() && !mec::find_profile(profile, p)) {
-    std::fprintf(stderr, "warning: unknown profile '%s'; presets are:",
+    std::fprintf(stderr, "usage error: unknown profile '%s'; presets are:",
                  profile.c_str());
     for (const mec::NamedProfile& known : mec::all_profiles())
       std::fprintf(stderr, " %s", known.name.c_str());
     std::fprintf(stderr, "\n");
+    return false;
   }
   return strict_double(cfg, "pc", p.mobile_power, p.mobile_power) &&
          strict_double(cfg, "pt", p.transmit_power, p.transmit_power) &&
@@ -222,7 +251,8 @@ bool strict_backend(const Config& cfg, mec::CutBackend& out) {
   return true;
 }
 
-int cmd_stats(const std::string& path) {
+int cmd_stats(const std::string& path, const Config& cfg) {
+  if (!known_keys(cfg, {})) return 2;
   const Result<graph::WeightedGraph> g = load_graph(path);
   if (!g.ok()) {
     std::fprintf(stderr, "error: %s\n", g.error().message.c_str());
@@ -265,7 +295,9 @@ int cmd_generate(const Config& cfg) {
   long long seed = 0;
   long long components = 0;
   long long cluster_size = 0;
-  if (!strict_int(cfg, "nodes", 1000, nodes) ||
+  if (!known_keys(cfg, {"nodes", "edges", "seed", "components",
+                        "cluster_size"}) ||
+      !strict_int(cfg, "nodes", 1000, nodes) ||
       !strict_int(cfg, "edges", std::clamp(nodes, 0LL, LLONG_MAX / 5) * 5,
                   edges) ||
       !strict_int(cfg, "seed", 1, seed) ||
@@ -298,7 +330,8 @@ int cmd_generate(const Config& cfg) {
 
 int cmd_compress(const std::string& path, const Config& cfg) {
   lpa::PropagationConfig config;
-  if (!strict_double(cfg, "threshold", 10.0, config.coupling_threshold))
+  if (!known_keys(cfg, {"threshold"}) ||
+      !strict_double(cfg, "threshold", 10.0, config.coupling_threshold))
     return 2;
   const Result<graph::WeightedGraph> g = load_graph(path);
   if (!g.ok()) {
@@ -331,6 +364,7 @@ std::unique_ptr<graph::Bipartitioner> make_cutter(const std::string& algo) {
 }
 
 int cmd_cut(const std::string& path, const Config& cfg) {
+  if (!known_keys(cfg, {"algo", "dot"})) return 2;
   const Result<graph::WeightedGraph> g = load_graph(path);
   if (!g.ok()) {
     std::fprintf(stderr, "error: %s\n", g.error().message.c_str());
@@ -390,7 +424,11 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
   long long users_arg = 0;
   long long metrics_arg = 0;
   long long threads_arg = 0;
-  if (!strict_backend(cfg, options.backend) || !params_from(cfg, params) ||
+  if (!known_keys(cfg,
+                  {"algo", "users", "metrics", "threads", "threshold",
+                   "deadline", "trace", "scheme", "out"},
+                  /*with_params=*/true) ||
+      !strict_backend(cfg, options.backend) || !params_from(cfg, params) ||
       !strict_int(cfg, "users", 1, users_arg) ||
       !strict_int(cfg, "metrics", 0, metrics_arg) ||
       !strict_int(cfg, "threads", 0, threads_arg) ||
@@ -563,18 +601,23 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
   long long selfcheck = 0;
   long long clients_arg = 0;
   long long port_arg = 0;
-  long long brownout_arg = 0;
   long long timeline_period = 0;
   double duration = 0.0;
   double deadline_budget = -1.0;
   double hedge = 0.5;
-  double brownout_p99 = 0.0;
   double latency_scale = 0.05;
   double timeline_interval = 0.0;
   double threshold = 10.0;
   double deadline = -1.0;
   mec::CutBackend backend = mec::CutBackend::kSpectral;
-  if (!params_from(cfg, params) ||
+  if (!known_keys(cfg,
+                  {"threads", "shards", "cache", "max_inflight", "selfcheck",
+                   "clients", "port", "timeline", "duration",
+                   "deadline_budget", "hedge", "latency_scale",
+                   "timeline_interval", "threshold", "deadline", "algo",
+                   "request_id_header", "faults", "dump_dir"},
+                  /*with_params=*/true) ||
+      !params_from(cfg, params) ||
       !strict_int(cfg, "threads", 4, threads_arg) ||
       !strict_int(cfg, "shards", 4, shards_arg) ||
       !strict_int(cfg, "cache", 1024, cache_arg) ||
@@ -582,12 +625,10 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
       !strict_int(cfg, "selfcheck", 0, selfcheck) ||
       !strict_int(cfg, "clients", 2, clients_arg) ||
       !strict_int(cfg, "port", 0, port_arg) ||
-      !strict_int(cfg, "brownout", 0, brownout_arg) ||
       !strict_int(cfg, "timeline", 0, timeline_period) ||
       !strict_double(cfg, "duration", 0.0, duration) ||
       !strict_double(cfg, "deadline_budget", -1.0, deadline_budget) ||
       !strict_double(cfg, "hedge", 0.5, hedge) ||
-      !strict_double(cfg, "brownout_p99", 0.0, brownout_p99) ||
       !strict_double(cfg, "latency_scale", 0.05, latency_scale) ||
       !strict_double(cfg, "timeline_interval", 0.0, timeline_interval) ||
       !strict_double(cfg, "threshold", 10.0, threshold) ||
@@ -690,15 +731,6 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     sopts.max_in_flight = static_cast<std::size_t>(max_inflight);
   sopts.default_deadline_seconds = deadline_budget;
   sopts.hedge_fraction = hedge;
-  if (brownout_arg > 0) {
-    sopts.brownout.enabled = true;
-    sopts.brownout.tier1_in_flight = static_cast<std::size_t>(brownout_arg);
-    sopts.brownout.tier2_in_flight =
-        static_cast<std::size_t>(2 * brownout_arg);
-    sopts.brownout.tier3_in_flight =
-        static_cast<std::size_t>(4 * brownout_arg);
-    sopts.brownout.p99_bump_seconds = brownout_p99;
-  }
   if (!faults_path.empty()) sopts.injector = &injector;
   sopts.solver.propagation.coupling_threshold = threshold;
   sopts.solver.backend = backend;
@@ -884,11 +916,10 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
               static_cast<unsigned long long>(st.shed),
               static_cast<unsigned long long>(st.degraded));
   std::printf("resilience: %llu hedged, %llu deadline-degraded, "
-              "%llu drained, %llu brownout-shed, %llu shard failovers\n",
+              "%llu drained, %llu shard failovers\n",
               static_cast<unsigned long long>(st.hedged),
               static_cast<unsigned long long>(st.deadline_degraded),
               static_cast<unsigned long long>(st.drained),
-              static_cast<unsigned long long>(st.brownout_shed),
               static_cast<unsigned long long>(st.shard_failovers));
   std::printf("scheme cache: %zu entries, %llu evictions, "
               "%llu wait timeouts, oldest ready %s s\n",
@@ -922,7 +953,7 @@ int main(int argc, char** argv) {
   if (command == "cut" && has_file) return cmd_cut(file, cfg);
   if (command == "solve" && has_file) return cmd_solve(file, cfg, false);
   if (command == "simulate" && has_file) return cmd_solve(file, cfg, true);
-  if (command == "stats" && has_file) return cmd_stats(file);
+  if (command == "stats" && has_file) return cmd_stats(file, cfg);
   if (command == "serve-solve" && has_file) return cmd_serve_solve(file, cfg);
   return usage();
 }
