@@ -1,6 +1,8 @@
-// Induced subgraph extraction with provenance mapping — used when the
-// pipeline splits the application graph at component boundaries and must
-// later translate per-subgraph results back to original node ids.
+// Induced subgraph extraction with provenance mapping: a sub-graph as
+// its own WeightedGraph plus the map back to parent node ids. The
+// compression pipeline does not build these (it splits in one pass over
+// the user's CSR, lpa/pipeline.hpp); perfbench's stage replay and the
+// reference pipeline in tests/lpa_test.cpp do.
 #pragma once
 
 #include <span>

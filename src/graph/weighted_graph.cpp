@@ -36,6 +36,11 @@ const Edge& WeightedGraph::edge(EdgeId e) const {
   return data_->edges[e];
 }
 
+CsrView WeightedGraph::csr() const {
+  if (!data_) return {};
+  return {data_->node_weights, data_->offsets, data_->adjacency};
+}
+
 double WeightedGraph::total_node_weight() const {
   if (!data_) return 0.0;
   return std::accumulate(data_->node_weights.begin(),

@@ -37,6 +37,28 @@ struct Edge {
   double weight;
 };
 
+/// A read-only CSR (compressed sparse row) adjacency: node v's
+/// neighbours are adjacency[offsets[v] .. offsets[v + 1]), ascending by
+/// neighbour, each undirected edge once from either end. `offsets`
+/// index the whole `adjacency` span, so one sub-graph's slice of a
+/// larger CSR is a view without a copy. A WeightedGraph is one
+/// (`WeightedGraph::csr()`); so is each sub-graph of the compression
+/// pipeline (lpa/pipeline.hpp).
+struct CsrView {
+  std::span<const double> node_weights;
+  /// num_nodes() + 1 entries; empty for an empty graph.
+  std::span<const std::size_t> offsets;
+  std::span<const Adjacency> adjacency;
+
+  [[nodiscard]] std::size_t num_nodes() const { return node_weights.size(); }
+  [[nodiscard]] std::size_t degree(NodeId v) const {
+    return offsets[v + 1] - offsets[v];
+  }
+  [[nodiscard]] std::span<const Adjacency> neighbors(NodeId v) const {
+    return adjacency.subspan(offsets[v], degree(v));
+  }
+};
+
 class GraphBuilder;
 
 class WeightedGraph {
@@ -71,6 +93,10 @@ class WeightedGraph {
   }
 
   [[nodiscard]] const Edge& edge(EdgeId e) const;
+
+  /// This graph's own arrays as a CsrView; valid while any copy of this
+  /// graph holds the payload.
+  [[nodiscard]] CsrView csr() const;
 
   /// Sum of all node weights (total computation of the application).
   [[nodiscard]] double total_node_weight() const;

@@ -6,6 +6,8 @@
 
 namespace mecoff::lpa {
 
+using graph::Adjacency;
+using graph::CsrView;
 using graph::GraphBuilder;
 using graph::NodeId;
 using graph::WeightedGraph;
@@ -37,17 +39,32 @@ class DisjointSets {
   std::vector<NodeId> parent_;
 };
 
+/// Calls fn(u, v, weight) for each undirected edge of `g` once, in
+/// (u, v) order with u < v.
+template <class Fn>
+void for_each_edge(const CsrView& g, Fn&& fn) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (const Adjacency& adj : g.neighbors(u))
+      if (u < adj.neighbor) fn(u, adj.neighbor, adj.weight);
+}
+
 }  // namespace
 
 CompressionResult compress_by_labels(
     const WeightedGraph& g, const std::vector<std::uint32_t>& labels) {
+  return compress_by_labels(g.csr(), labels);
+}
+
+CompressionResult compress_by_labels(
+    const CsrView& g, const std::vector<std::uint32_t>& labels) {
   MECOFF_EXPECTS(labels.size() == g.num_nodes());
   const std::size_t n = g.num_nodes();
 
   // Super nodes = connected components under same-label edges.
   DisjointSets sets(n);
-  for (const graph::Edge& e : g.edges())
-    if (labels[e.u] == labels[e.v]) sets.unite(e.u, e.v);
+  for_each_edge(g, [&](NodeId u, NodeId v, double) {
+    if (labels[u] == labels[v]) sets.unite(u, v);
+  });
 
   CompressionResult out;
   out.super_of.assign(n, graph::kInvalidNode);
@@ -66,25 +83,27 @@ CompressionResult compress_by_labels(
   {
     std::vector<double> weights(out.members.size(), 0.0);
     for (NodeId v = 0; v < n; ++v)
-      weights[out.super_of[v]] += g.node_weight(v);
+      weights[out.super_of[v]] += g.node_weights[v];
     for (NodeId s = 0; s < out.members.size(); ++s)
       builder.set_node_weight(s, weights[s]);
   }
 
   double absorbed = 0.0;
-  for (const graph::Edge& e : g.edges()) {
-    const NodeId su = out.super_of[e.u];
-    const NodeId sv = out.super_of[e.v];
+  std::size_t edges = 0;
+  for_each_edge(g, [&](NodeId u, NodeId v, double weight) {
+    ++edges;
+    const NodeId su = out.super_of[u];
+    const NodeId sv = out.super_of[v];
     if (su == sv) {
-      absorbed += e.weight;
+      absorbed += weight;
     } else {
-      builder.add_edge(su, sv, e.weight);  // builder sums parallels
+      builder.add_edge(su, sv, weight);  // builder sums parallels
     }
-  }
+  });
 
   out.compressed = builder.build();
   out.stats.original_nodes = n;
-  out.stats.original_edges = g.num_edges();
+  out.stats.original_edges = edges;
   out.stats.compressed_nodes = out.compressed.num_nodes();
   out.stats.compressed_edges = out.compressed.num_edges();
   out.stats.absorbed_edge_weight = absorbed;

@@ -60,4 +60,11 @@ struct CompressionResult {
 [[nodiscard]] CompressionResult compress_by_labels(
     const graph::WeightedGraph& g, const std::vector<std::uint32_t>& labels);
 
+/// The same over a CSR view, e.g. one sub-graph's slice of the per-user
+/// CSR compress_application lays out; the overload above runs this on
+/// `g.csr()`. Edges are read from each lower endpoint's ascending
+/// adjacency, which is the (u, v) order of WeightedGraph::edges().
+[[nodiscard]] CompressionResult compress_by_labels(
+    const graph::CsrView& g, const std::vector<std::uint32_t>& labels);
+
 }  // namespace mecoff::lpa

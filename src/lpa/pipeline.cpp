@@ -1,12 +1,11 @@
 #include "lpa/pipeline.hpp"
 
 #include <map>
-
-#include "common/contracts.hpp"
-#include "graph/components.hpp"
+#include <span>
 
 namespace mecoff::lpa {
 
+using graph::Adjacency;
 using graph::NodeId;
 using graph::WeightedGraph;
 
@@ -17,19 +16,6 @@ CompressionStats CompressionPipelineResult::aggregate_stats() const {
   return total;
 }
 
-std::vector<NodeId> CompressionPipelineResult::original_members(
-    std::size_t component_index, NodeId super_node) const {
-  MECOFF_EXPECTS(component_index < components.size());
-  const CompressedComponent& comp = components[component_index];
-  MECOFF_EXPECTS(super_node < comp.compression.members.size());
-  std::vector<NodeId> out;
-  for (const NodeId local : comp.compression.members[super_node]) {
-    const NodeId offloadable_id = comp.component.to_parent[local];
-    out.push_back(offloadable.to_parent[offloadable_id]);
-  }
-  return out;
-}
-
 CompressionPipelineResult compress_application(
     const WeightedGraph& g, const std::vector<bool>& unoffloadable,
     const PropagationConfig& config, parallel::ThreadPool* pool,
@@ -37,48 +23,109 @@ CompressionPipelineResult compress_application(
   MECOFF_EXPECTS(unoffloadable.size() == g.num_nodes());
   MECOFF_EXPECTS(declared_components == nullptr ||
                  declared_components->size() == g.num_nodes());
+  const std::size_t n = g.num_nodes();
+  constexpr std::uint32_t kPinned = UINT32_MAX;
+  constexpr std::uint32_t kUnseen = UINT32_MAX - 1;
 
-  CompressionPipelineResult out;
-  // Line 1 of Algorithm 1: remove unoffloadable functions.
-  out.offloadable = graph::remove_nodes(g, unoffloadable);
-
-  // Lines 2–4: split into component sub-graphs. Connectivity defines
-  // the split; declared software-component boundaries refine it (two
-  // connected nodes of different declared components must not share a
-  // sub-graph, so compression can never merge them).
-  graph::ComponentLabels comps;
-  if (declared_components == nullptr) {
-    comps = graph::connected_components(out.offloadable.graph);
-  } else {
-    const graph::ComponentLabels connectivity =
-        connected_components(out.offloadable.graph);
-    // Dense relabeling of (declared, connectivity) pairs.
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> remap;
-    comps.component_of.resize(out.offloadable.graph.num_nodes());
-    for (NodeId v = 0; v < out.offloadable.graph.num_nodes(); ++v) {
-      const std::uint32_t declared =
-          (*declared_components)[out.offloadable.to_parent[v]];
-      const auto key = std::make_pair(declared, connectivity.component_of[v]);
-      const auto [it, inserted] = remap.try_emplace(
-          key, static_cast<std::uint32_t>(remap.size()));
-      comps.component_of[v] = it->second;
-      (void)inserted;
+  // Line 1 of Algorithm 1 (remove unoffloadable functions) and lines
+  // 2–4 (split into component sub-graphs) in one BFS over the user's
+  // adjacency that never enters a pinned node: each search covers one
+  // connected component of the offloadable graph, and searches start at
+  // ascending ids, so components are numbered by their smallest node.
+  std::vector<std::uint32_t> slot(n);
+  for (NodeId v = 0; v < n; ++v)
+    slot[v] = unoffloadable[v] ? kPinned : kUnseen;
+  std::uint32_t count = 0;
+  {
+    std::vector<NodeId> queue;
+    queue.reserve(n);
+    for (NodeId start = 0; start < n; ++start) {
+      if (slot[start] != kUnseen) continue;
+      slot[start] = count;
+      queue.assign(1, start);
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        for (const Adjacency& adj : g.neighbors(queue[head])) {
+          if (slot[adj.neighbor] != kUnseen) continue;
+          slot[adj.neighbor] = count;
+          queue.push_back(adj.neighbor);
+        }
+      }
+      ++count;
     }
-    comps.count = static_cast<std::uint32_t>(remap.size());
   }
-  const std::vector<std::vector<NodeId>> node_lists =
-      graph::component_node_lists(comps);
+  // Declared software-component boundaries refine the split (two
+  // connected nodes of different declared components must not share a
+  // sub-graph, so compression can never merge them): one sub-graph per
+  // (declared, connectivity) pair, numbered by first appearance.
+  if (declared_components != nullptr) {
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> remap;
+    for (NodeId v = 0; v < n; ++v) {
+      if (slot[v] == kPinned) continue;
+      const auto key = std::make_pair((*declared_components)[v], slot[v]);
+      slot[v] = remap.try_emplace(key, static_cast<std::uint32_t>(remap.size()))
+                    .first->second;
+    }
+    count = static_cast<std::uint32_t>(remap.size());
+  }
 
-  out.components.resize(node_lists.size());
-  const auto process_component = [&](std::size_t c) {
-    CompressedComponent& result = out.components[c];
-    result.component =
-        graph::induced_subgraph(out.offloadable.graph, node_lists[c]);
+  // Sub-graph s holds layout positions [first[s], first[s + 1]); a
+  // node's local id is its rank in ascending original-id order, so
+  // slot[v] becomes first[s] + local id.
+  CompressionPipelineResult out;
+  out.components.resize(count);
+  std::vector<std::size_t> first(count + 1, 0);
+  for (NodeId v = 0; v < n; ++v)
+    if (slot[v] != kPinned) ++first[slot[v] + 1];
+  for (std::uint32_t s = 0; s < count; ++s) {
+    first[s + 1] += first[s];
+    out.components[s].nodes.reserve(first[s + 1] - first[s]);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (slot[v] == kPinned) continue;
+    std::vector<NodeId>& nodes = out.components[slot[v]].nodes;
+    const std::size_t position = first[slot[v]] + nodes.size();
+    nodes.push_back(v);
+    slot[v] = static_cast<std::uint32_t>(position);
+  }
+
+  // One CSR for the user, sub-graph by sub-graph: each node's neighbours
+  // inside its own sub-graph, in local ids. The user's adjacency is
+  // ascending and local ids keep that order, so every slice is exactly
+  // the induced sub-graph's CSR (`edge` stays the user's EdgeId, which
+  // no kernel reads).
+  const std::size_t placed = first[count];
+  std::vector<double> weights(placed);
+  std::vector<std::size_t> offsets(placed + 1);
+  std::vector<Adjacency> adjacency;
+  adjacency.reserve(2 * g.num_edges());
+  for (std::uint32_t s = 0; s < count; ++s) {
+    const std::vector<NodeId>& nodes = out.components[s].nodes;
+    const std::size_t begin = first[s];
+    const std::size_t end = first[s + 1];  // kPinned lies past every end
+    for (std::size_t local = 0; local < nodes.size(); ++local) {
+      offsets[begin + local] = adjacency.size();
+      weights[begin + local] = g.node_weight(nodes[local]);
+      for (const Adjacency& adj : g.neighbors(nodes[local])) {
+        const std::uint32_t position = slot[adj.neighbor];
+        if (position < begin || position >= end) continue;
+        adjacency.push_back(Adjacency{static_cast<NodeId>(position - begin),
+                                      adj.weight, adj.edge});
+      }
+    }
+  }
+  offsets[placed] = adjacency.size();
+
+  const auto process_component = [&](std::size_t s) {
+    CompressedComponent& result = out.components[s];
+    const std::size_t size = result.nodes.size();
+    const graph::CsrView slice{
+        std::span<const double>(weights).subspan(first[s], size),
+        std::span<const std::size_t>(offsets).subspan(first[s], size + 1),
+        adjacency};
     // Lines 6–15: propagate labels until an end condition fires.
-    result.propagation = propagate_labels(result.component.graph, config);
+    result.propagation = propagate_labels(slice, config);
     // Line 16: merge same-label directly-connected nodes.
-    result.compression =
-        compress_by_labels(result.component.graph, result.propagation.labels);
+    result.compression = compress_by_labels(slice, result.propagation.labels);
   };
 
   // "create new process" per sub-graph (Line 6). Inside a pooled

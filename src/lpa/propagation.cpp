@@ -9,11 +9,16 @@
 namespace mecoff::lpa {
 
 using graph::Adjacency;
+using graph::CsrView;
 using graph::NodeId;
 using graph::WeightedGraph;
 
-graph::NodeId select_starter(const WeightedGraph& g) {
-  if (g.empty()) return graph::kInvalidNode;
+namespace {
+
+constexpr std::uint32_t kUnlabeled = UINT32_MAX;
+
+NodeId starter_of(const CsrView& g) {
+  if (g.num_nodes() == 0) return graph::kInvalidNode;
   NodeId best = 0;
   std::size_t best_degree = g.degree(0);
   for (NodeId v = 1; v < g.num_nodes(); ++v) {
@@ -25,13 +30,9 @@ graph::NodeId select_starter(const WeightedGraph& g) {
   return best;
 }
 
-namespace {
-
-constexpr std::uint32_t kUnlabeled = UINT32_MAX;
-
 /// Visit every node reachable from `starter` (then any remaining nodes,
 /// so disconnected leftovers are still labeled) in BFS or DFS order.
-std::vector<NodeId> traversal_order(const WeightedGraph& g, NodeId starter,
+std::vector<NodeId> traversal_order(const CsrView& g, NodeId starter,
                                     TraversalPolicy policy) {
   const std::size_t n = g.num_nodes();
   std::vector<NodeId> order;
@@ -82,7 +83,16 @@ std::uint32_t densify(std::vector<std::uint32_t>& labels) {
 
 }  // namespace
 
+graph::NodeId select_starter(const WeightedGraph& g) {
+  return starter_of(g.csr());
+}
+
 PropagationResult propagate_labels(const WeightedGraph& g,
+                                   const PropagationConfig& config) {
+  return propagate_labels(g.csr(), config);
+}
+
+PropagationResult propagate_labels(const CsrView& g,
                                    const PropagationConfig& config) {
   MECOFF_EXPECTS(config.max_rounds >= 1);
   MECOFF_TRACE_SPAN_ARG("lpa.propagate", g.num_nodes());
@@ -91,7 +101,7 @@ PropagationResult propagate_labels(const WeightedGraph& g,
   const std::size_t n = g.num_nodes();
   if (n == 0) return result;
 
-  const NodeId starter = select_starter(g);
+  const NodeId starter = starter_of(g);
   const std::vector<NodeId> order =
       traversal_order(g, starter, config.policy);
 

@@ -51,6 +51,12 @@ struct PropagationResult {
 [[nodiscard]] PropagationResult propagate_labels(
     const graph::WeightedGraph& g, const PropagationConfig& config);
 
+/// The same over a CSR view, e.g. one sub-graph's slice of the per-user
+/// CSR compress_application lays out; the overload above runs this on
+/// `g.csr()`.
+[[nodiscard]] PropagationResult propagate_labels(
+    const graph::CsrView& g, const PropagationConfig& config);
+
 /// The paper's starter rule: node with the largest degree (smallest id
 /// on ties); kInvalidNode for an empty graph.
 [[nodiscard]] graph::NodeId select_starter(const graph::WeightedGraph& g);

@@ -2,7 +2,10 @@
 // partitions, metrics, and I/O.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <sstream>
 
 #include "common/contracts.hpp"
@@ -55,6 +58,39 @@ TEST(WeightedGraph, AdjacencyIsSymmetric) {
     EXPECT_DOUBLE_EQ(g.edge_weight_between(e.u, e.v),
                      g.edge_weight_between(e.v, e.u));
   }
+}
+
+// What lpa::compress_by_labels relies on when it reads edges from a CSR
+// view: each adjacency list is ascending, so listing every edge from its
+// lower endpoint yields edges() in order, with the same weight bits.
+TEST(WeightedGraph, CsrListsEdgesInEdgeOrderFromLowerEndpoints) {
+  NetgenParams p;
+  p.nodes = 300;
+  p.edges = 1400;
+  p.components = 3;
+  p.seed = 17;
+  const WeightedGraph g = netgen_style(p);
+  const CsrView csr = g.csr();
+  ASSERT_EQ(csr.num_nodes(), g.num_nodes());
+  std::size_t next = 0;
+  for (NodeId u = 0; u < csr.num_nodes(); ++u) {
+    const std::span<const Adjacency> adj = csr.neighbors(u);
+    ASSERT_EQ(adj.size(), g.degree(u));
+    for (std::size_t i = 0; i < adj.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(adj[i - 1].neighbor, adj[i].neighbor);
+      }
+      if (adj[i].neighbor < u) continue;
+      ASSERT_LT(next, g.num_edges());
+      const Edge& e = g.edges()[next++];
+      EXPECT_EQ(e.u, u);
+      EXPECT_EQ(e.v, adj[i].neighbor);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(e.weight),
+                std::bit_cast<std::uint64_t>(adj[i].weight));
+    }
+  }
+  EXPECT_EQ(next, g.num_edges());
+  EXPECT_EQ(WeightedGraph{}.csr().num_nodes(), 0u);
 }
 
 TEST(WeightedGraph, MissingEdgeHasZeroWeight) {

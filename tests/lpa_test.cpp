@@ -2,14 +2,21 @@
 // the merging compressor, and the parallel per-component pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <set>
+#include <string>
 
+#include "common/contracts.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
+#include "graph/subgraph.hpp"
 #include "lpa/compressor.hpp"
 #include "lpa/pipeline.hpp"
 #include "lpa/propagation.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/workloads.hpp"
 
 namespace mecoff::lpa {
 namespace {
@@ -209,8 +216,8 @@ TEST(Pipeline, RemovesUnoffloadableNodes) {
   const std::vector<bool> pinned{true, false, false, false, true};
   const CompressionPipelineResult r =
       compress_application(g, pinned, PropagationConfig{});
-  EXPECT_EQ(r.offloadable.graph.num_nodes(), 3u);
-  EXPECT_EQ(r.offloadable.to_parent, (std::vector<NodeId>{1, 2, 3}));
+  ASSERT_EQ(r.components.size(), 1u);
+  EXPECT_EQ(r.components[0].nodes, (std::vector<NodeId>{1, 2, 3}));
 }
 
 TEST(Pipeline, SplitsByConnectivity) {
@@ -297,8 +304,181 @@ TEST(Pipeline, AllPinnedYieldsNothing) {
   const std::vector<bool> pinned(4, true);
   const CompressionPipelineResult r =
       compress_application(g, pinned, PropagationConfig{});
-  EXPECT_EQ(r.offloadable.graph.num_nodes(), 0u);
-  EXPECT_TRUE(r.components.empty());
+  EXPECT_TRUE(r.components.empty());  // so no node in any `nodes` list
+}
+
+// compress_application as it was before the one-pass split, kept
+// verbatim apart from its result types: an offloadable copy of the
+// graph (remove_nodes), then one induced sub-graph per component. The
+// bitwise oracle of Pipeline.MatchesReferencePipelineBitwise.
+struct ReferenceComponent {
+  graph::Subgraph component;
+  PropagationResult propagation;
+  CompressionResult compression;
+};
+
+struct ReferencePipeline {
+  graph::Subgraph offloadable;
+  std::vector<ReferenceComponent> components;
+};
+
+ReferencePipeline reference_compress_application(
+    const WeightedGraph& g, const std::vector<bool>& unoffloadable,
+    const PropagationConfig& config, parallel::ThreadPool* pool,
+    const std::vector<std::uint32_t>* declared_components) {
+  MECOFF_EXPECTS(unoffloadable.size() == g.num_nodes());
+  MECOFF_EXPECTS(declared_components == nullptr ||
+                 declared_components->size() == g.num_nodes());
+
+  ReferencePipeline out;
+  // Line 1 of Algorithm 1: remove unoffloadable functions.
+  out.offloadable = graph::remove_nodes(g, unoffloadable);
+
+  // Lines 2–4: split into component sub-graphs. Connectivity defines
+  // the split; declared software-component boundaries refine it (two
+  // connected nodes of different declared components must not share a
+  // sub-graph, so compression can never merge them).
+  graph::ComponentLabels comps;
+  if (declared_components == nullptr) {
+    comps = graph::connected_components(out.offloadable.graph);
+  } else {
+    const graph::ComponentLabels connectivity =
+        connected_components(out.offloadable.graph);
+    // Dense relabeling of (declared, connectivity) pairs.
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> remap;
+    comps.component_of.resize(out.offloadable.graph.num_nodes());
+    for (NodeId v = 0; v < out.offloadable.graph.num_nodes(); ++v) {
+      const std::uint32_t declared =
+          (*declared_components)[out.offloadable.to_parent[v]];
+      const auto key = std::make_pair(declared, connectivity.component_of[v]);
+      const auto [it, inserted] = remap.try_emplace(
+          key, static_cast<std::uint32_t>(remap.size()));
+      comps.component_of[v] = it->second;
+      (void)inserted;
+    }
+    comps.count = static_cast<std::uint32_t>(remap.size());
+  }
+  const std::vector<std::vector<NodeId>> node_lists =
+      graph::component_node_lists(comps);
+
+  out.components.resize(node_lists.size());
+  const auto process_component = [&](std::size_t c) {
+    ReferenceComponent& result = out.components[c];
+    result.component =
+        graph::induced_subgraph(out.offloadable.graph, node_lists[c]);
+    // Lines 6–15: propagate labels until an end condition fires.
+    result.propagation = propagate_labels(result.component.graph, config);
+    // Line 16: merge same-label directly-connected nodes.
+    result.compression =
+        compress_by_labels(result.component.graph, result.propagation.labels);
+  };
+
+  // "create new process" per sub-graph (Line 6). Inside a pooled
+  // per-user solve this runs inline: users are the parallel level.
+  parallel::for_each_index(pool, out.components.size(), process_component);
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const ReferencePipeline& want,
+                          const CompressionPipelineResult& got) {
+  ASSERT_EQ(got.components.size(), want.components.size());
+  for (std::size_t c = 0; c < want.components.size(); ++c) {
+    SCOPED_TRACE("sub-graph " + std::to_string(c));
+    const ReferenceComponent& w = want.components[c];
+    const CompressedComponent& g = got.components[c];
+    // Local ids: the induced sub-graph's, through the offloadable copy.
+    ASSERT_EQ(g.nodes.size(), w.component.to_parent.size());
+    for (std::size_t local = 0; local < g.nodes.size(); ++local)
+      EXPECT_EQ(g.nodes[local],
+                want.offloadable.to_parent[w.component.to_parent[local]]);
+
+    EXPECT_EQ(g.propagation.labels, w.propagation.labels);
+    EXPECT_EQ(g.propagation.rounds, w.propagation.rounds);
+    EXPECT_EQ(g.propagation.num_labels, w.propagation.num_labels);
+    ASSERT_EQ(g.propagation.update_rates.size(),
+              w.propagation.update_rates.size());
+    for (std::size_t r = 0; r < w.propagation.update_rates.size(); ++r)
+      EXPECT_EQ(bits(g.propagation.update_rates[r]),
+                bits(w.propagation.update_rates[r]));
+
+    EXPECT_EQ(g.compression.super_of, w.compression.super_of);
+    EXPECT_EQ(g.compression.members, w.compression.members);
+    const WeightedGraph& gc = g.compression.compressed;
+    const WeightedGraph& wc = w.compression.compressed;
+    ASSERT_EQ(gc.num_nodes(), wc.num_nodes());
+    for (NodeId v = 0; v < wc.num_nodes(); ++v)
+      EXPECT_EQ(bits(gc.node_weight(v)), bits(wc.node_weight(v)));
+    ASSERT_EQ(gc.num_edges(), wc.num_edges());
+    for (std::size_t e = 0; e < wc.num_edges(); ++e) {
+      EXPECT_EQ(gc.edges()[e].u, wc.edges()[e].u);
+      EXPECT_EQ(gc.edges()[e].v, wc.edges()[e].v);
+      EXPECT_EQ(bits(gc.edges()[e].weight), bits(wc.edges()[e].weight));
+    }
+
+    const CompressionStats& gs = g.compression.stats;
+    const CompressionStats& ws = w.compression.stats;
+    EXPECT_EQ(gs.original_nodes, ws.original_nodes);
+    EXPECT_EQ(gs.original_edges, ws.original_edges);
+    EXPECT_EQ(gs.compressed_nodes, ws.compressed_nodes);
+    EXPECT_EQ(gs.compressed_edges, ws.compressed_edges);
+    EXPECT_EQ(bits(gs.absorbed_edge_weight), bits(ws.absorbed_edge_weight));
+  }
+}
+
+TEST(Pipeline, MatchesReferencePipelineBitwise) {
+  parallel::ThreadPool pool(4);
+  std::size_t disconnected_declared = 0;
+  for (const bench::PaperScale scale :
+       {bench::PaperScale{250, 1214}, bench::PaperScale{1000, 4912}}) {
+    // make_user pins one UI cluster per generator component.
+    const mec::UserApp user = bench::make_user(scale, 11);
+    const std::size_t n = user.graph.num_nodes();
+    // Declared components: none; all zero (what a served DSL app with
+    // no component lines declares); and stripes of five ids, which cut
+    // connected regions into declared pieces that are not connected.
+    const std::vector<std::uint32_t> all_zero(n, 0);
+    std::vector<std::uint32_t> striped(n);
+    for (NodeId v = 0; v < n; ++v) striped[v] = (v / 5) % 3;
+    const std::vector<const std::vector<std::uint32_t>*> declarations{
+        nullptr, &all_zero, &striped};
+    const std::vector<std::vector<bool>> masks{user.unoffloadable,
+                                               std::vector<bool>(n, false)};
+    ASSERT_GT(std::count(masks[0].begin(), masks[0].end(), true), 0);
+    for (std::size_t m = 0; m < masks.size(); ++m) {
+      for (std::size_t d = 0; d < declarations.size(); ++d) {
+        for (const TraversalPolicy policy :
+             {TraversalPolicy::kBfs, TraversalPolicy::kDfs}) {
+          for (const double threshold : {5.0, 10.0, 30.0}) {
+            for (parallel::ThreadPool* workers :
+                 {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+              SCOPED_TRACE("n=" + std::to_string(n) +
+                           (m == 0 ? " pinned" : " unpinned") +
+                           " declared#" + std::to_string(d) +
+                           (policy == TraversalPolicy::kBfs ? " bfs" : " dfs") +
+                           " w=" + std::to_string(threshold) +
+                           (workers != nullptr ? " pool" : " serial"));
+              PropagationConfig config;
+              config.coupling_threshold = threshold;
+              config.policy = policy;
+              const ReferencePipeline want = reference_compress_application(
+                  user.graph, masks[m], config, workers, declarations[d]);
+              const CompressionPipelineResult got = compress_application(
+                  user.graph, masks[m], config, workers, declarations[d]);
+              expect_bitwise_equal(want, got);
+              if (declarations[d] == &striped)
+                for (const ReferenceComponent& comp : want.components)
+                  if (!graph::is_connected(comp.component.graph))
+                    ++disconnected_declared;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The striped labelling did split connected regions.
+  EXPECT_GT(disconnected_declared, 0u);
 }
 
 }  // namespace

@@ -103,12 +103,20 @@ TEST_P(WorkloadProperty, CompressionConservesWeights) {
   double edge_weight = 0.0;
   double absorbed = 0.0;
   double comp_edge_weight = 0.0;
+  // sub_of[v] = the sub-graph holding original node v.
+  std::vector<std::size_t> sub_of(g.num_nodes(), r.components.size());
+  for (std::size_t c = 0; c < r.components.size(); ++c)
+    for (const graph::NodeId v : r.components[c].nodes) sub_of[v] = c;
   for (const auto& comp : r.components) {
     node_weight += comp.compression.compressed.total_node_weight();
     comp_edge_weight += comp.compression.compressed.total_edge_weight();
     absorbed += comp.compression.stats.absorbed_edge_weight;
-    edge_weight += comp.component.graph.total_edge_weight();
   }
+  // Each sub-graph's edge weight, read from the user's graph: the edges
+  // with both ends in one sub-graph.
+  for (const graph::Edge& e : g.edges())
+    if (sub_of[e.u] == sub_of[e.v] && sub_of[e.u] < r.components.size())
+      edge_weight += e.weight;
   EXPECT_NEAR(node_weight, g.total_node_weight(), 1e-6);
   EXPECT_NEAR(comp_edge_weight + absorbed, edge_weight, 1e-6);
 }

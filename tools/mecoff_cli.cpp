@@ -65,7 +65,9 @@
 //
 // Each command has a fixed key list (the known_keys call at its top):
 // any other key is a usage error (exit 2, "unknown key <k>=") before
-// anything runs. Every command parses its numeric options strictly: a
+// anything runs, and so is any argument after the file that is not a
+// key=value token (`generate` takes no file). `cut` rejects an unknown
+// algo= name the same way, before it reads the graph. Every command parses its numeric options strictly: a
 // malformed value is a usage error (exit 2), never a silent default.
 // `generate` also rejects an out-of-range nodes=, edges=, seed=,
 // components= or cluster_size=; `solve`/`simulate` a users= below 1 or
@@ -365,24 +367,23 @@ std::unique_ptr<graph::Bipartitioner> make_cutter(const std::string& algo) {
 
 int cmd_cut(const std::string& path, const Config& cfg) {
   if (!known_keys(cfg, {"algo", "dot"})) return 2;
+  // Checked before the graph is read, as solve checks its algo=.
+  const std::string algo = cfg.get_string("algo", "spectral");
+  const std::unique_ptr<graph::Bipartitioner> cutter = make_cutter(algo);
+  if (cutter == nullptr && algo != "sw") {
+    std::fprintf(stderr,
+                 "usage error: unknown algo '%s' (spectral|maxflow|kl|sw)\n",
+                 algo.c_str());
+    return 2;
+  }
   const Result<graph::WeightedGraph> g = load_graph(path);
   if (!g.ok()) {
     std::fprintf(stderr, "error: %s\n", g.error().message.c_str());
     return 1;
   }
-  const std::string algo = cfg.get_string("algo", "spectral");
-  graph::Bipartition cut;
-  if (algo == "sw") {
-    cut = mincut::stoer_wagner(g.value());
-  } else {
-    const std::unique_ptr<graph::Bipartitioner> cutter = make_cutter(algo);
-    if (cutter == nullptr) {
-      std::fprintf(stderr, "unknown algo '%s' (spectral|maxflow|kl|sw)\n",
-                   algo.c_str());
-      return 2;
-    }
-    cut = cutter->bipartition(g.value());
-  }
+  const graph::Bipartition cut = cutter != nullptr
+                                     ? cutter->bipartition(g.value())
+                                     : mincut::stoer_wagner(g.value());
   std::printf("algorithm:  %s\n", algo.c_str());
   std::printf("cut weight: %s\n", format_fixed(cut.cut_weight, 4).c_str());
   std::printf("side sizes: %zu / %zu\n", cut.size(0), cut.size(1));
@@ -945,6 +946,18 @@ int main(int argc, char** argv) {
   const bool has_file = argc >= 3 && std::strchr(argv[2], '=') == nullptr;
   const std::string file = has_file ? argv[2] : "";
   const int opt_start = has_file ? 2 : 1;
+  // Every later argument must be key=value: a bare word (a second file
+  // name, a typo) is a usage error, never dropped with a warning.
+  // `generate` reads no file, so its first bare word is one too.
+  for (int i = command == "generate" ? 2 : opt_start + 1; i < argc; ++i) {
+    if (std::strchr(argv[i], '=') == nullptr) {
+      std::fprintf(stderr,
+                   "usage error: unexpected argument '%s' (options are "
+                   "key=value)\n",
+                   argv[i]);
+      return 2;
+    }
+  }
   const Config cfg =
       Config::from_args(argc - opt_start, argv + opt_start);
 
