@@ -117,19 +117,13 @@ SweepOutcome lanczos_sweep(const LinearOperator& op, const Vec& start,
     pair.vector.assign(n, 0.0);
     for (std::size_t j = 0; j < dim_t; ++j)
       axpy(eig.vectors(j, p), basis[j], pair.vector);
-    // Residual bound: |beta_last · (last component of tridiag vector)|.
-    const double resid =
-        (exhausted || dim_t == beta.size())
-            ? 0.0
-            : std::abs((dim_t <= beta.size() ? beta[dim_t - 1] : 0.0));
-    // Prefer the exact residual: ‖A v − λ v‖ (one extra matvec per pair).
+    // The exact residual ‖A v − λ v‖ (one extra matvec per pair).
     Vec av(n, 0.0);
     op.apply(pair.vector, av);
     ++matvec_count;
     project_out(av, deflate_dirs);
     axpy(-pair.value, pair.vector, av);
     out.max_residual = std::max(out.max_residual, std::max(norm2(av), 0.0));
-    (void)resid;
     out.pairs.push_back(std::move(pair));
   }
   return out;
@@ -148,8 +142,7 @@ LanczosResult lanczos_smallest(const LinearOperator& op,
   // Effective dimension after deflation.
   const std::size_t effective_dim =
       n > options.deflate.size() ? n - options.deflate.size() : 0;
-  const std::size_t k = std::min(options.num_pairs, std::max<std::size_t>(
-                                                        effective_dim, 0));
+  const std::size_t k = std::min(options.num_pairs, effective_dim);
   LanczosResult result;
   if (k == 0) {
     result.converged = true;

@@ -36,13 +36,14 @@ double coupled_time(double total_remote, std::size_t active_users,
 
 }  // namespace
 
-GreedyResult generate_scheme(const MecSystem& system,
-                             const std::vector<Part>& parts,
-                             const GreedyOptions& options,
-                             parallel::ThreadPool* pool) {
+GreedyResult generate_scheme(
+    const MecSystem& system,
+    std::span<const std::span<const Part>> parts_of_user,
+    const GreedyOptions& options, parallel::ThreadPool* pool) {
   MECOFF_EXPECTS(system.valid());
   const SystemParams& p = system.params;
   const std::size_t num_users = system.num_users();
+  MECOFF_EXPECTS(parts_of_user.size() == num_users);
 
   GreedyResult result;
   result.scheme.placement.resize(num_users);
@@ -57,58 +58,55 @@ GreedyResult generate_scheme(const MecSystem& system,
                                options.energy_weight * p.transmit_power) /
                               p.bandwidth;
 
-  // Composite-move groups (user-components). Dense group list from the
-  // sparse Part::group ids.
-  std::vector<std::vector<std::size_t>> group_members;
-  if (options.enable_group_moves) {
-    std::map<std::pair<std::size_t, std::size_t>, std::size_t> dense;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (parts[i].group == SIZE_MAX) continue;
-      const auto key = std::make_pair(parts[i].user, parts[i].group);
-      const auto [it, inserted] =
-          dense.try_emplace(key, group_members.size());
-      if (inserted) group_members.emplace_back();
-      group_members[it->second].push_back(i);
-    }
-    // Singleton groups add nothing over their lone part.
-    std::erase_if(group_members,
-                  [](const std::vector<std::size_t>& m) {
-                    return m.size() < 2;
-                  });
-  }
-
-  // Candidate id space: [0, P) single parts, [P, P+G) group retreats.
-  // A user's candidates in id order: its single parts in index order,
-  // then its group retreats. local_index[i] is part i's position among
-  // its user's single parts.
-  const std::size_t num_parts = parts.size();
-  const std::size_t num_candidates = num_parts + group_members.size();
-  std::vector<std::vector<std::size_t>> candidates_of_user(num_users);
-  std::vector<std::uint32_t> local_index(num_parts);
-  for (std::size_t id = 0; id < num_candidates; ++id) {
-    const std::size_t user_index =
-        id < num_parts ? parts[id].user
-                       : parts[group_members[id - num_parts].front()].user;
-    MECOFF_EXPECTS(user_index < num_users);
-    if (id < num_parts)
-      local_index[id] =
-          static_cast<std::uint32_t>(candidates_of_user[user_index].size());
-    candidates_of_user[user_index].push_back(id);
-  }
-  const auto single_parts = [&](std::size_t u) {
-    const std::vector<std::size_t>& ids = candidates_of_user[u];
-    return std::span<const std::size_t>(
-        ids.begin(), std::lower_bound(ids.begin(), ids.end(), num_parts));
+  // Candidate id space, user-major: [0, P) single parts, user u's in
+  // list order at [first_part[u], first_part[u+1]); [P, P+G) group
+  // retreats, user u's at P + [first_group[u], first_group[u+1]).
+  std::vector<std::size_t> first_part(num_users + 1, 0);
+  for (std::size_t u = 0; u < num_users; ++u)
+    first_part[u + 1] = first_part[u] + parts_of_user[u].size();
+  const std::size_t num_parts = first_part[num_users];
+  const auto part_at = [&](std::size_t u, std::size_t id) -> const Part& {
+    return parts_of_user[u][id - first_part[u]];
   };
+
+  // Composite-move groups (user-components): each user's distinct
+  // Part::group ids in first-appearance order.
+  std::vector<std::vector<std::size_t>> group_members;
+  std::vector<std::size_t> first_group(num_users + 1, 0);
+  if (options.enable_group_moves) {
+    std::map<std::size_t, std::size_t> dense;
+    for (std::size_t u = 0; u < num_users; ++u) {
+      dense.clear();
+      for (std::size_t id = first_part[u]; id < first_part[u + 1]; ++id) {
+        const std::size_t group = part_at(u, id).group;
+        if (group == SIZE_MAX) continue;
+        const auto [it, inserted] =
+            dense.try_emplace(group, group_members.size());
+        if (inserted) group_members.emplace_back();
+        group_members[it->second].push_back(id);
+      }
+      // Singleton groups add nothing over their lone part.
+      group_members.erase(
+          std::remove_if(group_members.begin() +
+                             static_cast<std::ptrdiff_t>(first_group[u]),
+                         group_members.end(),
+                         [](const std::vector<std::size_t>& m) {
+                           return m.size() < 2;
+                         }),
+          group_members.end());
+      first_group[u + 1] = group_members.size();
+    }
+  }
+  const std::size_t num_candidates = num_parts + group_members.size();
 
   // Replica users. A user's initial separable state — its placement,
   // its aggregates, every single part's delta and its parts' adjacency
   // — depends only on its graph and its parts. A user whose graph
   // shares the payload of the first user holding that graph, and whose
-  // parts equal that user's part for part in index order, starts where
+  // list is that user's list or equals it part for part, starts where
   // that user starts, so it copies the state instead of recomputing it.
   // prototype[u] starts as the first user holding u's graph, and the
-  // set-up resets it to u when the parts differ; prototype[u] == u: u
+  // set-up resets it to u when the lists differ; prototype[u] == u: u
   // computes its own.
   std::vector<std::size_t> prototype(num_users);
   std::unordered_map<const void*, std::size_t> first_user_of_graph;
@@ -133,6 +131,12 @@ GreedyResult generate_scheme(const MecSystem& system,
   std::vector<double> cand_weight(num_candidates, 0.0);
   std::vector<double> cand_cross(num_candidates, 0.0);
   std::vector<std::size_t> cand_user(num_candidates, 0);
+  for (std::size_t u = 0; u < num_users; ++u) {
+    for (std::size_t id = first_part[u]; id < first_part[u + 1]; ++id)
+      cand_user[id] = u;
+    for (std::size_t g = first_group[u]; g < first_group[u + 1]; ++g)
+      cand_user[num_parts + g] = u;
+  }
   // A replica's single part's counterpart among its prototype's parts.
   std::vector<std::uint32_t> counterpart(num_candidates, kNoPart);
 
@@ -150,35 +154,38 @@ GreedyResult generate_scheme(const MecSystem& system,
   // Per-user set-up, one index per user. A user that is not the first
   // holder of its graph checks whether it replicates that user; a
   // replica is done until the copy below. Every other user lays out
-  // its placement (all local except its initially-remote parts) and
-  // its aggregates, then, in one pass over each initially-remote
-  // part's adjacency, that part's initial delta and its neighbour
-  // list. The sums run in the same order as the move evaluation below,
-  // so they are the same doubles.
+  // its placement (all local except its initially-remote parts),
+  // checking that its parts are in range, disjoint and offloadable, and
+  // its aggregates, then, in one pass over each initially-remote part's
+  // adjacency, that part's initial delta and its neighbour list. The
+  // sums run in the same order as the move evaluation below, so they
+  // are the same doubles.
   parallel::for_each_index(pool, num_users, [&](std::size_t u) {
-    const auto mine = single_parts(u);
+    const std::span<const Part> mine = parts_of_user[u];
     if (prototype[u] != u) {
-      const auto theirs = single_parts(prototype[u]);
-      if (std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return parts[a].nodes == parts[b].nodes &&
-                              parts[a].weight == parts[b].weight &&
-                              parts[a].initially_local ==
-                                  parts[b].initially_local;
+      const std::span<const Part> theirs = parts_of_user[prototype[u]];
+      if ((mine.data() == theirs.data() && mine.size() == theirs.size()) ||
+          std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                     [](const Part& a, const Part& b) {
+                       return a.nodes == b.nodes && a.weight == b.weight &&
+                              a.initially_local == b.initially_local;
                      }))
         return;
       prototype[u] = u;
     }
-    const graph::WeightedGraph& g = system.users[u].graph;
+    const UserApp& user = system.users[u];
+    const graph::WeightedGraph& g = user.graph;
     std::vector<Placement>& placement = result.scheme.placement[u];
     placement.assign(g.num_nodes(), Placement::kLocal);
     // part_of[node] = user-local part index (kNoPart: in no part).
     std::vector<std::uint32_t> part_of(g.num_nodes(), kNoPart);
     for (std::uint32_t k = 0; k < mine.size(); ++k) {
-      const Part& part = parts[mine[k]];
+      const Part& part = mine[k];
       for (const graph::NodeId v : part.nodes) {
         MECOFF_EXPECTS(v < part_of.size());
         MECOFF_EXPECTS(part_of[v] == kNoPart);  // disjointness
+        MECOFF_EXPECTS(user.unoffloadable.empty() ||
+                       !user.unoffloadable[v]);  // offloadable only
         part_of[v] = k;
         placement[v] =
             part.initially_local ? Placement::kLocal : Placement::kRemote;
@@ -200,8 +207,7 @@ GreedyResult generate_scheme(const MecSystem& system,
     std::vector<std::uint32_t> listed_by(mine.size(), kNoPart);
     for (std::uint32_t k = 0; k < mine.size(); ++k) {
       out.offsets[k] = static_cast<std::uint32_t>(out.neighbours.size());
-      const std::size_t id = mine[k];
-      const Part& part = parts[id];
+      const Part& part = mine[k];
       if (part.initially_local) continue;
       double cross = 0.0;
       for (const graph::NodeId v : part.nodes) {
@@ -217,8 +223,8 @@ GreedyResult generate_scheme(const MecSystem& system,
           }
         }
       }
+      const std::size_t id = first_part[u] + k;
       cand_weight[id] = part.weight;
-      cand_user[id] = u;
       cand_cross[id] = cross;
       cand_sep[id] = part.weight * local_factor + cross * cross_factor;
     }
@@ -226,7 +232,7 @@ GreedyResult generate_scheme(const MecSystem& system,
         static_cast<std::uint32_t>(out.neighbours.size());
   });
   // Replicas copy their prototype's placement, aggregates and initial
-  // single-part deltas (parts may interleave across users).
+  // single-part deltas.
   parallel::for_each_index(pool, num_users, [&](std::size_t u) {
     const std::size_t proto = prototype[u];
     if (proto == u) return;
@@ -234,14 +240,13 @@ GreedyResult generate_scheme(const MecSystem& system,
     user_local_w[u] = user_local_w[proto];
     user_remote_w[u] = user_remote_w[proto];
     user_cross_w[u] = user_cross_w[proto];
-    const auto to = single_parts(u);
-    const auto from = single_parts(proto);
-    for (std::size_t k = 0; k < to.size(); ++k) {
-      cand_sep[to[k]] = cand_sep[from[k]];
-      cand_weight[to[k]] = cand_weight[from[k]];
-      cand_cross[to[k]] = cand_cross[from[k]];
-      cand_user[to[k]] = u;
-      counterpart[to[k]] = static_cast<std::uint32_t>(from[k]);
+    const std::size_t to = first_part[u];
+    const std::size_t from = first_part[proto];
+    for (std::size_t k = 0; k < parts_of_user[u].size(); ++k) {
+      cand_sep[to + k] = cand_sep[from + k];
+      cand_weight[to + k] = cand_weight[from + k];
+      cand_cross[to + k] = cand_cross[from + k];
+      counterpart[to + k] = static_cast<std::uint32_t>(from + k);
     }
   });
 
@@ -263,11 +268,13 @@ GreedyResult generate_scheme(const MecSystem& system,
   // The set-up evaluated one move per initially-remote prototype part.
   std::size_t delta_evaluations = 0;
   std::vector<std::uint8_t> is_remote(num_parts, 1);
-  for (std::size_t i = 0; i < num_parts; ++i) {
-    if (parts[i].initially_local)
-      is_remote[i] = 0;
-    else if (prototype[parts[i].user] == parts[i].user)
-      ++delta_evaluations;
+  for (std::size_t u = 0; u < num_users; ++u) {
+    for (std::size_t id = first_part[u]; id < first_part[u + 1]; ++id) {
+      if (part_at(u, id).initially_local)
+        is_remote[id] = 0;
+      else if (prototype[u] == u)
+        ++delta_evaluations;
+    }
   }
 
   // Δcross of moving the still-remote parts in `move` (all same user)
@@ -279,18 +286,18 @@ GreedyResult generate_scheme(const MecSystem& system,
   std::vector<std::uint64_t> in_move_epoch;
   std::uint64_t move_epoch = 0;
   const auto cross_delta = [&](const std::vector<std::size_t>& move) {
-    const std::size_t user_index = parts[move.front()].user;
+    const std::size_t user_index = cand_user[move.front()];
     const UserApp& user = system.users[user_index];
     if (in_move_epoch.size() < user.graph.num_nodes())
       in_move_epoch.resize(user.graph.num_nodes(), 0);
     ++move_epoch;
     ++delta_evaluations;
     for (const std::size_t i : move)
-      for (const graph::NodeId v : parts[i].nodes)
+      for (const graph::NodeId v : part_at(user_index, i).nodes)
         in_move_epoch[v] = move_epoch;
     double delta = 0.0;
     for (const std::size_t i : move) {
-      for (const graph::NodeId v : parts[i].nodes) {
+      for (const graph::NodeId v : part_at(user_index, i).nodes) {
         for (const graph::Adjacency& adj : user.graph.neighbors(v)) {
           if (in_move_epoch[adj.neighbor] == move_epoch) continue;
           delta += result.scheme.placement[user_index][adj.neighbor] ==
@@ -323,9 +330,9 @@ GreedyResult generate_scheme(const MecSystem& system,
       return;
     }
     double weight = 0.0;
-    for (const std::size_t i : move) weight += parts[i].weight;
+    for (const std::size_t i : move)
+      weight += part_at(cand_user[id], i).weight;
     cand_weight[id] = weight;
-    cand_user[id] = parts[move.front()].user;
     cand_cross[id] = cross_delta(move);
     cand_sep[id] = weight * local_factor + cand_cross[id] * cross_factor;
   };
@@ -447,6 +454,25 @@ GreedyResult generate_scheme(const MecSystem& system,
       insert_candidate(id);
   }
 
+  // Re-classes a candidate of the committing user. An untouched
+  // candidate whose key is unchanged replays its remove + insert inside
+  // its own class: swap-remove, push-back, and a fresh entry if the
+  // class had no other member (remove would have dissolved it, insert
+  // re-created it unqueued).
+  const auto reclass = [&](std::size_t id) {
+    const bool stale = touched(id);
+    if (!stale && cand_pos[id] != SIZE_MAX &&
+        key_of(id) == cand_class[id]->first) {
+      const ClassMap::iterator it = cand_class[id];
+      if (unlink(id)) it->second.queued = false;
+      append(id, it);
+      return;
+    }
+    remove_candidate(id);
+    if (stale) refresh_candidate(id);
+    insert_candidate(id);
+  };
+
   // Greedy loop.
   while (result.moves < options.max_moves) {
     double best_delta = std::numeric_limits<double>::infinity();
@@ -484,20 +510,20 @@ GreedyResult generate_scheme(const MecSystem& system,
     // below refills it.
     const std::vector<std::size_t>& move = candidate_moves(best);
     MECOFF_ENSURES(!move.empty());
-    const std::size_t user_index = parts[move.front()].user;
+    const std::size_t user_index = cand_user[best];
     const double dx = cand_cross[best];
     const double weight = cand_weight[best];
     const PartAdjacency& part_adjacency = adjacency[prototype[user_index]];
-    const std::vector<std::size_t>& user_ids = candidates_of_user[user_index];
+    const std::size_t first = first_part[user_index];
     ++commit_epoch;
     for (const std::size_t i : move) {
       touched_epoch[i] = commit_epoch;
-      for (const graph::NodeId v : parts[i].nodes)
+      for (const graph::NodeId v : part_at(user_index, i).nodes)
         result.scheme.placement[user_index][v] = Placement::kLocal;
-      const std::uint32_t k = local_index[i];
+      const std::size_t k = i - first;
       for (std::uint32_t n = part_adjacency.offsets[k];
            n < part_adjacency.offsets[k + 1]; ++n)
-        touched_epoch[user_ids[part_adjacency.neighbours[n]]] = commit_epoch;
+        touched_epoch[first + part_adjacency.neighbours[n]] = commit_epoch;
       is_remote[i] = 0;
     }
     user_local_w[user_index] += weight;
@@ -517,25 +543,14 @@ GreedyResult generate_scheme(const MecSystem& system,
 
     // This user's deactivation flag may have changed for every
     // candidate, and the touched ones also changed cross weights or
-    // remaining group members: re-class them all, in the same order, with
+    // remaining group members: re-class them all, in id order, with
     // fresh queue entries so the lazy queue's lower-bound invariant and
-    // bucket order hold. An untouched candidate whose key is unchanged
-    // replays its remove + insert inside its own class: swap-remove,
-    // push-back, and a fresh entry if the class had no other member
-    // (remove would have dissolved it, insert re-created it unqueued).
-    for (const std::size_t id : candidates_of_user[user_index]) {
-      const bool stale = touched(id);
-      if (!stale && cand_pos[id] != SIZE_MAX &&
-          key_of(id) == cand_class[id]->first) {
-        const ClassMap::iterator it = cand_class[id];
-        if (unlink(id)) it->second.queued = false;
-        append(id, it);
-        continue;
-      }
-      remove_candidate(id);
-      if (stale) refresh_candidate(id);
-      insert_candidate(id);
-    }
+    // bucket order hold.
+    for (std::size_t id = first; id < first_part[user_index + 1]; ++id)
+      reclass(id);
+    for (std::size_t g = first_group[user_index];
+         g < first_group[user_index + 1]; ++g)
+      reclass(num_parts + g);
     // The selected class consumed its queue entry; if it survived the
     // refresh with members left, give it a fresh one.
     if (const auto it = classes.find(best_key);

@@ -1,9 +1,10 @@
 // Algorithm 2's greedy scheme generation. The cut step hands us parts —
 // each a set of functions that stays together (one side of a compressed
-// sub-graph's minimum cut). All parts start on the edge server (V2);
-// every round tentatively moves each remaining part to the device and
-// commits the move with the lowest resulting E + T, stopping when no
-// move lowers the objective ("while E_t + T_t < E_{t−1} + T_{t−1}").
+// sub-graph's minimum cut) — as one list per user. All parts start on
+// the edge server (V2); every round tentatively moves each remaining
+// part to the device and commits the move with the lowest resulting
+// E + T, stopping when no move lowers the objective ("while E_t + T_t <
+// E_{t−1} + T_{t−1}").
 //
 // The scan uses incremental deltas — O(1) per part for the coupled
 // server-contention term plus O(deg(part)) cross-weight updates only for
@@ -17,18 +18,21 @@
 // tie-break. Everything before the first commit is per user (users meet
 // only in the server term), so that set-up runs one index per user on
 // the caller's pool: a user's placement row, aggregates, initial
-// single-part deltas and part neighbour lists. A user whose graph
-// payload and parts replicate an earlier user's copies that user's
-// set-up instead of recomputing it. The totals, the group retreats'
-// deltas, class insertion and the commit loop stay serial, in user and
-// id order. Tests verify the incremental objective against a full
-// evaluate() after every move, and the placements against a
-// from-scratch reference greedy, against a run where nothing is copied,
-// against the same run with and without a pool, and — tie order and
-// objective bits included — against the lazy greedy that took every
-// re-classed candidate through the map.
+// single-part deltas and part neighbour lists. A replica user copies
+// the set-up of the first user holding its graph payload instead of
+// recomputing it: it names that user's very part list, or one equal to
+// it part for part. The totals, the group retreats' deltas, class
+// insertion and the commit loop stay serial, in user and id order.
+// Tests verify the incremental objective against a full evaluate()
+// after every move, and the placements against a from-scratch reference
+// greedy, against a run where nothing is copied (whether replicas share
+// their prototype's list or hold a copy of it), against the same run
+// with and without a pool, and — tie order and objective bits included —
+// against the lazy greedy that took every re-classed candidate through
+// the map.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mec/costs.hpp"
@@ -38,9 +42,9 @@
 
 namespace mecoff::mec {
 
-/// A set of functions that the cut step decided must stay together.
+/// A set of functions that the cut step decided must stay together. It
+/// belongs to the user whose list holds it.
 struct Part {
-  std::size_t user = 0;
   std::vector<graph::NodeId> nodes;  ///< ids in the user's graph
   double weight = 0.0;               ///< Σ node computation weights
   /// Algorithm 2's initialization (its "Insert(V2', V1)" step): the cut
@@ -49,10 +53,9 @@ struct Part {
   /// moves; all other parts start in V2 (remote) and may be pulled
   /// local by the greedy loop.
   bool initially_local = false;
-  /// Parts sharing a group id are the cut sides of one (user,
-  /// component): the greedy may retreat the whole group in one
-  /// composite move (see GreedyOptions::enable_group_moves). SIZE_MAX =
-  /// ungrouped.
+  /// Parts of one user sharing a group id are the cut sides of one
+  /// component: the greedy may retreat the whole group in one composite
+  /// move (see GreedyOptions::enable_group_moves). SIZE_MAX = ungrouped.
   std::size_t group = SIZE_MAX;
 };
 
@@ -84,13 +87,29 @@ struct GreedyResult {
   std::vector<double> objective_history;
 };
 
-/// Run the greedy over `parts`. Preconditions: parts are disjoint per
-/// user, cover only offloadable nodes, and every node weight is
-/// accounted (part.weight = Σ of its nodes' weights). `pool` may be
-/// null for a serial set-up; the per-user set-up fans out one index per
-/// user on it, and the result is bit-identical either way.
+/// Run the greedy over `parts_of_user`, one part list per user of
+/// `system`; several users may name the same list. Candidate ids are
+/// user-major: each user's parts in list order, then, with group moves,
+/// each user's group retreats; ties go by that order.
+///
+/// Preconditions: one list per user; a user's parts are disjoint, hold
+/// only nodes of its graph and cover only offloadable nodes (none
+/// pinned in its `unoffloadable` mask); every node weight is accounted
+/// (part.weight = Σ of its nodes' weights). All but the last throw
+/// PreconditionError; the node checks run where a user lays out its
+/// parts, so a replica's list is checked once, as its prototype's list
+/// against its prototype's mask.
+///
+/// User u is a replica of the first user p holding its graph payload
+/// when u's list is p's very list (the same span: nothing is compared)
+/// or equals it part for part in `nodes`, `weight` and
+/// `initially_local`; it copies p's set-up instead of recomputing it.
+/// `pool` may be null for a serial set-up; the per-user set-up fans out
+/// one index per user on it, and the result is bit-identical either
+/// way.
 [[nodiscard]] GreedyResult generate_scheme(
-    const MecSystem& system, const std::vector<Part>& parts,
+    const MecSystem& system,
+    std::span<const std::span<const Part>> parts_of_user,
     const GreedyOptions& options = {},
     parallel::ThreadPool* pool = nullptr);
 

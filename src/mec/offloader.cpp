@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -131,7 +132,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
       // the device as a unit).
       const auto all_remote = [&] {
         Part part;
-        part.user = u;
         part.group = c;
         for (graph::NodeId super = 0;
              super < comp.compression.compressed.num_nodes(); ++super) {
@@ -194,7 +194,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
       std::array<double, 2> pinned_boundary{0.0, 0.0};
       for (std::uint8_t side = 0; side <= 1; ++side) {
         Part& part = sides[side];
-        part.user = u;
         part.group = c;  // enables the whole-component retreat move
         for (graph::NodeId super = 0;
              super < comp.compression.compressed.num_nodes(); ++super) {
@@ -286,30 +285,22 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     solved[u] = solve_user(u);
   });
 
-  // Merge in user order: part order — and therefore the greedy's
-  // tie-breaking and the final scheme — is bit-identical to the serial
-  // path no matter how tasks interleaved. Every user's parts go to a
-  // slot range sized on this thread and are copied in on the pool.
-  // Replicated users copy their prototype's parts AND account its
+  // The greedy reads every user's part list in user order, so its
+  // tie-breaking and the final scheme are bit-identical to the serial
+  // path no matter how tasks interleaved. A replicated user names its
+  // prototype's very list (the greedy then copies its prototype's
+  // set-up without comparing parts) and accounts its prototype's
   // compression stats, so aggregate counters reflect every user, not
   // just the prototypes.
   const auto solved_for = [&](std::size_t u) -> const UserSolve& {
     return solved[period > 0 ? u % period : u];
   };
-  std::vector<std::size_t> first_part(num_users + 1, 0);
+  std::vector<std::span<const Part>> parts_of_user(num_users);
   for (std::size_t u = 0; u < num_users; ++u) {
     stats_.compression += solved_for(u).compression;
-    first_part[u + 1] = first_part[u] + solved_for(u).parts.size();
+    parts_of_user[u] = solved_for(u).parts;
+    stats_.num_parts += parts_of_user[u].size();
   }
-  std::vector<Part> all_parts(first_part[num_users]);
-  parallel::for_each_index(options_.pool, num_users, [&](std::size_t u) {
-    const std::vector<Part>& proto_parts = solved_for(u).parts;
-    for (std::size_t k = 0; k < proto_parts.size(); ++k) {
-      Part& part = all_parts[first_part[u] + k];
-      part = proto_parts[k];
-      part.user = u;
-    }
-  });
   for (UserSolve& s : solved) {
     stats_.compress_seconds += s.compress_seconds;
     stats_.cut_seconds += s.cut_seconds;
@@ -326,11 +317,10 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
       artifacts_.fiedler_vectors[u] = std::move(solved[u].fiedler_vectors);
   }
 
-  stats_.num_parts = all_parts.size();
   Stopwatch greedy_timer;
   GreedyResult greedy = [&] {
-    MECOFF_TRACE_SPAN_ARG("mec.greedy", all_parts.size());
-    return generate_scheme(system, all_parts, options_.greedy,
+    MECOFF_TRACE_SPAN_ARG("mec.greedy", stats_.num_parts);
+    return generate_scheme(system, parts_of_user, options_.greedy,
                            options_.pool);
   }();
   // Warm greedy: ALSO start from the previous placement's projection
@@ -339,25 +329,33 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   // final objective. Strict '<' so ties go to the cold result — an
   // unperturbed re-solve is byte-identical to a cold solve. Both runs
   // are complete greedy descents, so warm final objective ≤ cold final
-  // objective holds by construction of the min.
+  // objective holds by construction of the min. The projected flags
+  // differ per user, so every user gets a list of its own here; a user
+  // whose projected list equals its prototype's is still a replica, by
+  // the greedy's part-for-part compare.
   if (warm != nullptr && warm->scheme.valid_for(system)) {
-    std::vector<Part> warm_parts = all_parts;
+    std::vector<std::vector<Part>> warm_parts(num_users);
+    std::vector<std::span<const Part>> warm_parts_of_user(num_users);
     bool differs = false;
-    for (Part& part : warm_parts) {
-      bool all_local = !part.nodes.empty();
-      for (const graph::NodeId v : part.nodes) {
-        if (warm->scheme.placement[part.user][v] != Placement::kLocal) {
-          all_local = false;
-          break;
+    for (std::size_t u = 0; u < num_users; ++u) {
+      warm_parts[u].assign(parts_of_user[u].begin(), parts_of_user[u].end());
+      for (Part& part : warm_parts[u]) {
+        bool all_local = !part.nodes.empty();
+        for (const graph::NodeId v : part.nodes) {
+          if (warm->scheme.placement[u][v] != Placement::kLocal) {
+            all_local = false;
+            break;
+          }
         }
+        if (part.initially_local != all_local) differs = true;
+        part.initially_local = all_local;
       }
-      if (part.initially_local != all_local) differs = true;
-      part.initially_local = all_local;
+      warm_parts_of_user[u] = warm_parts[u];
     }
     if (differs) {
       GreedyResult warm_greedy = [&] {
-        MECOFF_TRACE_SPAN_ARG("mec.greedy.warm", warm_parts.size());
-        return generate_scheme(system, warm_parts, options_.greedy,
+        MECOFF_TRACE_SPAN_ARG("mec.greedy.warm", stats_.num_parts);
+        return generate_scheme(system, warm_parts_of_user, options_.greedy,
                                options_.pool);
       }();
       if (warm_greedy.objective_history.back() <

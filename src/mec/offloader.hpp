@@ -68,14 +68,16 @@ struct PipelineOptions {
   /// cut). A multi-user solve fans out one parallel_for index per
   /// distinct user; a single-user solve fans out over its sub-graphs
   /// instead (LPA compression, then the cut). After that stage joins,
-  /// the copy of every user's parts and the greedy's per-user set-up
-  /// fan out one index per user. Nested levels run inline and every
-  /// kernel stays serial. null = fully serial (Fig. 9's "without
-  /// Spark" configuration). Schemes are bit-identical either way.
+  /// the greedy's per-user set-up fans out one index per user. Nested
+  /// levels run inline and every kernel stays serial. null = fully
+  /// serial (Fig. 9's "without Spark" configuration). Schemes are
+  /// bit-identical either way.
   parallel::ThreadPool* pool = nullptr;
   /// When > 0, users i and i mod period carry IDENTICAL graphs (the
   /// make_uniform_system layout): compression and cuts run once per
-  /// distinct graph and parts are replicated, which is how the
+  /// distinct graph, and user i hands the greedy user (i mod period)'s
+  /// own part list; where the two share a graph payload, the greedy
+  /// copies that user's set-up without comparing parts. This is how the
   /// multi-user experiments scale to thousands of users. 0 disables.
   std::size_t identical_user_period = 0;
   /// Algorithm 2 initialization (the paper's "Insert(V2', V1)"): when

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "appmodel/dsl_parser.hpp"
 #include "common/contracts.hpp"
@@ -118,15 +120,37 @@ TEST(FailureInjection, GreedyRejectsOutOfRangePartNodes) {
   mec::UserApp app;
   app.graph = graph::path_graph(3);
   mec::MecSystem system{mec::SystemParams{}, {app}};
-  mec::Part part;
-  part.user = 0;
-  part.nodes = {7};  // out of range
-  part.weight = 1.0;
-  EXPECT_THROW(mec::generate_scheme(system, {part}), PreconditionError);
+  std::vector<mec::Part> parts(1);
+  parts[0].nodes = {7};  // out of range
+  parts[0].weight = 1.0;
+  const std::vector<std::span<const mec::Part>> one_list{parts};
+  EXPECT_THROW(mec::generate_scheme(system, one_list), PreconditionError);
 
-  part.nodes = {0};
-  part.user = 5;  // no such user
-  EXPECT_THROW(mec::generate_scheme(system, {part}), PreconditionError);
+  parts[0].nodes = {0};
+  // One list per user: two lists for one user name a user that is not
+  // there.
+  const std::vector<std::span<const mec::Part>> two_lists{parts, parts};
+  EXPECT_THROW(mec::generate_scheme(system, two_lists), PreconditionError);
+}
+
+TEST(FailureInjection, GreedyRejectsPinnedNodesInParts) {
+  // Parts cover only offloadable nodes: a part holding a pinned node
+  // would otherwise yield a scheme that offloads that function.
+  mec::UserApp app;
+  app.graph = graph::path_graph(3);
+  app.unoffloadable = {false, true, false};
+  mec::MecSystem system{mec::SystemParams{}, {app, app}};
+  std::vector<mec::Part> parts(1);
+  parts[0].nodes = {0, 2};
+  parts[0].weight = 2.0;
+  std::vector<std::span<const mec::Part>> lists{parts, parts};
+  EXPECT_TRUE(mec::generate_scheme(system, lists).scheme.valid_for(system));
+
+  std::vector<mec::Part> pinned = parts;
+  pinned[0].nodes.push_back(1);
+  pinned[0].weight += 1.0;
+  lists = {pinned, pinned};
+  EXPECT_THROW(mec::generate_scheme(system, lists), PreconditionError);
 }
 
 TEST(FailureInjection, SimEngineRejectsTimeTravel) {

@@ -42,12 +42,31 @@ UserApp barbell_user() {
   return app;
 }
 
+/// generate_scheme's input form: a view of every user's part list.
+std::vector<std::span<const Part>> lists_of(
+    const std::vector<std::vector<Part>>& parts_of_user) {
+  return {parts_of_user.begin(), parts_of_user.end()};
+}
+
+/// A part and the user whose list holds it: the flat, user-tagged input
+/// the reference greedies below were written for.
+struct UserPart : Part {
+  std::size_t user = 0;
+};
+
+std::vector<UserPart> flatten(
+    const std::vector<std::vector<Part>>& parts_of_user) {
+  std::vector<UserPart> flat;
+  for (std::size_t u = 0; u < parts_of_user.size(); ++u)
+    for (const Part& part : parts_of_user[u]) flat.push_back({part, u});
+  return flat;
+}
+
 /// Parts = the two cliques of the barbell.
 std::vector<Part> barbell_parts(const MecSystem& system, std::size_t user) {
   std::vector<Part> parts(2);
   for (std::uint8_t half = 0; half < 2; ++half) {
     Part& part = parts[half];
-    part.user = user;
     for (graph::NodeId v = half * 4u; v < (half + 1) * 4u; ++v) {
       part.nodes.push_back(v);
       part.weight += system.users[user].graph.node_weight(v);
@@ -58,18 +77,18 @@ std::vector<Part> barbell_parts(const MecSystem& system, std::size_t user) {
 
 TEST(Greedy, ObjectiveHistoryStrictlyDecreases) {
   MecSystem system{test_params(), {barbell_user(), barbell_user()}};
-  std::vector<Part> parts = barbell_parts(system, 0);
-  for (Part& p : barbell_parts(system, 1)) parts.push_back(p);
-  const GreedyResult r = generate_scheme(system, parts);
+  const std::vector<std::vector<Part>> parts{barbell_parts(system, 0),
+                                             barbell_parts(system, 1)};
+  const GreedyResult r = generate_scheme(system, lists_of(parts));
   for (std::size_t i = 1; i < r.objective_history.size(); ++i)
     EXPECT_LT(r.objective_history[i], r.objective_history[i - 1]);
 }
 
 TEST(Greedy, IncrementalObjectiveMatchesEvaluate) {
   MecSystem system{test_params(), {barbell_user(), barbell_user()}};
-  std::vector<Part> parts = barbell_parts(system, 0);
-  for (Part& p : barbell_parts(system, 1)) parts.push_back(p);
-  const GreedyResult r = generate_scheme(system, parts);
+  const std::vector<std::vector<Part>> parts{barbell_parts(system, 0),
+                                             barbell_parts(system, 1)};
+  const GreedyResult r = generate_scheme(system, lists_of(parts));
   const SystemCost cost = evaluate(system, r.scheme);
   EXPECT_NEAR(r.objective_history.back(), cost.objective(),
               1e-9 * (1.0 + cost.objective()));
@@ -80,7 +99,8 @@ TEST(Greedy, FinalSchemeBeatsBothExtremes) {
   // the greedy should land strictly between all-local and all-remote...
   // or at least never above either.
   MecSystem system{test_params(), {barbell_user()}};
-  const GreedyResult r = generate_scheme(system, barbell_parts(system, 0));
+  const GreedyResult r =
+      generate_scheme(system, lists_of({barbell_parts(system, 0)}));
   const double obj = evaluate(system, r.scheme).objective();
   EXPECT_LE(obj,
             evaluate(system, OffloadingScheme::all_local(system)).objective() +
@@ -105,10 +125,8 @@ MecSystem chain_system(SystemParams p, std::vector<Part>& parts) {
   app.graph = b.build();
   app.unoffloadable = {true, false, false, false, false};
   parts.assign(2, Part{});
-  parts[0].user = 0;
   parts[0].nodes = {1, 2};
   parts[0].weight = 2.0;
-  parts[1].user = 0;
   parts[1].nodes = {3, 4};
   parts[1].weight = 2.0;
   return MecSystem{p, {app}};
@@ -121,7 +139,7 @@ TEST(Greedy, ExpensiveTransmissionPullsWorkLocal) {
   p.bandwidth = 0.1;
   std::vector<Part> parts;
   const MecSystem system = chain_system(p, parts);
-  const GreedyResult r = generate_scheme(system, parts);
+  const GreedyResult r = generate_scheme(system, lists_of({parts}));
   EXPECT_EQ(r.scheme.remote_count(0), 0u);  // all moved back local
   EXPECT_EQ(r.moves, 2u);
 }
@@ -133,14 +151,16 @@ TEST(Greedy, CheapTransmissionKeepsWorkRemote) {
   p.bandwidth = 10000.0;
   p.mobile_capacity = 0.5;  // painfully slow device
   MecSystem system{p, {barbell_user()}};
-  const GreedyResult r = generate_scheme(system, barbell_parts(system, 0));
+  const GreedyResult r =
+      generate_scheme(system, lists_of({barbell_parts(system, 0)}));
   EXPECT_EQ(r.scheme.remote_count(0), 8u);
   EXPECT_EQ(r.moves, 0u);
 }
 
 TEST(Greedy, EmptyPartsGivesAllLocal) {
   MecSystem system{test_params(), {barbell_user()}};
-  const GreedyResult r = generate_scheme(system, {});
+  const GreedyResult r = generate_scheme(
+      system, lists_of(std::vector<std::vector<Part>>(system.num_users())));
   EXPECT_EQ(r.scheme.remote_count(0), 0u);
   EXPECT_EQ(r.moves, 0u);
   EXPECT_EQ(r.objective_history.size(), 1u);
@@ -154,7 +174,7 @@ TEST(Greedy, MaxMovesCapRespected) {
   const MecSystem system = chain_system(p, parts);
   GreedyOptions opts;
   opts.max_moves = 1;
-  const GreedyResult r = generate_scheme(system, parts, opts);
+  const GreedyResult r = generate_scheme(system, lists_of({parts}), opts);
   EXPECT_EQ(r.moves, 1u);
   EXPECT_EQ(r.scheme.remote_count(0), 2u);  // one part still remote
 }
@@ -163,7 +183,25 @@ TEST(Greedy, OverlappingPartsRejected) {
   MecSystem system{test_params(), {barbell_user()}};
   std::vector<Part> parts = barbell_parts(system, 0);
   parts[1].nodes.push_back(parts[0].nodes[0]);  // overlap
-  EXPECT_THROW(generate_scheme(system, parts), mecoff::PreconditionError);
+  EXPECT_THROW(generate_scheme(system, lists_of({parts})),
+               mecoff::PreconditionError);
+}
+
+TEST(Greedy, ReplicaNamesItsPrototypesWholeList) {
+  // User 1 holds user 0's graph payload and names the first part of
+  // user 0's very list: the same data, a shorter list. It is no replica,
+  // so it must start as it does with a graph of its own.
+  const UserApp app = barbell_user();
+  const MecSystem shared{test_params(), {app, app}};
+  const MecSystem separate{test_params(), {barbell_user(), barbell_user()}};
+  const std::vector<Part> parts = barbell_parts(shared, 0);
+  const std::vector<std::span<const Part>> lists{
+      parts, std::span<const Part>(parts).first(1)};
+  const GreedyResult got = generate_scheme(shared, lists);
+  const GreedyResult want = generate_scheme(separate, lists);
+  EXPECT_EQ(got.scheme, want.scheme);
+  EXPECT_EQ(got.moves, want.moves);
+  EXPECT_EQ(got.objective_history, want.objective_history);
 }
 
 TEST(Greedy, PinnedNodesStayLocalThroughout) {
@@ -172,17 +210,15 @@ TEST(Greedy, PinnedNodesStayLocalThroughout) {
   MecSystem system{test_params(), {app}};
   // Parts exclude the pinned node.
   std::vector<Part> parts(2);
-  parts[0].user = 0;
   for (graph::NodeId v = 1; v < 4; ++v) {
     parts[0].nodes.push_back(v);
     parts[0].weight += app.graph.node_weight(v);
   }
-  parts[1].user = 0;
   for (graph::NodeId v = 4; v < 8; ++v) {
     parts[1].nodes.push_back(v);
     parts[1].weight += app.graph.node_weight(v);
   }
-  const GreedyResult r = generate_scheme(system, parts);
+  const GreedyResult r = generate_scheme(system, lists_of({parts}));
   EXPECT_EQ(r.scheme.placement[0][0], Placement::kLocal);
   EXPECT_TRUE(r.scheme.valid_for(system));
 }
@@ -195,10 +231,10 @@ TEST(Greedy, MultiUserContentionTriggersPullback) {
   p.contention_factor = 4.0;
   std::vector<UserApp> users(12, barbell_user());
   MecSystem system{p, users};
-  std::vector<Part> parts;
+  std::vector<std::vector<Part>> parts;
   for (std::size_t u = 0; u < system.num_users(); ++u)
-    for (Part& part : barbell_parts(system, u)) parts.push_back(part);
-  const GreedyResult r = generate_scheme(system, parts);
+    parts.push_back(barbell_parts(system, u));
+  const GreedyResult r = generate_scheme(system, lists_of(parts));
   std::size_t total_remote = 0;
   for (std::size_t u = 0; u < system.num_users(); ++u)
     total_remote += r.scheme.remote_count(u);
@@ -206,14 +242,15 @@ TEST(Greedy, MultiUserContentionTriggersPullback) {
 
   // Single-user reference keeps everything remote.
   MecSystem solo{p, {barbell_user()}};
-  const GreedyResult solo_r = generate_scheme(solo, barbell_parts(solo, 0));
+  const GreedyResult solo_r =
+      generate_scheme(solo, lists_of({barbell_parts(solo, 0)}));
   EXPECT_EQ(solo_r.scheme.remote_count(0), 8u);
 }
 
 // The lazy greedy kept verbatim further down, the bitwise oracle of
 // GreedyLazyQueue.MatchesParentTieOrderBitwise and of the replica test.
 GreedyResult reference_lazy_greedy(const MecSystem& system,
-                                   const std::vector<Part>& parts,
+                                   const std::vector<UserPart>& parts,
                                    const GreedyOptions& options);
 
 }  // namespace
@@ -229,8 +266,11 @@ using mecoff::mec::Part;
 using mecoff::mec::Placement;
 using mecoff::mec::SystemParams;
 using mecoff::mec::UserApp;
+using mecoff::mec::UserPart;
 using mecoff::mec::evaluate;
+using mecoff::mec::flatten;
 using mecoff::mec::generate_scheme;
+using mecoff::mec::lists_of;
 
 SystemParams ext_params() {
   SystemParams p;
@@ -249,14 +289,13 @@ TEST(GreedyInit, InitiallyLocalPartsStartAndStayLocal) {
   MecSystem system{ext_params(), {app}};
   std::vector<Part> parts(2);
   for (std::uint8_t half = 0; half < 2; ++half) {
-    parts[half].user = 0;
     for (mecoff::graph::NodeId v = half * 3u; v < (half + 1) * 3u; ++v) {
       parts[half].nodes.push_back(v);
       parts[half].weight += app.graph.node_weight(v);
     }
   }
   parts[0].initially_local = true;
-  const GreedyResult r = generate_scheme(system, parts);
+  const GreedyResult r = generate_scheme(system, lists_of({parts}));
   for (mecoff::graph::NodeId v = 0; v < 3; ++v)
     EXPECT_EQ(r.scheme.placement[0][v], Placement::kLocal);
   // The initial objective already accounts for the anchored part.
@@ -283,23 +322,23 @@ TEST(GreedyGroups, GroupRetreatEscapesPairwiseTrap) {
   MecSystem system{ext_params(), {app}};
 
   std::vector<Part> parts(2);
-  parts[0].user = 0;
   parts[0].nodes = {a1};
   parts[0].weight = 10.0;
   parts[0].group = 0;
-  parts[1].user = 0;
   parts[1].nodes = {a2};
   parts[1].weight = 10.0;
   parts[1].group = 0;
 
   GreedyOptions single_only;
   single_only.enable_group_moves = false;
-  const GreedyResult trapped = generate_scheme(system, parts, single_only);
+  const GreedyResult trapped =
+      generate_scheme(system, lists_of({parts}), single_only);
   EXPECT_EQ(trapped.scheme.remote_count(0), 2u);  // stuck
 
   GreedyOptions with_groups;
   with_groups.enable_group_moves = true;
-  const GreedyResult freed = generate_scheme(system, parts, with_groups);
+  const GreedyResult freed =
+      generate_scheme(system, lists_of({parts}), with_groups);
   EXPECT_EQ(freed.scheme.remote_count(0), 0u);  // retreated together
   EXPECT_LE(evaluate(system, freed.scheme).objective(),
             evaluate(system, trapped.scheme).objective());
@@ -319,7 +358,6 @@ TEST(GreedyGroups, GroupMovesNeverWorsenTheObjective) {
     // Parts: split each half of the node range, grouped per half.
     std::vector<Part> parts(4);
     for (std::size_t i = 0; i < 4; ++i) {
-      parts[i].user = 0;
       parts[i].group = i / 2;
       for (mecoff::graph::NodeId v = static_cast<mecoff::graph::NodeId>(
                i * 20);
@@ -333,10 +371,10 @@ TEST(GreedyGroups, GroupMovesNeverWorsenTheObjective) {
     GreedyOptions on;
     on.enable_group_moves = true;
     const double obj_off =
-        evaluate(system, generate_scheme(system, parts, off).scheme)
+        evaluate(system, generate_scheme(system, lists_of({parts}), off).scheme)
             .objective();
     const double obj_on =
-        evaluate(system, generate_scheme(system, parts, on).scheme)
+        evaluate(system, generate_scheme(system, lists_of({parts}), on).scheme)
             .objective();
     EXPECT_LE(obj_on, obj_off + 1e-9) << "seed " << seed;
   }
@@ -348,7 +386,7 @@ TEST(GreedyGroups, GroupMovesNeverWorsenTheObjective) {
 /// candidate moves its still-remote members local. The lazy queue must
 /// reproduce its scheme exactly.
 OffloadingScheme reference_greedy(const MecSystem& system,
-                                  const std::vector<Part>& parts,
+                                  const std::vector<UserPart>& parts,
                                   bool group_moves = false) {
   OffloadingScheme scheme = OffloadingScheme::all_local(system);
   std::vector<bool> remote(parts.size(), true);
@@ -413,25 +451,25 @@ TEST(GreedyLazyQueue, MatchesNaiveReferenceGreedy) {
     MecSystem system{ext_params(), {proto, proto}};
 
     // 6 parts per user: ranges of 10 nodes.
-    std::vector<Part> parts;
+    std::vector<std::vector<Part>> parts(2);
     for (std::size_t u = 0; u < 2; ++u) {
       for (std::size_t k = 0; k < 6; ++k) {
         Part part;
-        part.user = u;
         for (mecoff::graph::NodeId v =
                  static_cast<mecoff::graph::NodeId>(k * 10);
              v < (k + 1) * 10; ++v) {
           part.nodes.push_back(v);
           part.weight += proto.graph.node_weight(v);
         }
-        parts.push_back(std::move(part));
+        parts[u].push_back(std::move(part));
       }
     }
 
     GreedyOptions opts;
     opts.enable_group_moves = false;
-    const GreedyResult fast = generate_scheme(system, parts, opts);
-    const OffloadingScheme reference = reference_greedy(system, parts);
+    const GreedyResult fast = generate_scheme(system, lists_of(parts), opts);
+    const OffloadingScheme reference =
+        reference_greedy(system, flatten(parts));
     for (std::size_t u = 0; u < 2; ++u)
       EXPECT_EQ(fast.scheme.placement[u], reference.placement[u])
           << "seed " << seed << " user " << u;
@@ -446,7 +484,7 @@ TEST(GreedyLazyQueue, MatchesReferenceWithGroupsPinnedAndLocalParts) {
   std::size_t total_moves = 0;
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL, 44ULL, 55ULL}) {
     std::vector<UserApp> users;
-    std::vector<Part> parts;
+    std::vector<std::vector<Part>> parts(3);
     for (std::size_t u = 0; u < 3; ++u) {
       mecoff::graph::NetgenParams gp;
       gp.nodes = 48 + 8 * u;
@@ -461,7 +499,6 @@ TEST(GreedyLazyQueue, MatchesReferenceWithGroupsPinnedAndLocalParts) {
       std::vector<std::size_t> group_of_node(gp.nodes, SIZE_MAX);
       for (std::size_t k = 0; k < gp.nodes / 8; ++k) {
         Part part;
-        part.user = u;
         part.group = k / 2;
         part.initially_local = (k + seed) % 5 == 0;
         for (auto v = static_cast<mecoff::graph::NodeId>(k * 8);
@@ -471,7 +508,7 @@ TEST(GreedyLazyQueue, MatchesReferenceWithGroupsPinnedAndLocalParts) {
           part.weight += app.graph.node_weight(v);
           group_of_node[v] = part.group;
         }
-        parts.push_back(std::move(part));
+        parts[u].push_back(std::move(part));
       }
       std::size_t cross_group_edges = 0;
       for (const mecoff::graph::Edge& e : app.graph.edges())
@@ -486,9 +523,10 @@ TEST(GreedyLazyQueue, MatchesReferenceWithGroupsPinnedAndLocalParts) {
     for (const bool group_moves : {false, true}) {
       GreedyOptions opts;
       opts.enable_group_moves = group_moves;
-      const GreedyResult fast = generate_scheme(system, parts, opts);
+      const GreedyResult fast =
+          generate_scheme(system, lists_of(parts), opts);
       const OffloadingScheme reference =
-          reference_greedy(system, parts, group_moves);
+          reference_greedy(system, flatten(parts), group_moves);
       total_moves += fast.moves;
       for (std::size_t u = 0; u < system.num_users(); ++u)
         EXPECT_EQ(fast.scheme.placement[u], reference.placement[u])
@@ -511,7 +549,6 @@ TEST(GreedyCongestion, ConvexWaitCapsOffloadedAmount) {
     for (std::size_t i = 0; i < num_parts; ++i) {
       const auto v = b.add_node(40.0);
       Part part;
-      part.user = 0;
       part.nodes = {v};
       part.weight = 40.0;
       parts.push_back(std::move(part));
@@ -519,7 +556,7 @@ TEST(GreedyCongestion, ConvexWaitCapsOffloadedAmount) {
     UserApp app;
     app.graph = b.build();
     MecSystem system{p, {app}};
-    const GreedyResult r = generate_scheme(system, parts);
+    const GreedyResult r = generate_scheme(system, lists_of({parts}));
     double remote = 0.0;
     for (std::size_t i = 0; i < num_parts; ++i)
       if (r.scheme.placement[0][i] == Placement::kRemote) remote += 40.0;
@@ -567,11 +604,15 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
   // groups, some starting local. Two users are not replicas although
   // their graphs are equal: kFlipped starts one part local that its
   // prototype (user 1) starts remote, and kRebuilt holds a content-equal
-  // rebuild of its graph. The parts vector interleaves users in a
-  // rotating order, so some replicas' parts precede their prototype's.
-  // Both instances also run with the per-user set-up on a pool, which
-  // must change nothing, evaluation count included, and every seed is
-  // checked bit for bit against the lazy reference greedy.
+  // rebuild of its graph. Each instance runs with every user's list
+  // shared (every user but kFlipped names its graph's list itself),
+  // copied (every user holds a list of its own), and copied with every
+  // graph rebuilt, so that no user is a replica; all three must agree
+  // bit for bit, and shared lists must count the evaluations copied
+  // lists count. Every run also runs with the per-user set-up on a
+  // pool, which must change nothing, evaluation count included, and
+  // every seed is checked bit for bit against the lazy reference
+  // greedy.
   constexpr std::size_t kProtos = 3;
   constexpr std::size_t kUsers = 36;
   constexpr std::size_t kFlipped = 7;
@@ -617,17 +658,15 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
                                                          kUsers);
     system.users[kRebuilt].graph = rebuilt(system.users[kRebuilt].graph);
 
-    std::vector<Part> parts;
-    for (std::size_t k = 0; k < pool_parts.back().size(); ++k) {
-      for (std::size_t j = 0; j < kUsers; ++j) {
-        const std::size_t u = (5 * j + k) % kUsers;
-        if (k >= pool_parts[u % kProtos].size()) continue;
-        Part part = pool_parts[u % kProtos][k];
-        part.user = u;
-        if (u == kFlipped && k == 0) part.initially_local = !part.initially_local;
-        parts.push_back(std::move(part));
-      }
+    std::vector<std::vector<Part>> parts(kUsers);
+    std::vector<std::span<const Part>> shared_lists(kUsers);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      parts[u] = pool_parts[u % kProtos];
+      shared_lists[u] = pool_parts[u % kProtos];
     }
+    parts[kFlipped][0].initially_local = !parts[kFlipped][0].initially_local;
+    shared_lists[kFlipped] = parts[kFlipped];
+    const std::vector<std::span<const Part>> copied_lists = lists_of(parts);
     // Each replica skips exactly its initially-remote single parts.
     std::uint64_t copied_deltas = 0;
     for (std::size_t u = kProtos; u < kUsers; ++u) {
@@ -644,36 +683,53 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
     for (const bool group_moves : {false, true}) {
       GreedyOptions opts;
       opts.enable_group_moves = group_moves;
-      const std::uint64_t before = evaluations.value();
-      const GreedyResult copied = generate_scheme(system, parts, opts);
-      const std::uint64_t between = evaluations.value();
-      const GreedyResult computed = generate_scheme(fresh, parts, opts);
-      const std::uint64_t after = evaluations.value();
-      const GreedyResult copied_pooled =
-          generate_scheme(system, parts, opts, &workers);
-      const std::uint64_t after_pooled = evaluations.value();
-      const GreedyResult computed_pooled =
-          generate_scheme(fresh, parts, opts, &workers);
+      // One greedy run and the delta evaluations it counted.
+      struct Run {
+        GreedyResult result;
+        std::uint64_t evaluations;
+      };
+      const auto run = [&](const MecSystem& instance,
+                           const std::vector<std::span<const Part>>& lists,
+                           mecoff::parallel::ThreadPool* on) {
+        const std::uint64_t before = evaluations.value();
+        GreedyResult result = generate_scheme(instance, lists, opts, on);
+        return Run{std::move(result), evaluations.value() - before};
+      };
+      const Run shared = run(system, shared_lists, nullptr);
+      const Run copied = run(system, copied_lists, nullptr);
+      const Run computed = run(fresh, copied_lists, nullptr);
+      const Run shared_pooled = run(system, shared_lists, &workers);
+      const Run copied_pooled = run(system, copied_lists, &workers);
+      const Run computed_pooled = run(fresh, copied_lists, &workers);
 
       const GreedyResult want =
-          mecoff::mec::reference_lazy_greedy(system, parts, opts);
+          mecoff::mec::reference_lazy_greedy(system, flatten(parts), opts);
 
       const std::string where = "seed " + std::to_string(seed) +
                                 " groups " + std::to_string(group_moves);
-      expect_bitwise_equal(copied, computed, where);
-      expect_bitwise_equal(copied, want, where + " reference");
-      expect_bitwise_equal(copied_pooled, copied, where + " pooled");
-      expect_bitwise_equal(copied_pooled, want, where + " pooled, reference");
-      expect_bitwise_equal(computed_pooled, computed,
+      expect_bitwise_equal(copied.result, computed.result, where);
+      expect_bitwise_equal(shared.result, copied.result, where + " shared");
+      expect_bitwise_equal(copied.result, want, where + " reference");
+      expect_bitwise_equal(copied_pooled.result, copied.result,
+                           where + " pooled");
+      expect_bitwise_equal(shared_pooled.result, copied.result,
+                           where + " pooled, shared");
+      expect_bitwise_equal(copied_pooled.result, want,
+                           where + " pooled, reference");
+      expect_bitwise_equal(computed_pooled.result, computed.result,
                            where + " pooled, rebuilt");
-      EXPECT_EQ((after - between) - (between - before), copied_deltas)
+      EXPECT_EQ(computed.evaluations - copied.evaluations, copied_deltas)
           << where;
-      EXPECT_EQ(after_pooled - after, between - before) << where;
+      EXPECT_EQ(shared.evaluations, copied.evaluations) << where;
+      EXPECT_EQ(copied_pooled.evaluations, copied.evaluations) << where;
+      EXPECT_EQ(shared_pooled.evaluations, copied.evaluations) << where;
+      EXPECT_EQ(computed_pooled.evaluations, computed.evaluations) << where;
       if (smallest) {
-        EXPECT_EQ(copied.scheme, reference_greedy(system, parts, group_moves))
+        EXPECT_EQ(copied.result.scheme,
+                  reference_greedy(system, flatten(parts), group_moves))
             << "groups " << group_moves;
       }
-      total_moves += copied.moves;
+      total_moves += copied.result.moves;
     }
   }
   EXPECT_GT(total_moves, 0u);
@@ -710,7 +766,7 @@ double coupled_time(double total_remote, std::size_t active_users,
 }
 
 GreedyResult reference_lazy_greedy(const MecSystem& system,
-                                   const std::vector<Part>& parts,
+                                   const std::vector<UserPart>& parts,
                                    const GreedyOptions& options) {
   MECOFF_EXPECTS(system.valid());
   const SystemParams& p = system.params;
@@ -733,7 +789,7 @@ GreedyResult reference_lazy_greedy(const MecSystem& system,
   for (std::size_t u = 0; u < system.num_users(); ++u)
     part_of[u].assign(system.users[u].graph.num_nodes(), kNoPart);
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    const Part& part = parts[i];
+    const UserPart& part = parts[i];
     MECOFF_EXPECTS(part.user < system.num_users());
     for (const graph::NodeId v : part.nodes) {
       MECOFF_EXPECTS(v < part_of[part.user].size());
@@ -1123,14 +1179,13 @@ GreedyResult reference_lazy_greedy(const MecSystem& system,
 /// 6-node ranges, two ranges per group (a component's two cut sides).
 /// With `anchor` (the pipeline's anchor_initial_parts), some groups
 /// start one side local.
-std::vector<Part> ranged_parts(const UserApp& app, std::size_t user,
-                               bool anchor, std::uint64_t seed) {
+std::vector<Part> ranged_parts(const UserApp& app, bool anchor,
+                               std::uint64_t seed) {
   constexpr std::size_t kRange = 6;
   std::vector<Part> parts;
   const std::size_t n = app.graph.num_nodes();
   for (std::size_t k = 0; k * kRange < n; ++k) {
     Part part;
-    part.user = user;
     part.group = k / 2;
     part.initially_local = anchor && (k + seed) % 5 == 1;
     for (std::size_t v = k * kRange; v < std::min(n, (k + 1) * kRange); ++v) {
@@ -1195,20 +1250,21 @@ TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
           users.push_back(pinned_netgen_user(30 + 3 * u, seed * 100 + u));
       }
       for (const bool anchor : {true, false}) {
-        std::vector<Part> parts;
-        for (std::size_t u = 0; u < users.size(); ++u)
-          for (Part& part : ranged_parts(users[u], u, anchor, seed))
-            parts.push_back(std::move(part));
+        std::vector<std::vector<Part>> parts;
+        for (const UserApp& user : users)
+          parts.push_back(ranged_parts(user, anchor, seed));
+        const std::vector<UserPart> flat = flatten(parts);
         for (const SystemParams& params : param_sets) {
           const MecSystem system{params, users};
           for (const bool group_moves : {false, true}) {
             GreedyOptions opts;
             opts.enable_group_moves = group_moves;
-            const GreedyResult got = generate_scheme(system, parts, opts);
+            const GreedyResult got =
+                generate_scheme(system, lists_of(parts), opts);
             const GreedyResult pooled =
-                generate_scheme(system, parts, opts, &workers);
+                generate_scheme(system, lists_of(parts), opts, &workers);
             const GreedyResult want =
-                reference_lazy_greedy(system, parts, opts);
+                reference_lazy_greedy(system, flat, opts);
             const std::string where =
                 "seed " + std::to_string(seed) + " replicas " +
                 std::to_string(replicas) + " anchor " +

@@ -2,6 +2,10 @@
 // backends plus the reference solvers).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "appmodel/synthetic_apps.hpp"
 #include "graph/generators.hpp"
 #include "mec/costs.hpp"
@@ -276,6 +280,69 @@ TEST(PipelineOffloader, ParallelSolveMatchesSerialWithUserPeriod) {
   EXPECT_TRUE(serial == pooled);
   EXPECT_EQ(serial_solver.last_stats().final_objective,
             pool_solver.last_stats().final_objective);
+}
+
+TEST(PipelineOffloader, WarmSolveWithReplicasMatchesPerUserSolve) {
+  // 12 users over 3 prototypes, re-solved warm from a previous scheme in
+  // which two replicas of prototype 1 differ: user 4 ran everything on
+  // the device and user 7 offloaded everything. The warm greedy gives
+  // every user a list of its own, so there a user replicates its
+  // prototype only when its projected list equals the prototype's.
+  // Solving the prototypes once (period 3) must give what solving every
+  // user does (period 0), serially and on a pool, in the scheme, the
+  // final objective bits and which start won. The previous scheme is a
+  // solve on a roomier server; on the congested one the projected start
+  // wins, so the warm greedy's scheme is the one returned.
+  const std::vector<UserApp> protos{netgen_user(80, 60), netgen_user(81, 60),
+                                    netgen_user(82, 60)};
+  SystemParams congested = default_params();
+  congested.server_capacity = 100.0;
+  congested.contention_factor = 2.0;
+  const MecSystem system = make_uniform_system(congested, protos, 12);
+  const PipelineOptions opts = options_for(CutBackend::kSpectral);
+
+  PipelineOffloader::WarmStart warm;
+  warm.scheme = PipelineOffloader(opts).solve(
+      make_uniform_system(default_params(), protos, 12));
+  // User 4 had remote work, so its all-local projection differs from
+  // its cold start and the warm greedy runs.
+  ASSERT_GT(warm.scheme.remote_count(4), 0u);
+  warm.scheme.placement[4] = OffloadingScheme::all_local(system).placement[4];
+  warm.scheme.placement[7] = OffloadingScheme::all_remote(system).placement[7];
+  ASSERT_NE(warm.scheme.placement[4], warm.scheme.placement[7]);
+
+  struct Outcome {
+    OffloadingScheme scheme;
+    std::uint64_t objective_bits = 0;
+    bool warm_greedy_won = false;
+  };
+  const auto solve = [&](std::size_t period, parallel::ThreadPool* pool) {
+    PipelineOptions run_opts = opts;
+    run_opts.identical_user_period = period;
+    run_opts.pool = pool;
+    PipelineOffloader offloader(run_opts);
+    Outcome out;
+    out.scheme = offloader.solve(system, &warm);
+    out.objective_bits =
+        std::bit_cast<std::uint64_t>(offloader.last_stats().final_objective);
+    out.warm_greedy_won = offloader.last_stats().warm_greedy_won;
+    return out;
+  };
+  parallel::ThreadPool workers(3);
+  const Outcome want = solve(0, nullptr);
+  ASSERT_TRUE(want.warm_greedy_won);
+  for (const std::size_t period : {std::size_t{0}, std::size_t{3}}) {
+    for (parallel::ThreadPool* pool : {static_cast<parallel::ThreadPool*>(
+                                           nullptr),
+                                       &workers}) {
+      const Outcome got = solve(period, pool);
+      const std::string where = "period " + std::to_string(period) +
+                                (pool != nullptr ? " pooled" : " serial");
+      EXPECT_TRUE(got.scheme == want.scheme) << where;
+      EXPECT_EQ(got.objective_bits, want.objective_bits) << where;
+      EXPECT_EQ(got.warm_greedy_won, want.warm_greedy_won) << where;
+    }
+  }
 }
 
 TEST(PipelineOffloader, ReplicatedUsersAccountCompressionStats) {
