@@ -9,10 +9,9 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/weighted_graph.hpp"
@@ -46,6 +45,14 @@ class Application {
   /// Add a function; names must be unique. Returns its index.
   std::size_t add_function(FunctionInfo info);
 
+  /// Add a function unless its name is already declared: returns its
+  /// index, or npos (adding nothing) for a duplicate. Hashes the name
+  /// once, so a parser rejects duplicates without a separate lookup.
+  std::size_t try_add_function(FunctionInfo info);
+
+  /// Pre-size the exchange list for `n` exchanges.
+  void reserve_exchanges(std::size_t n) { exchanges_.reserve(n); }
+
   /// Record a data exchange (both directions count as one undirected
   /// communication; repeated exchanges accumulate in the graph).
   void add_exchange(std::size_t from, std::size_t to, double amount);
@@ -78,18 +85,26 @@ class Application {
   [[nodiscard]] std::vector<std::uint32_t> component_ids() const;
 
  private:
+  static constexpr std::uint32_t kNoFunction = UINT32_MAX;
+  /// One slot of the name index: a function index and its name's 32-bit
+  /// hash, which places the slot, re-places it when the table grows, and
+  /// screens a probe before it compares names.
+  struct NameSlot {
+    std::uint32_t hash = 0;
+    std::uint32_t function = kNoFunction;
+  };
+
+  /// The slot holding `name`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(std::string_view name,
+                                    std::uint32_t hash) const;
+
   std::string name_;
   std::vector<FunctionInfo> functions_;
   std::vector<DataExchange> exchanges_;
-  /// Transparent hash: the index is probed with any string_view.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view name) const noexcept {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
-      index_by_name_;
+  /// Open-addressing name index over functions_ (linear probing, a
+  /// power-of-two size, at most half full; each name is stored only in
+  /// its FunctionInfo).
+  std::vector<NameSlot> name_index_;
 };
 
 }  // namespace mecoff::appmodel

@@ -1,7 +1,8 @@
 #include "appmodel/dsl_parser.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -12,8 +13,23 @@ namespace mecoff::appmodel {
 
 namespace {
 
-/// The C-locale isspace set (' ', \t, \n, \v, \f, \r): tokens split here.
-constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+/// How the tokenizer treats a byte. Blanks are the C-locale isspace set
+/// without '\n' (' ', \t, \v, \f, \r): tokens split there; '\n' ends
+/// the line and '#' cuts it; every other byte belongs to a token.
+enum ByteClass : std::uint8_t { kToken, kBlank, kNewline, kComment };
+
+constexpr std::array<ByteClass, 256> kByteClass = [] {
+  std::array<ByteClass, 256> table{};
+  for (const unsigned char c : {' ', '\t', '\v', '\f', '\r'})
+    table[c] = kBlank;
+  table[static_cast<unsigned char>('\n')] = kNewline;
+  table[static_cast<unsigned char>('#')] = kComment;
+  return table;
+}();
+
+ByteClass byte_class(char c) {
+  return kByteClass[static_cast<unsigned char>(c)];
+}
 
 /// Split "key=value" at the first '='; returns false on no '='.
 bool split_kv(std::string_view token, std::string_view& key,
@@ -25,22 +41,45 @@ bool split_kv(std::string_view token, std::string_view& key,
   return true;
 }
 
-/// Replace `tokens` with the whitespace-separated views of `line`.
-void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+/// Replace `tokens` with the tokens of the line starting at `pos`, and
+/// move `pos` past the line's '\n' (or to the end of `text`).
+void next_line(std::string_view text, std::size_t& pos,
+               std::vector<std::string_view>& tokens) {
   tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && is_space(line[i])) ++i;
-    const std::size_t start = i;
-    while (i < line.size() && !is_space(line[i])) ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
+  const std::size_t size = text.size();
+  std::size_t i = pos;
+  while (i < size) {
+    const ByteClass c = byte_class(text[i]);
+    if (c == kBlank) {
+      ++i;
+    } else if (c == kToken) {
+      const std::size_t start = i;
+      while (++i < size && byte_class(text[i]) == kToken) {
+      }
+      tokens.push_back(text.substr(start, i - start));
+    } else {
+      // '#' cuts the line: its tail up to the '\n' is skipped.
+      if (c == kComment) {
+        i = text.find('\n', i);
+        if (i == std::string_view::npos) break;
+      }
+      pos = i + 1;
+      return;
+    }
   }
+  pos = size;
 }
 
 }  // namespace
 
 Result<Application> parse_app_dsl(std::string_view text) {
+  // Every exchange takes a line of at least kShortestCall bytes, so the
+  // body size bounds the exchange count without a scan (counting the
+  // '\n' bytes first cost more than the reallocations it saved).
+  constexpr std::size_t kShortestCall = 16;  // "call a b data=0\n"
+  const std::size_t exchange_bound = text.size() / kShortestCall + 1;
   Application app;
+  app.reserve_exchanges(exchange_bound);
   bool named = false;
   std::string current_component;
   std::vector<std::string_view> tokens;
@@ -54,13 +93,9 @@ Result<Application> parse_app_dsl(std::string_view text) {
   };
 
   // Lines end at '\n'; a last line without one still counts.
-  for (std::size_t begin = 0; begin < text.size();) {
-    const std::size_t end = std::min(text.find('\n', begin), text.size());
-    std::string_view line = text.substr(begin, end - begin);
-    begin = end + 1;
+  for (std::size_t pos = 0; pos < text.size();) {
+    next_line(text, pos, tokens);
     ++line_no;
-    // '#' starts a comment anywhere on the line, mid-token included.
-    tokenize(line.substr(0, line.find('#')), tokens);
     if (tokens.empty()) continue;
 
     if (tokens[0] == "app") {
@@ -71,6 +106,7 @@ Result<Application> parse_app_dsl(std::string_view text) {
       if (app.num_functions() > 0)
         return fail("'app' must come before the first function");
       app = Application(std::string(tokens[1]));
+      app.reserve_exchanges(exchange_bound);
       named = true;
     } else if (tokens[0] == "component") {
       if (tokens.size() != 2)
@@ -104,9 +140,8 @@ Result<Application> parse_app_dsl(std::string_view text) {
           return fail(quoted("unknown function attribute key", key));
         }
       }
-      if (app.find_function(info.name) != Application::npos)
-        return fail(quoted("duplicate function", info.name));
-      app.add_function(std::move(info));
+      if (app.try_add_function(std::move(info)) == Application::npos)
+        return fail(quoted("duplicate function", tokens[1]));
     } else if (tokens[0] == "call") {
       if (tokens.size() != 4) return fail("expected 'call <a> <b> data=<x>'");
       const std::size_t a = app.find_function(tokens[1]);

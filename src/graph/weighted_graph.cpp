@@ -67,6 +67,11 @@ double WeightedGraph::edge_weight_between(NodeId u, NodeId v) const {
 
 GraphBuilder::GraphBuilder(std::size_t n) : node_weights_(n, 0.0) {}
 
+void GraphBuilder::reserve(std::size_t nodes, std::size_t edges) {
+  node_weights_.reserve(nodes);
+  raw_edges_.reserve(edges);
+}
+
 NodeId GraphBuilder::add_node(double weight) {
   MECOFF_EXPECTS(weight >= 0.0 && std::isfinite(weight));
   node_weights_.push_back(weight);

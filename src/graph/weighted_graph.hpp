@@ -144,6 +144,9 @@ class GraphBuilder {
   /// Pre-size for `n` nodes of weight 0.
   explicit GraphBuilder(std::size_t n);
 
+  /// Reserve room for `nodes` nodes and `edges` add_edge calls in all.
+  void reserve(std::size_t nodes, std::size_t edges);
+
   /// Append a node; returns its id.
   NodeId add_node(double weight);
 

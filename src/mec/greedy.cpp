@@ -102,12 +102,13 @@ GreedyResult generate_scheme(
   // Replica users. A user's initial separable state — its placement,
   // its aggregates, every single part's delta and its parts' adjacency
   // — depends only on its graph and its parts. A user whose graph
-  // shares the payload of the first user holding that graph, and whose
-  // list is that user's list or equals it part for part, starts where
-  // that user starts, so it copies the state instead of recomputing it.
-  // prototype[u] starts as the first user holding u's graph, and the
-  // set-up resets it to u when the lists differ; prototype[u] == u: u
-  // computes its own.
+  // shares the payload of the first user holding that graph, whose
+  // mask equals that user's, and whose list is that user's list or
+  // equals it part for part, starts where that user starts, so it
+  // copies the state instead of recomputing it. prototype[u] starts as
+  // the first user holding u's graph, and the set-up resets it to u
+  // when the masks or lists differ; prototype[u] == u: u computes its
+  // own.
   std::vector<std::size_t> prototype(num_users);
   std::unordered_map<const void*, std::size_t> first_user_of_graph;
   first_user_of_graph.reserve(num_users);
@@ -162,18 +163,21 @@ GreedyResult generate_scheme(
   // are the same doubles.
   parallel::for_each_index(pool, num_users, [&](std::size_t u) {
     const std::span<const Part> mine = parts_of_user[u];
+    const UserApp& user = system.users[u];
     if (prototype[u] != u) {
       const std::span<const Part> theirs = parts_of_user[prototype[u]];
-      if ((mine.data() == theirs.data() && mine.size() == theirs.size()) ||
-          std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
-                     [](const Part& a, const Part& b) {
-                       return a.nodes == b.nodes && a.weight == b.weight &&
-                              a.initially_local == b.initially_local;
-                     }))
+      // The mask too: the prototype's set-up checked its parts against
+      // its own mask only.
+      if (user.unoffloadable == system.users[prototype[u]].unoffloadable &&
+          ((mine.data() == theirs.data() && mine.size() == theirs.size()) ||
+           std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                      [](const Part& a, const Part& b) {
+                        return a.nodes == b.nodes && a.weight == b.weight &&
+                               a.initially_local == b.initially_local;
+                      })))
         return;
       prototype[u] = u;
     }
-    const UserApp& user = system.users[u];
     const graph::WeightedGraph& g = user.graph;
     std::vector<Placement>& placement = result.scheme.placement[u];
     placement.assign(g.num_nodes(), Placement::kLocal);

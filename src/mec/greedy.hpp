@@ -98,12 +98,14 @@ struct GreedyResult {
 /// (part.weight = Σ of its nodes' weights). All but the last throw
 /// PreconditionError; the node checks run where a user lays out its
 /// parts, so a replica's list is checked once, as its prototype's list
-/// against its prototype's mask.
+/// against its prototype's mask, which is the replica's own.
 ///
 /// User u is a replica of the first user p holding its graph payload
-/// when u's list is p's very list (the same span: nothing is compared)
-/// or equals it part for part in `nodes`, `weight` and
-/// `initially_local`; it copies p's set-up instead of recomputing it.
+/// when u's `unoffloadable` mask equals p's, and u's list is p's very
+/// list (the same span: no part is compared) or equals it part for part
+/// in `nodes`, `weight` and `initially_local`; it copies p's set-up
+/// instead of recomputing it. A user whose mask differs lays out its
+/// own set-up, and the node checks run against its own mask.
 /// `pool` may be null for a serial set-up; the per-user set-up fans out
 /// one index per user on it, and the result is bit-identical either
 /// way.

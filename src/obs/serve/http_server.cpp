@@ -303,16 +303,23 @@ void HttpServer::serve_connection(int fd) {
 
   HttpRequest& request = head.request;
   if (request.method == "POST") {
+    // The body is sized once from Content-Length (the parser capped it
+    // at kMaxHttpBody) and received straight into place: the bytes that
+    // came with the head first, then recv at the fill offset. Bytes
+    // past Content-Length (pipelined excess) are never copied.
     const std::size_t content_length = head.content_length;
-    request.body = buffer.substr(header_end + 4);
-    while (request.body.size() < content_length) {
+    const std::size_t body_start = header_end + 4;
+    std::size_t filled = std::min(buffer.size() - body_start, content_length);
+    request.body.resize(content_length);
+    buffer.copy(request.body.data(), filled, body_start);
+    while (filled < content_length) {
       if (std::chrono::steady_clock::now() > deadline) {
         send_response(fd, HttpResponse{408, "text/plain; charset=utf-8",
                                        "request timeout\n"});
         return;
       }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      const ssize_t n = ::recv(fd, request.body.data() + filled,
+                               content_length - filled, 0);
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         send_response(fd, HttpResponse{408, "text/plain; charset=utf-8",
@@ -320,9 +327,8 @@ void HttpServer::serve_connection(int fd) {
         return;
       }
       if (n <= 0) return;  // body truncated by the peer
-      request.body.append(chunk, static_cast<std::size_t>(n));
+      filled += static_cast<std::size_t>(n);
     }
-    request.body.resize(content_length);  // drop any pipelined excess
   }
 
   const auto it = routes_.find(request.path);

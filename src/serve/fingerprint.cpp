@@ -7,10 +7,6 @@ namespace mecoff::serve {
 
 namespace {
 
-// Distinct FNV primes per stream keep the two digests independent.
-constexpr std::uint64_t kPrimeHi = 0x100000001b3ULL;
-constexpr std::uint64_t kPrimeLo = 0x10000000233ULL;
-
 // Section tags so "3 nodes, 2 edges" can never collide with
 // "2 nodes, 3 edges": every canonical section is prefixed.
 enum : std::uint64_t {
@@ -109,19 +105,6 @@ struct TextSink {
 
 FingerprintBuilder::FingerprintBuilder(const Fingerprint& seed)
     : hi_(seed.hi), lo_(seed.lo) {}
-
-void FingerprintBuilder::add_u64(std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    const std::uint64_t b = (value >> (8 * byte)) & 0xFF;
-    hi_ = (hi_ ^ b) * kPrimeHi;
-    lo_ = (lo_ ^ (b + 0x5bULL)) * kPrimeLo;
-  }
-}
-
-void FingerprintBuilder::add_double(double value) {
-  if (value == 0.0) value = 0.0;  // collapse -0.0 onto +0.0
-  add_u64(std::bit_cast<std::uint64_t>(value));
-}
 
 std::string Fingerprint::to_hex() const {
   static const char* digits = "0123456789abcdef";

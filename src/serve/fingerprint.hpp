@@ -31,12 +31,15 @@
 //     is a budget, not an input, and degraded (deadline-expired)
 //     results are never published to the cache.
 //
-// The digest is 128 bits built from two independent 64-bit FNV-1a
-// streams — not cryptographic, but collision-safe for the cache's
-// purpose (a collision serves a wrong-but-valid scheme; 2^64 birthday
-// bound on realistic corpus sizes makes that negligible).
+// The digest is 128 bits built from two 64-bit streams with different
+// folds. Each canonical 64-bit word is hashed once, through a
+// full-avalanche mixer (murmur3's fmix64), and folded into both — not
+// cryptographic, but collision-safe for the cache's purpose (a
+// collision serves a wrong-but-valid scheme; 2^64 birthday bound on
+// realistic corpus sizes makes that negligible).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -70,16 +73,40 @@ class FingerprintBuilder {
   /// configuration in front of every per-request hash).
   explicit FingerprintBuilder(const Fingerprint& seed);
 
-  void add_u64(std::uint64_t value);
+  /// Mixes the word once and folds the result into both streams.
+  /// Inline, so a feed loop keeps both streams in registers.
+  void add_u64(std::uint64_t value) {
+    const std::uint64_t mixed = mix(value);
+    hi_ = std::rotl((hi_ ^ mixed) * 0x9e3779b97f4a7c15ULL, 29);
+    lo_ = std::rotl((lo_ + mixed) * 0xd6e8feb86659fd93ULL, 31);
+  }
   /// Bit-pattern hash with -0.0 → +0.0 normalization.
-  void add_double(double value);
+  void add_double(double value) {
+    if (value == 0.0) value = 0.0;  // collapse -0.0 onto +0.0
+    add_u64(std::bit_cast<std::uint64_t>(value));
+  }
   void add_bool(bool value) { add_u64(value ? 1 : 0); }
 
   [[nodiscard]] Fingerprint digest() const { return {hi_, lo_}; }
 
  private:
-  // FNV-1a offset bases; the second stream gets distinct constants so
-  // the two 64-bit digests are independent.
+  /// murmur3's fmix64: a bijection in which every bit of the word
+  /// reaches every bit of the result, so no two word changes cancel the
+  /// way two flips of bit 63 do under a bare (h ^ w) * p step. Each
+  /// stream's fold (xor or add, an odd multiply, a rotate) is a
+  /// bijection in the stream for a fixed word and in the word for a
+  /// fixed stream, so feeds that differ in one word differ at the end.
+  /// The mixer sits off the streams' dependency chains, which are one
+  /// multiply long per word.
+  static constexpr std::uint64_t mix(std::uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    return x ^ (x >> 33);
+  }
+
+  // Distinct non-zero starting states, one per stream.
   std::uint64_t hi_ = 0xcbf29ce484222325ULL;
   std::uint64_t lo_ = 0x84222325cbf29ce4ULL;
 };

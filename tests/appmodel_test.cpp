@@ -40,6 +40,41 @@ TEST(Application, AddAndFindFunctions) {
   // A view into a longer buffer finds its own bytes, not the buffer's.
   EXPECT_EQ(app.find_function(std::string_view("alphabet").substr(0, 5)), a);
   EXPECT_EQ(app.function(b).component, "core");
+  EXPECT_EQ(Application().find_function("alpha"), Application::npos);
+
+  // 5,000 names grow the flat index several times; each is found
+  // through a view into a longer buffer.
+  constexpr std::size_t kMany = 5000;
+  Application big("big");
+  for (std::size_t i = 0; i < kMany; ++i)
+    ASSERT_EQ(big.add_function({"fn" + std::to_string(i), 1, false, ""}), i);
+  const auto misses = [&](const Application& probed) {
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < kMany; ++i) {
+      const std::string padded = "fn" + std::to_string(i) + "#tail";
+      const std::string_view name(padded.data(), padded.size() - 5);
+      wrong += probed.find_function(name) != i;
+    }
+    wrong += probed.find_function("fn5000") != Application::npos;
+    wrong += probed.find_function("fn") != Application::npos;
+    return wrong;
+  };
+  EXPECT_EQ(misses(big), 0u);
+
+  // A copy, and a moved-from table moved again into an assigned one,
+  // answer the same lookups.
+  const Application copy = big;
+  Application moved(std::move(big));
+  Application assigned("other");
+  assigned.add_function({"fn0", 9, false, ""});
+  assigned = std::move(moved);
+  EXPECT_EQ(misses(copy), 0u);
+  EXPECT_EQ(misses(assigned), 0u);
+  EXPECT_EQ(assigned.num_functions(), kMany);
+  EXPECT_EQ(assigned.try_add_function({"fn17", 1, false, ""}),
+            Application::npos);
+  EXPECT_EQ(assigned.try_add_function({"fn5000", 1, false, ""}), kMany);
+  EXPECT_EQ(copy.find_function("fn5000"), Application::npos);
 }
 
 TEST(Application, DuplicateNameRejected) {

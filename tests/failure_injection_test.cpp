@@ -153,6 +153,22 @@ TEST(FailureInjection, GreedyRejectsPinnedNodesInParts) {
   EXPECT_THROW(mec::generate_scheme(system, lists), PreconditionError);
 }
 
+TEST(FailureInjection, GreedyRejectsPinnedNodesInReplicaParts) {
+  // A replica copies its prototype's set-up, whose node checks read the
+  // prototype's mask: a replica pinning a node of the shared list must
+  // be refused all the same, not handed a scheme offloading that node.
+  mec::UserApp free_app;
+  free_app.graph = graph::path_graph(3);
+  mec::UserApp pinning = free_app;  // the same graph payload
+  pinning.unoffloadable = {true, false, false};
+  const mec::MecSystem system{mec::SystemParams{}, {free_app, pinning}};
+  std::vector<mec::Part> parts(1);
+  parts[0].nodes = {0, 1, 2};
+  parts[0].weight = 3.0;
+  const std::vector<std::span<const mec::Part>> lists{parts, parts};
+  EXPECT_THROW(mec::generate_scheme(system, lists), PreconditionError);
+}
+
 TEST(FailureInjection, SimEngineRejectsTimeTravel) {
   sim::SimEngine engine;
   EXPECT_THROW(engine.schedule_after(-1.0, [] {}), PreconditionError);

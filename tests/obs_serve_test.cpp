@@ -18,10 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -550,6 +553,81 @@ TEST(HttpRobustness, PostBodyRoundTripsAndOversizeIsRejected) {
   }
   ::close(fd);
   EXPECT_NE(response.find("HTTP/1.1 413"), std::string::npos) << response;
+  server.stop();
+}
+
+TEST(HttpRobustness, PostBodyArrivingInPiecesRoundTrips) {
+  obs::serve::HttpServer server;
+  std::atomic<int> handled{0};
+  server.handle("/echo", [&handled](const obs::serve::HttpRequest& request) {
+    handled.fetch_add(1);
+    return obs::serve::HttpResponse{200, "application/octet-stream",
+                                    request.body, {}};
+  });
+  const Result<std::uint16_t> port = server.start(0);
+  ASSERT_TRUE(port.ok()) << port.error().message;
+
+  // 120 KB of every byte value, CR and LF included.
+  std::mt19937 rng(27);
+  std::string body(120 * 1024, '\0');
+  for (char& c : body) c = static_cast<char>(rng() & 0xFF);
+  const std::string head =
+      "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n";
+
+  // Sends `bytes` in pieces of uneven sizes with short pauses between
+  // them; the first piece ends inside the head, the second carries the
+  // rest of the head and the start of the body.
+  const auto send_in_pieces = [](int fd, const std::string& bytes) {
+    static constexpr std::size_t kPieces[] = {20, 4000, 1, 9973, 3, 40000,
+                                              517, 65536};
+    std::size_t sent = 0;
+    for (std::size_t k = 0; sent < bytes.size(); ++k) {
+      const std::size_t piece =
+          std::min(kPieces[k % std::size(kPieces)], bytes.size() - sent);
+      for (std::size_t done = 0; done < piece;) {
+        const ssize_t n = ::send(fd, bytes.data() + sent + done, piece - done,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) return;
+        done += static_cast<std::size_t>(n);
+      }
+      sent += piece;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  const auto read_to_eof = [](int fd) {
+    std::string response;
+    char buffer[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      if (n <= 0) break;
+      response.append(buffer, static_cast<std::size_t>(n));
+    }
+    return response;
+  };
+
+  const int fd = connect_raw(port.value());
+  ASSERT_GE(fd, 0);
+  send_in_pieces(fd, head + body);
+  const std::string echoed = read_to_eof(fd);
+  ::close(fd);
+  ASSERT_NE(echoed.find("HTTP/1.1 200"), std::string::npos)
+      << echoed.substr(0, 200);
+  const std::size_t echoed_body = echoed.find("\r\n\r\n");
+  ASSERT_NE(echoed_body, std::string::npos);
+  EXPECT_TRUE(echoed.compare(echoed_body + 4, std::string::npos, body) == 0)
+      << "echoed body differs from the body sent";
+  EXPECT_EQ(handled.load(), 1);
+
+  // A body the peer cuts short (half sent, then the write side closed)
+  // is dropped before any handler sees it.
+  const int cut = connect_raw(port.value());
+  ASSERT_GE(cut, 0);
+  send_in_pieces(cut, head + body.substr(0, body.size() / 2));
+  ::shutdown(cut, SHUT_WR);
+  EXPECT_EQ(read_to_eof(cut), "");
+  ::close(cut);
+  EXPECT_EQ(handled.load(), 1);
   server.stop();
 }
 

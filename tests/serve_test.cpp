@@ -144,6 +144,37 @@ TEST(FingerprintTest, SeededBuilderSeparatesConfigurations) {
   EXPECT_NE(seeded_a.digest(), seeded_b.digest());
 }
 
+TEST(FingerprintTest, EveryInputBitReachesBothDigests) {
+  const std::vector<std::uint64_t> words = {0xA1, 250, 0x4059000000000000ULL,
+                                            0xA2, 0, 1, 0xA6};
+  const auto digest_of = [](const std::vector<std::uint64_t>& stream) {
+    FingerprintBuilder builder;
+    for (const std::uint64_t w : stream) builder.add_u64(w);
+    return builder.digest();
+  };
+  const Fingerprint base = digest_of(words);
+
+  // Each single-bit flip of one word moves both halves, and no two flips
+  // share a digest.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  for (int bit = 0; bit < 64; ++bit) {
+    std::vector<std::uint64_t> flipped = words;
+    flipped[2] ^= std::uint64_t{1} << bit;
+    const Fingerprint f = digest_of(flipped);
+    EXPECT_NE(f.hi, base.hi) << "bit " << bit;
+    EXPECT_NE(f.lo, base.lo) << "bit " << bit;
+    seen.insert({f.hi, f.lo});
+  }
+  EXPECT_EQ(seen.size(), 64u);
+
+  // Under a bare (h ^ w) * p step a flip of bit 63 stays in bit 63, so
+  // two of them cancel; here they must not.
+  std::vector<std::uint64_t> twice = words;
+  twice[1] ^= std::uint64_t{1} << 63;
+  twice[4] ^= std::uint64_t{1} << 63;
+  EXPECT_NE(digest_of(twice), base);
+}
+
 // ---- SchemeCache ----------------------------------------------------------
 
 std::vector<mec::Placement> placement_of(std::size_t n, std::size_t remote) {

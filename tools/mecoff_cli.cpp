@@ -823,6 +823,12 @@ int cmd_serve_solve(const std::string& path, const Config& cfg) {
     if (r.degraded && r.source != serve::SolveSource::kShed)
       resp.body += " degraded";
     resp.body += '\n';
+    // One "<name> device\n" or "<name> server\n" line per function:
+    // both suffixes are 8 bytes, so the body is sized once.
+    std::size_t body_size = resp.body.size();
+    for (std::size_t i = 0; i < r.placement.size(); ++i)
+      body_size += solved_app.function(i).name.size() + 8;
+    resp.body.reserve(body_size);
     for (std::size_t i = 0; i < r.placement.size(); ++i) {
       resp.body += solved_app.function(i).name;
       resp.body += r.placement[i] == mec::Placement::kLocal ? " device\n"
