@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -150,28 +149,7 @@ LanczosResult lanczos_smallest(const LinearOperator& op,
   }
 
   Rng rng(options.seed);
-  // Warm start: validated caller-supplied first Krylov vector, else the
-  // seeded random draw. A wrong-dimension warm vector is a typed error
-  // (never read out of bounds); one inside the deflation span falls
-  // back to the random start — the solve degrades to cold, it never
-  // fails.
-  Vec start;
-  if (!options.initial_vector.empty()) {
-    if (options.initial_vector.size() != n)
-      throw PreconditionError(
-          "Lanczos warm-start vector has dimension " +
-          std::to_string(options.initial_vector.size()) +
-          " but the operator has dimension " + std::to_string(n));
-    start = options.initial_vector;
-    project_out(start, options.deflate);
-    const double norm = norm2(start);
-    if (norm > 1e-10 * std::sqrt(static_cast<double>(n)))
-      scale(start, 1.0 / norm);
-    else
-      start = random_start(n, options.deflate, rng);
-  } else {
-    start = random_start(n, options.deflate, rng);
-  }
+  const Vec start = random_start(n, options.deflate, rng);
 
   // Operator norm scale for the relative tolerance: estimate from one
   // matvec on the start vector (cheap, adequate for a threshold).
@@ -181,11 +159,8 @@ LanczosResult lanczos_smallest(const LinearOperator& op,
   const double op_scale = std::max(norm2(probe), 1.0);
   const double abs_tol = options.tolerance * op_scale;
 
-  std::size_t m = options.initial_subspace != 0
-                      ? options.initial_subspace
-                      : std::min<std::size_t>(n, std::max<std::size_t>(
-                                                     2 * k + 28, 36));
-  m = std::min(m, n);
+  std::size_t m =
+      std::min<std::size_t>(n, std::max<std::size_t>(2 * k + 28, 36));
 
   SweepOutcome best;
   bool have_best = false;

@@ -34,25 +34,17 @@ struct LanczosOptions {
   std::size_t num_pairs = 1;
   /// Residual tolerance, relative to the operator's norm estimate.
   double tolerance = 1e-8;
-  /// Initial Krylov subspace size (0 = auto). Grows geometrically on
-  /// restart up to `max_subspace`. This is the restart knob: a sweep
-  /// whose residual misses tolerance is retried with a doubled
-  /// subspace, so even a tiny initial size (1) terminates and
-  /// converges — it just restarts more.
-  std::size_t initial_subspace = 0;
+  /// Restart ceiling. The first sweep builds a Krylov basis of
+  /// min(n, max(2k + 28, 36)) vectors, for n = op.dim and k the pairs
+  /// wanted; a sweep whose residual misses tolerance is retried from
+  /// the same start vector with the basis doubled, capped at
+  /// min(n, max_subspace).
   std::size_t max_subspace = 400;
   /// Unit-norm directions to project out of the iteration (e.g. the
   /// constant null vector of a connected Laplacian).
   std::vector<Vec> deflate;
-  /// Warm start: when non-empty, the first Krylov vector is this
-  /// vector (projected against `deflate` and normalized) instead of a
-  /// random draw. Seeding with an approximate eigenvector — e.g. the
-  /// previous Fiedler vector of a slightly perturbed Laplacian — lets
-  /// a small `initial_subspace` converge without restarts, which is
-  /// the incremental re-solve fast path. Must have size == op.dim
-  /// (PreconditionError otherwise); a vector lying in the deflation
-  /// span degrades gracefully to the random start.
-  Vec initial_vector;
+  /// Seed of the random first Krylov vector (drawn orthogonal to
+  /// `deflate`).
   std::uint64_t seed = 0x5eed;
 };
 

@@ -39,17 +39,10 @@ std::unique_ptr<graph::Bipartitioner> PipelineOffloader::make_cutter() const {
 }
 
 OffloadingScheme PipelineOffloader::solve(const MecSystem& system) {
-  return solve(system, nullptr);
-}
-
-OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
-                                          const WarmStart* warm) {
   MECOFF_EXPECTS(system.valid());
   MECOFF_TRACE_SPAN_ARG("mec.solve", system.num_users());
   MECOFF_COUNTER_ADD("mec.solve.count", 1);
   stats_ = SolveStats{};
-  stats_.warm_start_used = warm != nullptr;
-  artifacts_ = SolveArtifacts{};
   Stopwatch total_timer;
   // Read once on the calling thread: pool workers running solve_user
   // carry no request scope of their own.
@@ -67,12 +60,9 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   // writes only its own slot.
   struct ComponentCut {
     std::vector<Part> parts;
-    linalg::Vec fiedler_vector;  ///< only when collecting
     bool nonconverged = false;
     bool kl_fallback = false;
     bool all_remote = false;
-    bool warm_seeded = false;
-    bool warm_rejected = false;
   };
 
   // Everything one per-user task produces. Tasks write only their own
@@ -86,10 +76,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     std::size_t spectral_nonconverged = 0;
     std::size_t fallback_kl_cuts = 0;
     std::size_t fallback_all_remote = 0;
-    /// One slot per compressed component (only when collecting).
-    std::vector<linalg::Vec> fiedler_vectors;
-    std::size_t warm_seeded = 0;
-    std::size_t warm_rejected = 0;
   };
 
   // Parts for one user, computed from scratch.
@@ -155,26 +141,8 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
           options_.backend == CutBackend::kSpectral
               ? static_cast<spectral::SpectralBipartitioner*>(cutter.get())
               : nullptr;
-      // Warm hint for this component: the previous solve's Fiedler
-      // vector, usable only while compression kept the same shape (a
-      // perturbation can merge or split supernodes — then the dimension
-      // differs and the component simply solves cold).
-      if (spectral_cutter != nullptr && warm != nullptr &&
-          u < warm->fiedler_vectors.size() &&
-          c < warm->fiedler_vectors[u].size() &&
-          !warm->fiedler_vectors[u][c].empty()) {
-        const linalg::Vec& hint = warm->fiedler_vectors[u][c];
-        if (hint.size() == comp.compression.compressed.num_nodes()) {
-          spectral_cutter->set_warm_start(&hint);
-          result.warm_seeded = true;
-        } else {
-          result.warm_rejected = true;
-        }
-      }
       graph::Bipartition cut =
           cutter->bipartition(comp.compression.compressed);
-      if (spectral_cutter != nullptr && options_.collect_fiedler_vectors)
-        result.fiedler_vector = spectral_cutter->last_fiedler_vector();
       if (spectral_cutter != nullptr && !spectral_cutter->last_converged()) {
         // Fallback chain: a below-tolerance Fiedler vector is a guess,
         // not a cut — recut combinatorially (KL) while budget remains,
@@ -256,13 +224,9 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     // Merge in component order, so part order is the serial loop's.
     for (ComponentCut& cut : cuts) {
       for (Part& part : cut.parts) out.parts.push_back(std::move(part));
-      if (options_.collect_fiedler_vectors)
-        out.fiedler_vectors.push_back(std::move(cut.fiedler_vector));
       out.spectral_nonconverged += cut.nonconverged ? 1 : 0;
       out.fallback_kl_cuts += cut.kl_fallback ? 1 : 0;
       out.fallback_all_remote += cut.all_remote ? 1 : 0;
-      out.warm_seeded += cut.warm_seeded ? 1 : 0;
-      out.warm_rejected += cut.warm_rejected ? 1 : 0;
     }
     out.cut_seconds = cut_timer.elapsed_seconds();
     MECOFF_QUANTILES_RECORD_ID("mec.user.cut_seconds", out.cut_seconds,
@@ -301,21 +265,14 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     parts_of_user[u] = solved_for(u).parts;
     stats_.num_parts += parts_of_user[u].size();
   }
-  for (UserSolve& s : solved) {
+  for (const UserSolve& s : solved) {
     stats_.compress_seconds += s.compress_seconds;
     stats_.cut_seconds += s.cut_seconds;
     stats_.spectral_nonconverged += s.spectral_nonconverged;
     stats_.fallback_kl_cuts += s.fallback_kl_cuts;
     stats_.fallback_all_remote += s.fallback_all_remote;
-    stats_.warm_fiedler_seeded += s.warm_seeded;
-    stats_.warm_fiedler_rejected += s.warm_rejected;
   }
   stats_.deadline_expired = deadline_expired();
-  if (options_.collect_fiedler_vectors) {
-    artifacts_.fiedler_vectors.resize(distinct);
-    for (std::size_t u = 0; u < distinct; ++u)
-      artifacts_.fiedler_vectors[u] = std::move(solved[u].fiedler_vectors);
-  }
 
   Stopwatch greedy_timer;
   GreedyResult greedy = [&] {
@@ -323,48 +280,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
     return generate_scheme(system, parts_of_user, options_.greedy,
                            options_.pool);
   }();
-  // Warm greedy: ALSO start from the previous placement's projection
-  // onto the new parts (a part starts local iff every one of its nodes
-  // was local last time) and keep whichever start reaches the lower
-  // final objective. Strict '<' so ties go to the cold result — an
-  // unperturbed re-solve is byte-identical to a cold solve. Both runs
-  // are complete greedy descents, so warm final objective ≤ cold final
-  // objective holds by construction of the min. The projected flags
-  // differ per user, so every user gets a list of its own here; a user
-  // whose projected list equals its prototype's is still a replica, by
-  // the greedy's part-for-part compare.
-  if (warm != nullptr && warm->scheme.valid_for(system)) {
-    std::vector<std::vector<Part>> warm_parts(num_users);
-    std::vector<std::span<const Part>> warm_parts_of_user(num_users);
-    bool differs = false;
-    for (std::size_t u = 0; u < num_users; ++u) {
-      warm_parts[u].assign(parts_of_user[u].begin(), parts_of_user[u].end());
-      for (Part& part : warm_parts[u]) {
-        bool all_local = !part.nodes.empty();
-        for (const graph::NodeId v : part.nodes) {
-          if (warm->scheme.placement[u][v] != Placement::kLocal) {
-            all_local = false;
-            break;
-          }
-        }
-        if (part.initially_local != all_local) differs = true;
-        part.initially_local = all_local;
-      }
-      warm_parts_of_user[u] = warm_parts[u];
-    }
-    if (differs) {
-      GreedyResult warm_greedy = [&] {
-        MECOFF_TRACE_SPAN_ARG("mec.greedy.warm", stats_.num_parts);
-        return generate_scheme(system, warm_parts_of_user, options_.greedy,
-                               options_.pool);
-      }();
-      if (warm_greedy.objective_history.back() <
-          greedy.objective_history.back()) {
-        greedy = std::move(warm_greedy);
-        stats_.warm_greedy_won = true;
-      }
-    }
-  }
   stats_.greedy_seconds = greedy_timer.elapsed_seconds();
   stats_.greedy_moves = greedy.moves;
   stats_.final_objective = greedy.objective_history.back();
@@ -391,18 +306,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system,
   MECOFF_COUNTER_ADD("mec.fallback.all_remote", stats_.fallback_all_remote);
   MECOFF_COUNTER_ADD("mec.solve.deadline_expired",
                      stats_.deadline_expired ? 1 : 0);
-  // Warm-solve counters register only on warm calls: cold-only runs
-  // (every existing bench and golden fixture) keep a bit-identical
-  // metric key set, which the bench-gate baselines compare exactly.
-  if (warm != nullptr) {
-    MECOFF_COUNTER_ADD("mec.solve.warm_starts", 1);
-    MECOFF_COUNTER_ADD("mec.solve.warm_fiedler_seeded",
-                       stats_.warm_fiedler_seeded);
-    MECOFF_COUNTER_ADD("mec.solve.warm_fiedler_rejected",
-                       stats_.warm_fiedler_rejected);
-    MECOFF_COUNTER_ADD("mec.solve.warm_greedy_won",
-                       stats_.warm_greedy_won ? 1 : 0);
-  }
   // Live serving feeds, same doubles as SolveStats (the gauge==stats
   // contract extends to the quantile window and the flight recorder):
   // the sliding-window latency summary /metrics exposes...

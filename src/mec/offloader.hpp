@@ -90,11 +90,6 @@ struct PipelineOptions {
   /// the scheme depend on machine speed — bit-identical replays need it
   /// unlimited (the default) or zero (deterministically expired).
   SolveDeadline deadline;
-  /// Retain each distinct user's per-component Fiedler vectors in
-  /// last_artifacts() after solve() — the payload a caller stores to
-  /// warm the next solve of a perturbed system. Off by default: the
-  /// vectors cost O(total compressed nodes) memory per solve.
-  bool collect_fiedler_vectors = false;
 };
 
 class PipelineOffloader final : public Offloader {
@@ -103,43 +98,7 @@ class PipelineOffloader final : public Offloader {
 
   [[nodiscard]] OffloadingScheme solve(const MecSystem& system) override;
 
-  /// Inputs for an incremental re-solve: artifacts of a previous solve
-  /// of a NEARBY system (same users and topology, perturbed weights or
-  /// channel). Every field is advisory — a missing, empty, or
-  /// wrong-shaped entry simply solves that piece cold, counted in
-  /// SolveStats; warm never changes what is a valid answer, only how
-  /// fast one is reached and which local optimum the greedy lands in.
-  struct WarmStart {
-    /// Previous placement. When it matches the system's shape, the
-    /// greedy additionally starts from this placement's projection
-    /// onto the new parts and the better of (warm-start, cold-start)
-    /// final objectives wins — ties go to cold, so an unperturbed
-    /// re-solve returns a byte-identical scheme.
-    OffloadingScheme scheme;
-    /// fiedler_vectors[u][c]: distinct user u's compressed component
-    /// c's Fiedler vector from the previous solve; seeds Lanczos when
-    /// the dimension still matches (compression can reshape under
-    /// perturbation — mismatches are rejected, not UB).
-    std::vector<std::vector<linalg::Vec>> fiedler_vectors;
-  };
-
-  /// Warm-start overload; `warm == nullptr` is bit-identical to the
-  /// plain solve().
-  [[nodiscard]] OffloadingScheme solve(const MecSystem& system,
-                                       const WarmStart* warm);
-
   [[nodiscard]] std::string name() const override;
-
-  /// What a warm re-solve consumes, retained from the last solve() when
-  /// PipelineOptions::collect_fiedler_vectors is set (empty otherwise).
-  struct SolveArtifacts {
-    /// fiedler_vectors[u][c] per DISTINCT user; empty Vec where the
-    /// component was degenerate, disconnected, or never cut.
-    std::vector<std::vector<linalg::Vec>> fiedler_vectors;
-  };
-  [[nodiscard]] const SolveArtifacts& last_artifacts() const {
-    return artifacts_;
-  }
 
   struct SolveStats {
     lpa::CompressionStats compression;  ///< aggregate over ALL users,
@@ -165,12 +124,6 @@ class PipelineOffloader final : public Offloader {
     std::size_t fallback_kl_cuts = 0;       ///< sub-graphs recut with KL
     std::size_t fallback_all_remote = 0;    ///< sub-graphs never cut
     bool deadline_expired = false;
-    /// Warm-start diagnostics (all zero/false on cold solves). Rejected
-    /// vectors are NOT degradation — the component just solved cold.
-    bool warm_start_used = false;
-    std::size_t warm_fiedler_seeded = 0;    ///< components seeded warm
-    std::size_t warm_fiedler_rejected = 0;  ///< dimension-mismatch hints
-    bool warm_greedy_won = false;  ///< projected start beat cold start
 
     /// Any degraded cut in the last solve()?
     [[nodiscard]] bool degraded() const {
@@ -186,7 +139,6 @@ class PipelineOffloader final : public Offloader {
 
   PipelineOptions options_;
   SolveStats stats_;
-  SolveArtifacts artifacts_;
 };
 
 /// Everything on the device.

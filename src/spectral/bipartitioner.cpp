@@ -19,9 +19,6 @@ Bipartition SpectralBipartitioner::bipartition(const WeightedGraph& g) {
   MECOFF_TRACE_SPAN_ARG("spectral.bipartition", g.num_nodes());
   MECOFF_COUNTER_ADD("spectral.bipartition.runs", 1);
   last_converged_ = true;  // degenerate paths need no eigensolve
-  last_fiedler_vector_.clear();
-  const linalg::Vec* warm = warm_start_;
-  warm_start_ = nullptr;  // one-shot: never leaks into the next graph
   Bipartition out;
   out.side.assign(g.num_nodes(), 0);
   out.cut_weight = 0.0;
@@ -41,14 +38,9 @@ Bipartition SpectralBipartitioner::bipartition(const WeightedGraph& g) {
     return out;
   }
 
-  FiedlerOptions fopt = options_.fiedler;
-  if (warm != nullptr && warm->size() == g.num_nodes())
-    fopt.warm_start = warm;
-  const FiedlerResult fiedler = fiedler_pair(g, fopt);
-  last_fiedler_vector_ = fiedler.vector;
+  const FiedlerResult fiedler = fiedler_pair(g, options_.fiedler);
   last_converged_ = fiedler.converged;
   if (!fiedler.converged) {
-    ++nonconverged_count_;
     MECOFF_COUNTER_ADD("spectral.bipartition.nonconverged", 1);
     MECOFF_LOG_WARN << "Fiedler solver did not reach tolerance (graph n="
                     << g.num_nodes() << "); using best available vector";

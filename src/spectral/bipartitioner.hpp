@@ -1,9 +1,10 @@
 // The Bipartitioner the paper's offloader plugs in: Fiedler pair then
 // sweep split. Handles the degenerate cases the pure math cannot:
-// empty graphs, single nodes, and disconnected inputs (each component
-// is split recursively against the overall best cut... in practice the
-// pipeline always hands us connected components, but a library must not
-// misbehave when called directly).
+// empty graphs and single nodes (everything on side 0), and
+// disconnected inputs, which already have a zero cut: the smallest
+// component goes to side 1 and no eigensolve runs. The pipeline does
+// hand over disconnected sub-graphs, when declared components split a
+// connected piece (lpa/pipeline.hpp).
 #pragma once
 
 #include "graph/partition.hpp"
@@ -36,33 +37,10 @@ class SpectralBipartitioner final : public graph::Bipartitioner {
   /// eigensolve and report true.
   [[nodiscard]] bool last_converged() const { return last_converged_; }
 
-  /// Fiedler solves below tolerance since construction.
-  [[nodiscard]] std::size_t nonconverged_count() const {
-    return nonconverged_count_;
-  }
-
-  /// Arm the NEXT bipartition() with a warm-start Fiedler vector (the
-  /// incremental re-solve path). Consumed by exactly one call — the
-  /// call after it is cold again, so a stale vector can never leak
-  /// into an unrelated graph. `v` is not owned and must stay alive
-  /// until that call; nullptr disarms. Degenerate/disconnected inputs
-  /// skip the eigensolve and simply drop the hint.
-  void set_warm_start(const linalg::Vec* v) { warm_start_ = v; }
-
-  /// Fiedler vector from the last bipartition() that ran an eigensolve
-  /// (unit norm); empty when the last input was degenerate or
-  /// disconnected. This is what a caller stores to warm the next solve.
-  [[nodiscard]] const linalg::Vec& last_fiedler_vector() const {
-    return last_fiedler_vector_;
-  }
-
  private:
   SpectralOptions options_;
   double last_fiedler_value_ = 0.0;
   bool last_converged_ = true;
-  std::size_t nonconverged_count_ = 0;
-  const linalg::Vec* warm_start_ = nullptr;
-  linalg::Vec last_fiedler_vector_;
 };
 
 }  // namespace mecoff::spectral

@@ -1,8 +1,5 @@
 #include "spectral/fiedler.hpp"
 
-#include <algorithm>
-#include <string>
-
 #include "common/contracts.hpp"
 #include "graph/components.hpp"
 #include "linalg/laplacian.hpp"
@@ -10,14 +7,6 @@
 #include "obs/obs.hpp"
 
 namespace mecoff::spectral {
-
-namespace {
-
-/// Krylov subspace a warm-started Lanczos solve begins with: small, so
-/// a good seed converges within a few matvecs.
-constexpr std::size_t kWarmSubspace = 10;
-
-}  // namespace
 
 FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
                            const FiedlerOptions& options) {
@@ -60,17 +49,6 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
     lopt.max_subspace = options.max_subspace;
     lopt.deflate = {linalg::constant_unit(g.num_nodes())};
     lopt.seed = options.seed;
-    if (options.warm_start != nullptr) {
-      if (options.warm_start->size() != g.num_nodes())
-        throw PreconditionError(
-            "Fiedler warm-start vector has dimension " +
-            std::to_string(options.warm_start->size()) +
-            " but the graph has " + std::to_string(g.num_nodes()) +
-            " nodes");
-      lopt.initial_vector = *options.warm_start;
-      lopt.initial_subspace = std::min(kWarmSubspace, g.num_nodes());
-      MECOFF_COUNTER_ADD("spectral.eigensolve.warm_starts", 1);
-    }
     const linalg::LanczosResult res = linalg::lanczos_smallest(op, lopt);
     MECOFF_ENSURES(!res.pairs.empty());
     out.value = res.pairs.front().value;

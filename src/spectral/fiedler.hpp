@@ -50,16 +50,6 @@ struct FiedlerOptions {
   /// degrade-don't-die chain relies on that).
   std::size_t max_subspace = 400;      ///< Lanczos restart ceiling
   std::size_t max_iterations = 20000;  ///< power-iteration ceiling
-  /// Warm start (Lanczos backend only): an approximate Fiedler vector
-  /// of a nearby Laplacian — e.g. the previous solve's vector after a
-  /// small edge-weight or channel perturbation. Not owned; must
-  /// outlive the call; must have size == g.num_nodes()
-  /// (PreconditionError otherwise). The Krylov subspace starts small
-  /// (kWarmSubspace in fiedler.cpp) instead of at the cold default, so
-  /// a good seed converges in a fraction of the cold matvec budget; a
-  /// bad seed merely restarts like a cold solve. Power backends ignore
-  /// it.
-  const linalg::Vec* warm_start = nullptr;
 };
 
 struct FiedlerResult {

@@ -40,8 +40,6 @@ Bipartition sweep_split(const WeightedGraph& g,
   std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
     return fiedler[a] != fiedler[b] ? fiedler[a] < fiedler[b] : a < b;
   });
-  std::vector<std::size_t> rank(n);
-  for (std::size_t i = 0; i < n; ++i) rank[order[i]] = i;
 
   // Incremental cut maintenance: start with everything on side 1; move
   // nodes to side 0 in sweep order. Moving node v changes the cut by

@@ -179,6 +179,22 @@ TEST(Lanczos, RequestMorePairsThanDimension) {
   EXPECT_LE(r.pairs.size(), 2u);  // only 2 non-deflated directions exist
 }
 
+TEST(Lanczos, RestartsWithDoubledSubspaceUntilConverged) {
+  // λ₂ of a long path is tiny and crowded by λ₃, λ₄, …, so the first
+  // sweep's 36-vector basis misses tolerance and the solve converges
+  // only after restarting with the basis doubled. A single sweep costs
+  // the norm probe, 36 basis matvecs and one residual matvec, so more
+  // than 38 matvecs means the restart loop ran.
+  const std::size_t n = 200;
+  const SparseMatrix lap = laplacian(graph::path_graph(n));
+  LanczosOptions opts;
+  opts.deflate = {constant_unit(n)};
+  const LanczosResult r = lanczos_smallest(make_operator(lap), opts);
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.matvec_count, 38u);
+  EXPECT_NEAR(r.pairs[0].value, analytic_path_lambda2(n), 1e-7);
+}
+
 TEST(PowerIteration, DominantPairOfDiagonal) {
   const SparseMatrix m = SparseMatrix::from_triplets(
       3, 3, {{0, 0, 1.0}, {1, 1, 5.0}, {2, 2, 2.0}});

@@ -1,8 +1,14 @@
-// Unit tests for src/linalg: vector ops, dense/sparse matrices, the
-// Laplacian (including the paper's Theorem 2 identity), and CG.
+// Unit tests for src/linalg: vector ops, dense/sparse matrices (the
+// CSR SpMV every eigensolve runs is held to its storage-order sum by
+// an exact oracle), and the Laplacian (including the paper's Theorem 2
+// identity).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -121,6 +127,85 @@ TEST(SparseMatrix, MultiplyMatchesDense) {
   const Vec ys = sparse.multiply(x);
   const Vec yd = dense.multiply(x);
   EXPECT_LT(max_abs_diff(ys, yd), 1e-12);
+}
+
+/// Random CSR with UNIQUE (row, col) coordinates, so from_triplets'
+/// unstable duplicate-merge order cannot perturb bits and the in-test
+/// oracle can reconstruct the exact storage order (row-major, columns
+/// ascending). `dense_row` (if < rows) gets every column; other rows
+/// are Bernoulli-filled, leaving some empty at low density.
+SparseMatrix random_csr(std::size_t rows, std::size_t cols, double density,
+                        std::uint64_t seed, std::size_t dense_row = SIZE_MAX) {
+  Rng rng(seed);
+  std::vector<Triplet> triplets;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      if (r == dense_row || rng.bernoulli(density))
+        triplets.push_back({r, c, rng.uniform(-2.0, 2.0)});
+  return SparseMatrix::from_triplets(rows, cols, std::move(triplets));
+}
+
+/// The same unique triplets, reassembled independently of SparseMatrix:
+/// per row, columns ascending (CSR storage order for unique coords).
+std::vector<std::vector<std::pair<std::size_t, double>>> oracle_rows(
+    std::size_t rows, std::size_t cols, double density, std::uint64_t seed,
+    std::size_t dense_row = SIZE_MAX) {
+  Rng rng(seed);
+  std::vector<std::vector<std::pair<std::size_t, double>>> out(rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      if (r == dense_row || rng.bernoulli(density))
+        out[r].emplace_back(c, rng.uniform(-2.0, 2.0));
+  return out;
+}
+
+Vec random_vec(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vec v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+TEST(SparseMatrix, MultiplySumsEachRowInStorageOrder) {
+  // Edge shapes: the empty matrix, single rows, empty rows (low
+  // density), an all-dense row, and a tall matrix with both.
+  const struct {
+    std::size_t rows, cols;
+    double density;
+    std::size_t dense_row;
+  } cases[] = {
+      {0, 0, 0.5, SIZE_MAX},   {1, 1, 1.0, SIZE_MAX},
+      {1, 7, 0.6, SIZE_MAX},   {5, 5, 0.08, SIZE_MAX},
+      {17, 9, 0.3, 3},         {50, 50, 0.25, 8},
+      {130, 40, 0.05, 77},
+  };
+  std::size_t empty_rows = 0;
+  std::size_t dense_rows = 0;
+  std::uint64_t seed = 0x5eed0;
+  for (const auto& c : cases) {
+    for (std::uint64_t rep = 0; rep < 3; ++rep) {
+      ++seed;
+      const SparseMatrix m =
+          random_csr(c.rows, c.cols, c.density, seed, c.dense_row);
+      const auto rows = oracle_rows(c.rows, c.cols, c.density, seed,
+                                    c.dense_row);
+      const Vec x = random_vec(c.cols, seed ^ 0xabc);
+      Vec y(c.rows, -7.0);  // every row must be overwritten
+      m.multiply_into(x, y);
+      for (std::size_t r = 0; r < c.rows; ++r) {
+        if (rows[r].empty()) ++empty_rows;
+        if (rows[r].size() == c.cols && c.cols > 1) ++dense_rows;
+        double sum = 0.0;
+        for (const auto& [col, v] : rows[r]) sum += v * x[col];
+        // EXPECT_EQ on doubles: the contract is exact bit equality.
+        EXPECT_EQ(y[r], sum) << "rows=" << c.rows << " cols=" << c.cols
+                             << " row=" << r << " seed=" << seed;
+      }
+    }
+  }
+  // The shapes above must really produce both kinds of edge row.
+  EXPECT_GT(empty_rows, 0u);
+  EXPECT_GT(dense_rows, 0u);
 }
 
 TEST(SparseMatrix, GershgorinBoundsSpectralRadius) {

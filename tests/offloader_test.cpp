@@ -2,9 +2,7 @@
 // backends plus the reference solvers).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <string>
 
 #include "appmodel/synthetic_apps.hpp"
 #include "graph/generators.hpp"
@@ -145,18 +143,16 @@ TEST(PipelineOffloader, MultiUserSolveScalesAndStaysValid) {
 }
 
 // Solves `system` serially and on a pool; both must agree on every
-// result a caller can observe. Returns the serial solver's artifacts
-// (the next warm start).
-PipelineOffloader::SolveArtifacts expect_pooled_matches_serial(
-    const MecSystem& system, const PipelineOptions& serial_opts,
-    const PipelineOffloader::WarmStart* warm = nullptr) {
+// result a caller can observe.
+void expect_pooled_matches_serial(const MecSystem& system,
+                                  const PipelineOptions& serial_opts) {
   parallel::ThreadPool pool(3);
   PipelineOptions pool_opts = serial_opts;
   pool_opts.pool = &pool;
   PipelineOffloader serial(serial_opts);
   PipelineOffloader pooled(pool_opts);
-  const OffloadingScheme a = serial.solve(system, warm);
-  const OffloadingScheme b = pooled.solve(system, warm);
+  const OffloadingScheme a = serial.solve(system);
+  const OffloadingScheme b = pooled.solve(system);
   EXPECT_EQ(a.placement, b.placement);
   const PipelineOffloader::SolveStats& sa = serial.last_stats();
   const PipelineOffloader::SolveStats& sb = pooled.last_stats();
@@ -165,12 +161,6 @@ PipelineOffloader::SolveArtifacts expect_pooled_matches_serial(
   EXPECT_EQ(sa.spectral_nonconverged, sb.spectral_nonconverged);
   EXPECT_EQ(sa.fallback_kl_cuts, sb.fallback_kl_cuts);
   EXPECT_EQ(sa.fallback_all_remote, sb.fallback_all_remote);
-  EXPECT_EQ(sa.warm_fiedler_seeded, sb.warm_fiedler_seeded);
-  EXPECT_EQ(sa.warm_fiedler_rejected, sb.warm_fiedler_rejected);
-  EXPECT_EQ(sa.warm_greedy_won, sb.warm_greedy_won);
-  EXPECT_EQ(serial.last_artifacts().fiedler_vectors,
-            pooled.last_artifacts().fiedler_vectors);
-  return serial.last_artifacts();
 }
 
 TEST(PipelineOffloader, WorksWithThreadPool) {
@@ -196,27 +186,12 @@ TEST(PipelineOffloader, WorksWithThreadPool) {
   UserApp user;
   user.graph = graph::netgen_style(p);
   const MecSystem split{default_params(), {user}};
-  PipelineOptions opts = options_for(CutBackend::kSpectral);
-  opts.collect_fiedler_vectors = true;
-  const PipelineOffloader::SolveArtifacts cold =
-      expect_pooled_matches_serial(split, opts);
-  ASSERT_EQ(cold.fiedler_vectors.size(), 1u);
-  ASSERT_GE(cold.fiedler_vectors[0].size(), 4u);
-
-  // Warm start from the cold artifacts, one hint of the wrong
-  // dimension (rejected), the rest seeded.
-  PipelineOffloader::WarmStart warm;
-  warm.scheme = PipelineOffloader(opts).solve(split);
-  warm.fiedler_vectors = cold.fiedler_vectors;
-  warm.fiedler_vectors[0][1].push_back(0.0);
-  expect_pooled_matches_serial(split, opts, &warm);
-  PipelineOffloader warm_probe(opts);
-  (void)warm_probe.solve(split, &warm);
-  EXPECT_GT(warm_probe.last_stats().warm_fiedler_seeded, 0u);
-  EXPECT_GT(warm_probe.last_stats().warm_fiedler_rejected, 0u);
+  const PipelineOptions opts = options_for(CutBackend::kSpectral);
+  expect_pooled_matches_serial(split, opts);
 
   // Forced non-convergence: an unreachable tolerance stalls every
-  // eigensolve, and KL recuts each sub-graph.
+  // eigensolve, and KL recuts each sub-graph (at least four of them,
+  // so the pool has sub-graphs to fan out over).
   PipelineOptions stalled = opts;
   stalled.spectral.fiedler.backend = spectral::EigenBackend::kShiftedPower;
   stalled.spectral.fiedler.tolerance = 0.0;
@@ -280,69 +255,6 @@ TEST(PipelineOffloader, ParallelSolveMatchesSerialWithUserPeriod) {
   EXPECT_TRUE(serial == pooled);
   EXPECT_EQ(serial_solver.last_stats().final_objective,
             pool_solver.last_stats().final_objective);
-}
-
-TEST(PipelineOffloader, WarmSolveWithReplicasMatchesPerUserSolve) {
-  // 12 users over 3 prototypes, re-solved warm from a previous scheme in
-  // which two replicas of prototype 1 differ: user 4 ran everything on
-  // the device and user 7 offloaded everything. The warm greedy gives
-  // every user a list of its own, so there a user replicates its
-  // prototype only when its projected list equals the prototype's.
-  // Solving the prototypes once (period 3) must give what solving every
-  // user does (period 0), serially and on a pool, in the scheme, the
-  // final objective bits and which start won. The previous scheme is a
-  // solve on a roomier server; on the congested one the projected start
-  // wins, so the warm greedy's scheme is the one returned.
-  const std::vector<UserApp> protos{netgen_user(80, 60), netgen_user(81, 60),
-                                    netgen_user(82, 60)};
-  SystemParams congested = default_params();
-  congested.server_capacity = 100.0;
-  congested.contention_factor = 2.0;
-  const MecSystem system = make_uniform_system(congested, protos, 12);
-  const PipelineOptions opts = options_for(CutBackend::kSpectral);
-
-  PipelineOffloader::WarmStart warm;
-  warm.scheme = PipelineOffloader(opts).solve(
-      make_uniform_system(default_params(), protos, 12));
-  // User 4 had remote work, so its all-local projection differs from
-  // its cold start and the warm greedy runs.
-  ASSERT_GT(warm.scheme.remote_count(4), 0u);
-  warm.scheme.placement[4] = OffloadingScheme::all_local(system).placement[4];
-  warm.scheme.placement[7] = OffloadingScheme::all_remote(system).placement[7];
-  ASSERT_NE(warm.scheme.placement[4], warm.scheme.placement[7]);
-
-  struct Outcome {
-    OffloadingScheme scheme;
-    std::uint64_t objective_bits = 0;
-    bool warm_greedy_won = false;
-  };
-  const auto solve = [&](std::size_t period, parallel::ThreadPool* pool) {
-    PipelineOptions run_opts = opts;
-    run_opts.identical_user_period = period;
-    run_opts.pool = pool;
-    PipelineOffloader offloader(run_opts);
-    Outcome out;
-    out.scheme = offloader.solve(system, &warm);
-    out.objective_bits =
-        std::bit_cast<std::uint64_t>(offloader.last_stats().final_objective);
-    out.warm_greedy_won = offloader.last_stats().warm_greedy_won;
-    return out;
-  };
-  parallel::ThreadPool workers(3);
-  const Outcome want = solve(0, nullptr);
-  ASSERT_TRUE(want.warm_greedy_won);
-  for (const std::size_t period : {std::size_t{0}, std::size_t{3}}) {
-    for (parallel::ThreadPool* pool : {static_cast<parallel::ThreadPool*>(
-                                           nullptr),
-                                       &workers}) {
-      const Outcome got = solve(period, pool);
-      const std::string where = "period " + std::to_string(period) +
-                                (pool != nullptr ? " pooled" : " serial");
-      EXPECT_TRUE(got.scheme == want.scheme) << where;
-      EXPECT_EQ(got.objective_bits, want.objective_bits) << where;
-      EXPECT_EQ(got.warm_greedy_won, want.warm_greedy_won) << where;
-    }
-  }
 }
 
 TEST(PipelineOffloader, ReplicatedUsersAccountCompressionStats) {

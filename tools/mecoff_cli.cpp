@@ -51,7 +51,9 @@
 //       dumps once (dump_dir= arms it), exit 0; SIGINT stops hard.
 //
 // `solve` accepts out=<file> to save the scheme; `simulate` accepts
-// scheme=<file> to replay a saved scheme instead of re-solving.
+// scheme=<file> to replay a saved scheme instead of re-solving. A file
+// that out=, dot= or trace= cannot write is an error (exit 1) naming
+// the path.
 // Both accept deadline=<seconds> — a wall-clock solve budget past which
 // remaining sub-graphs degrade to cheaper cuts (spectral → KL →
 // all-remote) instead of hanging; fallback counts are printed.
@@ -147,6 +149,21 @@ Result<std::string> read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Opens `path`, hands the stream to `write` and closes it. False,
+/// with `error: cannot write <path>` on stderr, when the file cannot be
+/// opened or written in full.
+template <typename Write>
+bool write_file(const std::string& path, Write&& write) {
+  std::ofstream out(path);
+  if (out) {
+    write(out);
+    out.close();
+  }
+  if (out) return true;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return false;
 }
 
 Result<graph::WeightedGraph> load_graph(const std::string& path) {
@@ -389,8 +406,10 @@ int cmd_cut(const std::string& path, const Config& cfg) {
   std::printf("side sizes: %zu / %zu\n", cut.size(0), cut.size(1));
   const std::string dot_path = cfg.get_string("dot", "");
   if (!dot_path.empty()) {
-    std::ofstream out(dot_path);
-    out << graph::to_dot(g.value(), cut.side);
+    if (!write_file(dot_path, [&](std::ostream& out) {
+          out << graph::to_dot(g.value(), cut.side);
+        }))
+      return 1;
     std::printf("wrote %s\n", dot_path.c_str());
   }
   return 0;
@@ -524,8 +543,10 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
 
   const std::string out_path = cfg.get_string("out", "");
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    mec::write_scheme(scheme, out);
+    if (!write_file(out_path, [&](std::ostream& out) {
+          mec::write_scheme(scheme, out);
+        }))
+      return 1;
     std::printf("wrote scheme to %s\n", out_path.c_str());
   }
 
@@ -540,13 +561,10 @@ int cmd_solve(const std::string& path, const Config& cfg, bool simulate) {
   // Observability dump happens last so the spans/counters from the solve
   // AND the simulation (if any) are included.
   if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot open trace file %s\n",
-                   trace_path.c_str());
+    if (!write_file(trace_path, [](std::ostream& out) {
+          obs::TraceCollector::global().write_chrome_trace(out);
+        }))
       return 1;
-    }
-    obs::TraceCollector::global().write_chrome_trace(out);
     std::printf("wrote %zu trace events to %s (dropped %zu)\n",
                 obs::TraceCollector::global().event_count(),
                 trace_path.c_str(),
