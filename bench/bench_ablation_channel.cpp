@@ -35,7 +35,6 @@ int run() {
     mec::PipelineOptions opts;
     opts.backend = backend;
     opts.propagation = paper_propagation();
-    opts.maxflow.strategy = mincut::TerminalStrategy::kBestOfK;
     opts.maxflow.num_pairs = 1;
     mec::PipelineOffloader offloader(opts);
     Entry e;

@@ -35,10 +35,8 @@ int run() {
     const spectral::FiedlerResult fiedler = spectral::fiedler_pair(g);
     const double sign = spectral::sign_split(g, fiedler.vector).cut_weight;
     const double sweep = spectral::sweep_split(g, fiedler.vector).cut_weight;
-    mincut::MaxFlowCutOptions mf_opts;
-    mf_opts.strategy = mincut::TerminalStrategy::kBestOfK;
     const double maxflow =
-        mincut::MaxFlowBipartitioner(mf_opts).bipartition(g).cut_weight;
+        mincut::MaxFlowBipartitioner().bipartition(g).cut_weight;
 
     const double sweep_ratio = exact > 0 ? sweep / exact : 1.0;
     worst_sweep_ratio = std::max(worst_sweep_ratio, sweep_ratio);

@@ -31,10 +31,7 @@ double run_variant(const mec::MecSystem& system, mec::CutBackend backend,
   opts.propagation = paper_propagation();
   opts.anchor_initial_parts = anchored;
   opts.greedy.enable_group_moves = group_moves;
-  if (backend == mec::CutBackend::kMaxFlow) {
-    opts.maxflow.strategy = mincut::TerminalStrategy::kBestOfK;
-    opts.maxflow.num_pairs = 1;
-  }
+  if (backend == mec::CutBackend::kMaxFlow) opts.maxflow.num_pairs = 1;
   mec::PipelineOffloader offloader(opts);
   return mec::evaluate(system, offloader.solve(system)).objective();
 }

@@ -39,7 +39,6 @@ double time_solve(const mec::MecSystem& system, mec::CutBackend backend,
   opts.propagation = paper_propagation();
   opts.pool = pool;
   opts.spectral.fiedler.backend = eigen;
-  opts.maxflow.strategy = mincut::TerminalStrategy::kBestOfK;
   opts.maxflow.num_pairs = 1;
   mec::PipelineOffloader offloader(opts);
   Stopwatch timer;

@@ -154,7 +154,6 @@ std::vector<AlgoResult> run_paper_algorithms(
     // partitioning when the problem provides no terminals. (The s-t
     // minimum cut is only as good as the terminal choice, which is the
     // baseline's structural handicap vs. the global spectral cut.)
-    opts.maxflow.strategy = mincut::TerminalStrategy::kBestOfK;
     opts.maxflow.num_pairs = 1;
     mec::PipelineOffloader offloader(opts);
 

@@ -54,7 +54,6 @@ std::vector<NodeId> top_candidates(const std::vector<std::uint8_t>& side,
 KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial,
                               const KlOptions& options) {
   MECOFF_EXPECTS(graph::is_valid_partition(g, initial.side));
-  MECOFF_EXPECTS(options.max_passes >= 1);
   MECOFF_TRACE_SPAN_ARG("kl.refine", g.num_nodes());
   MECOFF_COUNTER_ADD("kl.refine.runs", 1);
 
@@ -65,7 +64,7 @@ KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial,
   const std::size_t limit =
       options.exact_pair_selection ? SIZE_MAX : options.candidate_limit;
 
-  for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
     std::vector<double> d = compute_d_values(g, side);
     std::vector<bool> locked(g.num_nodes(), false);
     std::vector<Swap> sequence;

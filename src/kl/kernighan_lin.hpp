@@ -17,8 +17,11 @@
 
 namespace mecoff::kl {
 
+/// Passes per refinement; a pass that commits no positive-gain prefix
+/// ends it earlier.
+inline constexpr std::size_t kMaxPasses = 10;
+
 struct KlOptions {
-  std::size_t max_passes = 10;
   bool exact_pair_selection = false;
   std::size_t candidate_limit = 64;
   std::uint64_t seed = 0x6b31;

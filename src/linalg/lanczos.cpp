@@ -177,10 +177,10 @@ LanczosResult lanczos_smallest(const LinearOperator& op,
       have_best = true;
     }
     if (best.max_residual <= abs_tol || best.basis_exhausted ||
-        m >= std::min(options.max_subspace, n)) {
+        m >= std::min(kLanczosMaxSubspace, n)) {
       break;
     }
-    m = std::min({2 * m, options.max_subspace, n});
+    m = std::min({2 * m, kLanczosMaxSubspace, n});
   }
 
   result.pairs = std::move(best.pairs);

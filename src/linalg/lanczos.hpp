@@ -29,17 +29,18 @@ struct EigenPair {
   Vec vector;
 };
 
+/// Restart ceiling. The first sweep builds a Krylov basis of
+/// min(n, max(2k + 28, 36)) vectors, for n = op.dim and k the pairs
+/// wanted; a sweep whose residual misses tolerance is retried from the
+/// same start vector with the basis doubled, capped at
+/// min(n, kLanczosMaxSubspace).
+inline constexpr std::size_t kLanczosMaxSubspace = 400;
+
 struct LanczosOptions {
   /// Number of smallest eigenpairs wanted (after deflation).
   std::size_t num_pairs = 1;
   /// Residual tolerance, relative to the operator's norm estimate.
   double tolerance = 1e-8;
-  /// Restart ceiling. The first sweep builds a Krylov basis of
-  /// min(n, max(2k + 28, 36)) vectors, for n = op.dim and k the pairs
-  /// wanted; a sweep whose residual misses tolerance is retried from
-  /// the same start vector with the basis doubled, capped at
-  /// min(n, max_subspace).
-  std::size_t max_subspace = 400;
   /// Unit-norm directions to project out of the iteration (e.g. the
   /// constant null vector of a connected Laplacian).
   std::vector<Vec> deflate;

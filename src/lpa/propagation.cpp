@@ -1,7 +1,6 @@
 #include "lpa/propagation.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/contracts.hpp"
 #include "obs/obs.hpp"
@@ -31,32 +30,22 @@ NodeId starter_of(const CsrView& g) {
 }
 
 /// Visit every node reachable from `starter` (then any remaining nodes,
-/// so disconnected leftovers are still labeled) in BFS or DFS order.
-std::vector<NodeId> traversal_order(const CsrView& g, NodeId starter,
-                                    TraversalPolicy policy) {
+/// so disconnected leftovers are still labeled) in BFS order. The order
+/// vector is its own queue: `head` walks it while visits append to it.
+std::vector<NodeId> traversal_order(const CsrView& g, NodeId starter) {
   const std::size_t n = g.num_nodes();
   std::vector<NodeId> order;
   order.reserve(n);
   std::vector<bool> seen(n, false);
-  std::deque<NodeId> frontier;
 
   const auto visit_from = [&](NodeId root) {
-    frontier.push_back(root);
     seen[root] = true;
-    while (!frontier.empty()) {
-      NodeId v;
-      if (policy == TraversalPolicy::kBfs) {
-        v = frontier.front();
-        frontier.pop_front();
-      } else {
-        v = frontier.back();
-        frontier.pop_back();
-      }
-      order.push_back(v);
-      for (const Adjacency& adj : g.neighbors(v)) {
+    order.push_back(root);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      for (const Adjacency& adj : g.neighbors(order[head])) {
         if (!seen[adj.neighbor]) {
           seen[adj.neighbor] = true;
-          frontier.push_back(adj.neighbor);
+          order.push_back(adj.neighbor);
         }
       }
     }
@@ -102,8 +91,7 @@ PropagationResult propagate_labels(const CsrView& g,
   if (n == 0) return result;
 
   const NodeId starter = starter_of(g);
-  const std::vector<NodeId> order =
-      traversal_order(g, starter, config.policy);
+  const std::vector<NodeId> order = traversal_order(g, starter);
 
   result.labels.assign(n, kUnlabeled);
   std::uint32_t next_label = 0;

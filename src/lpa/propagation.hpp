@@ -5,7 +5,7 @@
 //  * a label crosses an edge only when that edge's weight exceeds the
 //    coupling threshold `w` — heavier-than-threshold neighbors join the
 //    labeled node's cluster, lighter neighbors receive fresh labels;
-//  * nodes are visited breadth-first or depth-first from the starter;
+//  * nodes are visited breadth-first from the starter;
 //  * rounds repeat until the update rate α = updated/total falls to
 //    α_t, or β_t rounds have run (the two "end of propagation" rules).
 //
@@ -21,8 +21,6 @@
 
 namespace mecoff::lpa {
 
-enum class TraversalPolicy { kBfs, kDfs };
-
 struct PropagationConfig {
   /// Coupling threshold `w`: labels propagate across edges with weight
   /// strictly greater than this.
@@ -32,7 +30,6 @@ struct PropagationConfig {
   double min_update_rate = 0.01;
   /// β_t — hard cap on propagation rounds.
   std::size_t max_rounds = 20;
-  TraversalPolicy policy = TraversalPolicy::kBfs;
 };
 
 struct PropagationResult {
@@ -47,7 +44,7 @@ struct PropagationResult {
 
 /// Run coupling-aware label propagation on (a component of) a function
 /// data flow graph. Deterministic: ties are broken toward the smaller
-/// label, traversal order is fixed by the policy and node ids.
+/// label, and the BFS order is fixed by the starter and node ids.
 [[nodiscard]] PropagationResult propagate_labels(
     const graph::WeightedGraph& g, const PropagationConfig& config);
 

@@ -478,7 +478,7 @@ GreedyResult generate_scheme(
   };
 
   // Greedy loop.
-  while (result.moves < options.max_moves) {
+  while (true) {
     double best_delta = std::numeric_limits<double>::infinity();
     std::size_t best = SIZE_MAX;
     ClassKey best_key{};
@@ -497,17 +497,7 @@ GreedyResult generate_scheme(
       }
       queue.emplace(fresh, key);  // single live entry, refreshed key
     }
-    if (best == SIZE_MAX || best_delta >= -kImprovementEps) {
-      // Leave consistent state for a hypothetical continuation.
-      if (best != SIZE_MAX) {
-        const auto it = classes.find(best_key);
-        if (it != classes.end() && !it->second.queued) {
-          it->second.queued = true;
-          queue.emplace(best_delta, best_key);
-        }
-      }
-      break;
-    }
+    if (best == SIZE_MAX || best_delta >= -kImprovementEps) break;
 
     // Commit: move every still-remote part of the candidate local. The
     // move set is candidate_moves' scratch, read before the re-class

@@ -60,8 +60,6 @@ struct Part {
 };
 
 struct GreedyOptions {
-  /// Safety cap on committed moves (SIZE_MAX = unlimited).
-  std::size_t max_moves = SIZE_MAX;
   /// Scalarization weights of the double objective (6): the greedy
   /// minimizes energy_weight·E + time_weight·T. The paper's Algorithm 2
   /// uses E + T (both 1); the greedy ablation bench sweeps these.

@@ -24,7 +24,7 @@
 // capacity-determined amount, keep the rest local), which is what makes
 // the local share grow as graphs or user counts grow in the evaluation
 // figures. The discrete-event simulator in src/sim generates waiting
-// mechanistically (FIFO/PS service); tests cross-check the two models'
+// mechanistically (a FIFO edge server); tests cross-check the two models'
 // qualitative behavior and their exact agreement where both are zero.
 #pragma once
 

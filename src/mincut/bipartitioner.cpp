@@ -1,8 +1,7 @@
 #include "mincut/bipartitioner.hpp"
 
-#include <queue>
+#include <algorithm>
 
-#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "graph/components.hpp"
 
@@ -11,44 +10,6 @@ namespace mecoff::mincut {
 using graph::Bipartition;
 using graph::NodeId;
 using graph::WeightedGraph;
-
-namespace {
-
-/// BFS-farthest node from `s` (max hop distance, smallest id on ties).
-NodeId farthest_node(const WeightedGraph& g, NodeId s) {
-  std::vector<int> dist(g.num_nodes(), -1);
-  std::queue<NodeId> frontier;
-  dist[s] = 0;
-  frontier.push(s);
-  NodeId far = s;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    if (dist[v] > dist[far]) far = v;
-    for (const graph::Adjacency& adj : g.neighbors(v)) {
-      if (dist[adj.neighbor] < 0) {
-        dist[adj.neighbor] = dist[v] + 1;
-        frontier.push(adj.neighbor);
-      }
-    }
-  }
-  return far;
-}
-
-NodeId max_weighted_degree_node(const WeightedGraph& g) {
-  NodeId best = 0;
-  double best_w = g.weighted_degree(0);
-  for (NodeId v = 1; v < g.num_nodes(); ++v) {
-    const double w = g.weighted_degree(v);
-    if (w > best_w) {
-      best = v;
-      best_w = w;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 MaxFlowBipartitioner::MaxFlowBipartitioner(MaxFlowCutOptions options)
     : options_(options) {}
@@ -67,45 +28,18 @@ Bipartition MaxFlowBipartitioner::bipartition(const WeightedGraph& g) {
     return out;
   }
 
-  switch (options_.strategy) {
-    case TerminalStrategy::kMaxDegreeFarthest: {
-      const NodeId s = max_weighted_degree_node(g);
-      NodeId t = farthest_node(g, s);
-      if (t == s) t = (s + 1) % static_cast<NodeId>(g.num_nodes());
-      return min_st_cut_dinic(g, s, t);
-    }
-    case TerminalStrategy::kBestOfK: {
-      Rng rng(options_.seed);
-      Bipartition best;
-      bool have = false;
-      for (std::size_t i = 0; i < std::max<std::size_t>(1, options_.num_pairs);
-           ++i) {
-        const NodeId s = static_cast<NodeId>(rng.index(g.num_nodes()));
-        NodeId t = static_cast<NodeId>(rng.index(g.num_nodes()));
-        if (t == s) t = (s + 1) % static_cast<NodeId>(g.num_nodes());
-        Bipartition cut = min_st_cut_dinic(g, s, t);
-        if (!have || cut.cut_weight < best.cut_weight) {
-          best = std::move(cut);
-          have = true;
-        }
-      }
-      return best;
-    }
-    case TerminalStrategy::kAllTerminalsFromS: {
-      const NodeId s = 0;
-      Bipartition best;
-      bool have = false;
-      for (NodeId t = 1; t < g.num_nodes(); ++t) {
-        Bipartition cut = min_st_cut_dinic(g, s, t);
-        if (!have || cut.cut_weight < best.cut_weight) {
-          best = std::move(cut);
-          have = true;
-        }
-      }
-      return best;
-    }
+  // Best of k random terminal pairs; the first lightest cut wins ties.
+  Rng rng(options_.seed);
+  Bipartition best;
+  for (std::size_t i = 0; i < std::max<std::size_t>(1, options_.num_pairs);
+       ++i) {
+    const NodeId s = static_cast<NodeId>(rng.index(g.num_nodes()));
+    NodeId t = static_cast<NodeId>(rng.index(g.num_nodes()));
+    if (t == s) t = (s + 1) % static_cast<NodeId>(g.num_nodes());
+    Bipartition cut = min_st_cut_dinic(g, s, t);
+    if (i == 0 || cut.cut_weight < best.cut_weight) best = std::move(cut);
   }
-  throw PreconditionError("unknown terminal strategy");
+  return best;
 }
 
 }  // namespace mecoff::mincut

@@ -4,13 +4,9 @@
 // mentioned three algorithms and compare their results").
 //
 // Max-flow computes an s–t cut, but the offloading problem has no
-// natural terminals, so a terminal-selection strategy is part of the
-// baseline:
-//  * kMaxDegreeFarthest — s = heaviest weighted-degree node, t = a
-//    BFS-farthest node from s (one max-flow; the cheap heuristic);
-//  * kBestOfK — best cut over k random terminal pairs (default, k = 8);
-//  * kAllTerminalsFromS — fix s, try every t (n−1 max-flows; exact
-//    global min cut by the standard reduction, used as a test oracle).
+// natural terminals, so terminal selection is part of the baseline: the
+// best (lightest) Dinic cut over `num_pairs` random terminal pairs
+// drawn from `seed` (best-of-k; k = 8 by default).
 #pragma once
 
 #include <cstdint>
@@ -20,15 +16,8 @@
 
 namespace mecoff::mincut {
 
-enum class TerminalStrategy {
-  kMaxDegreeFarthest,
-  kBestOfK,
-  kAllTerminalsFromS,
-};
-
 struct MaxFlowCutOptions {
-  TerminalStrategy strategy = TerminalStrategy::kBestOfK;
-  std::size_t num_pairs = 8;  ///< k for kBestOfK
+  std::size_t num_pairs = 8;  ///< k: terminal pairs tried (0 runs one)
   std::uint64_t seed = 0x7ea1;
 };
 

@@ -48,6 +48,16 @@ void append_record_json(std::ostringstream& out, const SolveRecord& r) {
       << ",\"trace_dropped\":" << r.trace_dropped << '}';
 }
 
+/// Writes `json` and a newline to `path`. False when the file does not
+/// open or the write does not reach it: close() flushes, so a full disk
+/// shows in the stream state after it.
+bool write_dump(const std::string& path, const std::string& json) {
+  std::ofstream out(path);
+  out << json << '\n';
+  out.close();
+  return static_cast<bool>(out);
+}
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -129,14 +139,10 @@ AnomalyKind FlightRecorder::record(SolveRecord record) {
     }
   }
   // File IO outside the lock: a slow disk must not stall the feeders.
-  if (!dump_path.empty()) {
-    std::ofstream out(dump_path);
-    if (out) {
-      out << dump_json << '\n';
-      const MutexLock lock(mutex_);
-      ++dumps_;
-      last_dump_path_ = dump_path;
-    }
+  if (!dump_path.empty() && write_dump(dump_path, dump_json)) {
+    const MutexLock lock(mutex_);
+    ++dumps_;
+    last_dump_path_ = dump_path;
   }
   return anomaly;
 }
@@ -154,9 +160,8 @@ Result<std::string> FlightRecorder::dump_now(const std::string& label) {
         ".json";
   }
   // File IO outside the lock, like the anomaly path.
-  std::ofstream out(dump_path);
-  if (!out) return Error("flight recorder: cannot write " + dump_path);
-  out << dump_json << '\n';
+  if (!write_dump(dump_path, dump_json))
+    return Error("flight recorder: cannot write " + dump_path);
   const MutexLock lock(mutex_);
   ++dumps_;
   last_dump_path_ = dump_path;

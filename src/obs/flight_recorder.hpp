@@ -100,7 +100,8 @@ class FlightRecorder {
 
   /// Append one record (seq/wall-time stamped). Returns the anomaly
   /// trigger that fired, if any; when one fired and a dump_dir is set,
-  /// the post-mortem has been written.
+  /// the post-mortem has been written, or, if the write failed, the
+  /// anomaly counts but no dump does.
   AnomalyKind record(SolveRecord record);
 
   [[nodiscard]] std::size_t size() const;          ///< records in ring
@@ -123,8 +124,10 @@ class FlightRecorder {
   /// `<dump_dir>/flight_<seq>_<label>.json` and return the path. This
   /// is the graceful-drain hook — SIGTERM handlers call it exactly once
   /// so a clean shutdown self-documents like an anomaly does. Errors
-  /// (no dump_dir configured, unwritable path) come back as a Result
-  /// error, never a throw; the dump counts toward dump_count().
+  /// (no dump_dir configured, a file that does not open or a write that
+  /// does not reach it) come back as a Result error, never a throw;
+  /// only a written dump counts toward dump_count() and
+  /// last_dump_path().
   Result<std::string> dump_now(const std::string& label);
 
   /// Drop all records and reset counters (capacity/config survive).

@@ -91,18 +91,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::reset_values() {
-  const MutexLock lock(mutex_);
-  for (auto& [name, entry] : entries_) {
-    (void)name;
-    switch (entry.kind) {
-      case Kind::kCounter: entry.counter->reset(); break;
-      case Kind::kGauge: entry.gauge->reset(); break;
-      case Kind::kQuantiles: entry.quantiles->reset(); break;
-    }
-  }
-}
-
 std::string MetricsRegistry::to_text() const {
   const MetricsSnapshot snap = snapshot();
   // One `name ...` line per instrument, merge-sorted by name across the

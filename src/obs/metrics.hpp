@@ -94,9 +94,6 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zero every instrument (names stay registered).
-  void reset_values();
-
   /// Human-readable dump, one `name ...` line per instrument, sorted by
   /// name across ALL instrument kinds. Byte-stable: deterministic
   /// ordering and locale-independent round-trip number formatting

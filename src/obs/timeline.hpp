@@ -59,7 +59,7 @@ class Timeline {
   struct CounterPoint {
     std::uint64_t value = 0;  ///< cumulative at sample time
     std::int64_t delta = 0;   ///< vs the previous sample (can be < 0
-                              ///< across a reset_values())
+                              ///< across a Counter::reset())
     double rate = 0.0;        ///< delta per tick (kManual/kTick) or
                               ///< per second (kWall)
   };

@@ -27,21 +27,16 @@ Fingerprint fingerprint_solver_config(const mec::PipelineOptions& options) {
   fp.add_double(options.propagation.coupling_threshold);
   fp.add_double(options.propagation.min_update_rate);
   fp.add_u64(options.propagation.max_rounds);
-  fp.add_u64(static_cast<std::uint64_t>(options.propagation.policy));
   fp.add_u64(static_cast<std::uint64_t>(options.backend));
   fp.add_u64(static_cast<std::uint64_t>(options.spectral.fiedler.backend));
   fp.add_double(options.spectral.fiedler.tolerance);
   fp.add_u64(options.spectral.fiedler.seed);
-  fp.add_u64(options.spectral.fiedler.max_subspace);
   fp.add_u64(options.spectral.fiedler.max_iterations);
-  fp.add_u64(static_cast<std::uint64_t>(options.maxflow.strategy));
   fp.add_u64(options.maxflow.num_pairs);
   fp.add_u64(options.maxflow.seed);
-  fp.add_u64(options.kl.max_passes);
   fp.add_bool(options.kl.exact_pair_selection);
   fp.add_u64(options.kl.candidate_limit);
   fp.add_u64(options.kl.seed);
-  fp.add_u64(options.greedy.max_moves);
   fp.add_double(options.greedy.energy_weight);
   fp.add_double(options.greedy.time_weight);
   fp.add_bool(options.greedy.enable_group_moves);

@@ -50,7 +50,6 @@ class GilbertElliottLink {
   void submit(double size, std::function<void(const JobStats&)> on_complete);
 
   [[nodiscard]] std::size_t jobs_completed() const { return completed_; }
-  [[nodiscard]] bool in_good_state() const { return good_; }
 
  private:
   struct Pending {

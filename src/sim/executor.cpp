@@ -16,8 +16,7 @@ SimReport simulate_scheme(const mec::MecSystem& system,
   const mec::SystemParams& p = system.params;
 
   SimEngine engine;
-  FifoResource fifo_server(engine, p.server_capacity);
-  SharedResource ps_server(engine, p.server_capacity);
+  FifoResource server(engine, p.server_capacity);
 
   // Optional fading radios, one independent process per user.
   std::vector<std::unique_ptr<GilbertElliottLink>> links;
@@ -61,16 +60,12 @@ SimReport simulate_scheme(const mec::MecSystem& system,
 
     if (remote_w > 0.0) {
       const auto enqueue_remote = [&, u, remote_w] {
-        const auto on_done = [&, u](const JobStats& stats) {
+        server.submit(remote_w, [&, u](const JobStats& stats) {
           UserOutcome& oc = report.users[u];
           oc.server_wait = stats.wait();
           oc.server_time = stats.sojourn() - stats.wait();
           oc.completion = std::max(oc.completion, stats.completed);
-        };
-        if (options.discipline == ServerDiscipline::kFifo)
-          fifo_server.submit(remote_w, on_done);
-        else
-          ps_server.submit(remote_w, on_done);
+        });
       };
       if (options.channel.has_value() && cross_w > 0.0) {
         // Fading radio: the upload's realized duration replaces the

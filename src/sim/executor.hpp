@@ -6,14 +6,14 @@
 //   t=0  device starts the local batch (W_c work at rate I_c);
 //   t=0  the user's radio starts shipping the cross-cut data (X bytes
 //        at bandwidth b, consuming p_t per unit time);
-//   when the upload completes the remote job (W_s work) is admitted to
-//   the shared edge server (FIFO by default, PS optionally);
+//   when the upload completes the remote job (W_s work) joins the
+//   shared edge server's FIFO queue;
 //   the user is finished when both the local batch and the remote job
 //   are done.
 //
 // Energies are load-independent and must match evaluate() exactly;
 // times include real queueing, so multi-user contention emerges from
-// the server discipline instead of the κ-model. Tests pin down both
+// the server's backlog instead of the κ-model. Tests pin down both
 // relationships.
 #pragma once
 
@@ -26,10 +26,7 @@
 
 namespace mecoff::sim {
 
-enum class ServerDiscipline { kFifo, kProcessorSharing };
-
 struct SimOptions {
-  ServerDiscipline discipline = ServerDiscipline::kFifo;
   /// When set, every user's radio follows this Gilbert–Elliott fading
   /// process (per-user independent streams, seeds derived from
   /// channel->seed + user index) instead of the constant bandwidth b.

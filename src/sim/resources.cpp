@@ -1,7 +1,5 @@
 #include "sim/resources.hpp"
 
-#include <limits>
-
 #include "common/contracts.hpp"
 
 namespace mecoff::sim {
@@ -38,65 +36,6 @@ void FifoResource::start_next() {
     ++completed_;
     if (job_done.on_complete) job_done.on_complete(job_done.stats);
     start_next();
-  });
-}
-
-SharedResource::SharedResource(SimEngine& engine, double capacity)
-    : engine_(engine), capacity_(capacity) {
-  MECOFF_EXPECTS(capacity > 0.0);
-}
-
-void SharedResource::submit(
-    double size, std::function<void(const JobStats&)> on_complete) {
-  MECOFF_EXPECTS(size >= 0.0);
-  // Bring all residents up to date before the population changes.
-  reschedule();
-  Resident job;
-  job.remaining = size;
-  job.stats.admitted = engine_.now();
-  job.stats.started = engine_.now();  // PS starts immediately
-  job.on_complete = std::move(on_complete);
-  residents_.emplace(next_id_++, std::move(job));
-  reschedule();
-}
-
-void SharedResource::reschedule() {
-  const SimTime now = engine_.now();
-  if (!residents_.empty()) {
-    // Each resident progressed at capacity/K since last_update_.
-    const double rate =
-        capacity_ / static_cast<double>(residents_.size());
-    const SimTime elapsed = now - last_update_;
-    for (auto& [id, job] : residents_)
-      job.remaining -= rate * elapsed;
-  }
-  last_update_ = now;
-
-  // Pop any residents that are (numerically) done.
-  for (auto it = residents_.begin(); it != residents_.end();) {
-    if (it->second.remaining <= 1e-12) {
-      Resident done = std::move(it->second);
-      it = residents_.erase(it);
-      done.stats.completed = now;
-      ++completed_;
-      if (done.on_complete) done.on_complete(done.stats);
-    } else {
-      ++it;
-    }
-  }
-  if (residents_.empty()) return;
-
-  // Next completion: smallest remaining at the current shared rate.
-  double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& [id, job] : residents_)
-    min_remaining = std::min(min_remaining, job.remaining);
-  const double rate = capacity_ / static_cast<double>(residents_.size());
-  const SimTime eta = min_remaining / rate;
-
-  const std::uint64_t epoch = ++epoch_;
-  engine_.schedule_after(eta, [this, epoch] {
-    if (epoch != epoch_) return;  // superseded by a later arrival
-    reschedule();
   });
 }
 

@@ -5,16 +5,10 @@
 // a behind queued work Q completes at a + Q/capacity + W/capacity; the
 // Q/capacity term is the mechanistic version of the paper's waiting
 // time w_t.
-//
-// SharedResource — egalitarian processor sharing at rate `capacity`:
-// every resident job progresses at capacity/K. Provided as the
-// alternative server discipline for the contention ablation.
 #pragma once
 
 #include <functional>
 #include <list>
-#include <map>
-#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -22,7 +16,7 @@ namespace mecoff::sim {
 
 struct JobStats {
   SimTime admitted = 0.0;
-  SimTime started = 0.0;    ///< FIFO: head-of-queue time; PS: = admitted
+  SimTime started = 0.0;    ///< head-of-queue time
   SimTime completed = 0.0;
 
   [[nodiscard]] SimTime wait() const { return started - admitted; }
@@ -53,35 +47,6 @@ class FifoResource {
   double capacity_;
   std::list<Pending> queue_;
   bool busy_ = false;
-  std::size_t completed_ = 0;
-};
-
-class SharedResource {
- public:
-  SharedResource(SimEngine& engine, double capacity);
-
-  void submit(double size, std::function<void(const JobStats&)> on_complete);
-
-  [[nodiscard]] double capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t jobs_completed() const { return completed_; }
-
- private:
-  struct Resident {
-    double remaining;
-    JobStats stats;
-    std::function<void(const JobStats&)> on_complete;
-  };
-
-  /// Advance every resident job to `now`, then (re)schedule the next
-  /// completion event.
-  void reschedule();
-
-  SimEngine& engine_;
-  double capacity_;
-  std::map<std::uint64_t, Resident> residents_;
-  std::uint64_t next_id_ = 0;
-  SimTime last_update_ = 0.0;
-  std::uint64_t epoch_ = 0;  ///< invalidates stale completion events
   std::size_t completed_ = 0;
 };
 

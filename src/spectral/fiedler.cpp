@@ -46,7 +46,6 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
     linalg::LanczosOptions lopt;
     lopt.num_pairs = 1;
     lopt.tolerance = options.tolerance;
-    lopt.max_subspace = options.max_subspace;
     lopt.deflate = {linalg::constant_unit(g.num_nodes())};
     lopt.seed = options.seed;
     const linalg::LanczosResult res = linalg::lanczos_smallest(op, lopt);

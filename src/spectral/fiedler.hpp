@@ -3,12 +3,14 @@
 // connectivity; the signs of v₂'s entries define the spectral
 // bipartition.
 //
-// Two solver backends:
+// Solver backends:
 //  * Lanczos (default): restarted Lanczos with full reorthogonalization
-//    on L with the constant null vector deflated;
-//  * shifted power iteration: dominant pair of (c·I − L) after the same
-//    deflation — simpler, slower; kept for the eigensolver ablation and
-//    as an independent oracle in tests.
+//    on L with the constant null vector deflated, its basis capped at
+//    linalg::kLanczosMaxSubspace vectors;
+//  * shifted power iteration (sparse, or dense for Fig. 9): dominant
+//    pair of (c·I − L) after the same deflation, capped at
+//    `max_iterations` steps — simpler, slower; kept for the eigensolver
+//    ablation and as an independent oracle in tests.
 //
 // Every backend runs serially on the calling thread. Fig. 9's "with
 // Spark" configuration parallelizes across sub-graphs instead (see
@@ -44,12 +46,12 @@ struct FiedlerOptions {
   /// declared only because perfbench/ still sets it.
   parallel::ThreadPool* pool = nullptr;
   std::uint64_t seed = 0x5eed;
-  /// Work bounds: every backend terminates within these no matter how
-  /// ill-conditioned the graph is — the solve may come back with
-  /// converged = false, but it always comes back (the offloader's
+  /// Work bound of the power backends. With it and Lanczos's restart
+  /// ceiling (linalg::kLanczosMaxSubspace) every backend terminates no
+  /// matter how ill-conditioned the graph is — the solve may come back
+  /// with converged = false, but it always comes back (the offloader's
   /// degrade-don't-die chain relies on that).
-  std::size_t max_subspace = 400;      ///< Lanczos restart ceiling
-  std::size_t max_iterations = 20000;  ///< power-iteration ceiling
+  std::size_t max_iterations = 20000;
 };
 
 struct FiedlerResult {

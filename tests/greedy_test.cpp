@@ -166,19 +166,6 @@ TEST(Greedy, EmptyPartsGivesAllLocal) {
   EXPECT_EQ(r.objective_history.size(), 1u);
 }
 
-TEST(Greedy, MaxMovesCapRespected) {
-  SystemParams p = test_params();
-  p.transmit_power = 1000.0;
-  p.bandwidth = 0.1;
-  std::vector<Part> parts;
-  const MecSystem system = chain_system(p, parts);
-  GreedyOptions opts;
-  opts.max_moves = 1;
-  const GreedyResult r = generate_scheme(system, lists_of({parts}), opts);
-  EXPECT_EQ(r.moves, 1u);
-  EXPECT_EQ(r.scheme.remote_count(0), 2u);  // one part still remote
-}
-
 TEST(Greedy, OverlappingPartsRejected) {
   MecSystem system{test_params(), {barbell_user()}};
   std::vector<Part> parts = barbell_parts(system, 0);
@@ -1088,7 +1075,7 @@ GreedyResult reference_lazy_greedy(const MecSystem& system,
   for (std::size_t id = 0; id < num_candidates; ++id) insert_candidate(id);
 
   // Greedy loop.
-  while (result.moves < options.max_moves) {
+  while (true) {
     double best_delta = std::numeric_limits<double>::infinity();
     std::size_t best = SIZE_MAX;
     ClassKey best_key{};

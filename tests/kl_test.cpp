@@ -62,7 +62,7 @@ TEST(KlRefine, ReportsPassCount) {
   const KlResult r =
       kernighan_lin_refine(g, alternating_partition(g), {});
   EXPECT_GE(r.passes, 1u);
-  EXPECT_LE(r.passes, KlOptions{}.max_passes);
+  EXPECT_LE(r.passes, kMaxPasses);
 }
 
 TEST(KlRefine, AlreadyOptimalStaysPut) {

@@ -103,13 +103,9 @@ TEST(Propagation, StopsWhenUpdateRateDrops) {
 
 TEST(Propagation, BfsAndDfsBothClusterBarbell) {
   const WeightedGraph g = graph::barbell_graph(4, 1.0, 10.0);
-  for (const TraversalPolicy policy :
-       {TraversalPolicy::kBfs, TraversalPolicy::kDfs}) {
-    PropagationConfig config;
-    config.coupling_threshold = 5.0;
-    config.policy = policy;
-    EXPECT_EQ(propagate_labels(g, config).num_labels, 2u);
-  }
+  PropagationConfig config;
+  config.coupling_threshold = 5.0;
+  EXPECT_EQ(propagate_labels(g, config).num_labels, 2u);
 }
 
 TEST(Propagation, EmptyAndSingleNode) {
@@ -448,30 +444,25 @@ TEST(Pipeline, MatchesReferencePipelineBitwise) {
     ASSERT_GT(std::count(masks[0].begin(), masks[0].end(), true), 0);
     for (std::size_t m = 0; m < masks.size(); ++m) {
       for (std::size_t d = 0; d < declarations.size(); ++d) {
-        for (const TraversalPolicy policy :
-             {TraversalPolicy::kBfs, TraversalPolicy::kDfs}) {
-          for (const double threshold : {5.0, 10.0, 30.0}) {
-            for (parallel::ThreadPool* workers :
-                 {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
-              SCOPED_TRACE("n=" + std::to_string(n) +
-                           (m == 0 ? " pinned" : " unpinned") +
-                           " declared#" + std::to_string(d) +
-                           (policy == TraversalPolicy::kBfs ? " bfs" : " dfs") +
-                           " w=" + std::to_string(threshold) +
-                           (workers != nullptr ? " pool" : " serial"));
-              PropagationConfig config;
-              config.coupling_threshold = threshold;
-              config.policy = policy;
-              const ReferencePipeline want = reference_compress_application(
-                  user.graph, masks[m], config, workers, declarations[d]);
-              const CompressionPipelineResult got = compress_application(
-                  user.graph, masks[m], config, workers, declarations[d]);
-              expect_bitwise_equal(want, got);
-              if (declarations[d] == &striped)
-                for (const ReferenceComponent& comp : want.components)
-                  if (!graph::is_connected(comp.component.graph))
-                    ++disconnected_declared;
-            }
+        for (const double threshold : {5.0, 10.0, 30.0}) {
+          for (parallel::ThreadPool* workers :
+               {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         (m == 0 ? " pinned" : " unpinned") +
+                         " declared#" + std::to_string(d) +
+                         " w=" + std::to_string(threshold) +
+                         (workers != nullptr ? " pool" : " serial"));
+            PropagationConfig config;
+            config.coupling_threshold = threshold;
+            const ReferencePipeline want = reference_compress_application(
+                user.graph, masks[m], config, workers, declarations[d]);
+            const CompressionPipelineResult got = compress_application(
+                user.graph, masks[m], config, workers, declarations[d]);
+            expect_bitwise_equal(want, got);
+            if (declarations[d] == &striped)
+              for (const ReferenceComponent& comp : want.components)
+                if (!graph::is_connected(comp.component.graph))
+                  ++disconnected_declared;
           }
         }
       }

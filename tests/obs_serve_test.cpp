@@ -9,7 +9,8 @@
 //      samples, including after the window has slid.
 //   3. The flight recorder ring wraps correctly, classifies anomalies
 //      (deadline fallback > latency outlier), and writes a post-mortem
-//      JSON dump when armed with a dump directory.
+//      JSON dump when armed with a dump directory, counting only dumps
+//      whose write reached the file.
 //   4. The embedded HTTP server answers /metrics, /varz, /healthz (a
 //      plain 200 liveness probe) and /flightz over a real loopback
 //      socket, and 404s unknown paths.
@@ -251,6 +252,38 @@ TEST(FlightRecorderTest, AnomalyWritesPostMortemDump) {
   // Both ring records are in the post-mortem, oldest first.
   EXPECT_NE(dumped.str().find("\"seq\":0"), std::string::npos);
   EXPECT_NE(dumped.str().find("\"seq\":1"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+// A dump that does not reach its file is no dump. Both dump paths are
+// symlinks to /dev/full, which opens but fails every write: the
+// degraded solve still counts as an anomaly, the drain dump comes back
+// as an error, and neither counts as a dump or names a dump path.
+TEST(FlightRecorderTest, FailedDumpWritesAreNotCounted) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mecoff_flight_full_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full",
+                                  dir / "flight_0_deadline_fallback.json");
+  std::filesystem::create_symlink("/dev/full", dir / "flight_1_drain.json");
+
+  FlightRecorder recorder(4);
+  recorder.set_dump_dir(dir.string());
+  SolveRecord bad = healthy_record();
+  bad.deadline_expired = true;
+  EXPECT_EQ(recorder.record(bad), obs::AnomalyKind::kDeadlineFallback);
+  EXPECT_EQ(recorder.anomaly_count(), 1u);
+  EXPECT_EQ(recorder.dump_count(), 0u);
+  EXPECT_EQ(recorder.last_dump_path(), "");
+
+  const Result<std::string> drained = recorder.dump_now("drain");
+  ASSERT_FALSE(drained.ok());
+  EXPECT_EQ(drained.error().message,
+            "flight recorder: cannot write " +
+                (dir / "flight_1_drain.json").string());
+  EXPECT_EQ(recorder.dump_count(), 0u);
+  EXPECT_EQ(recorder.last_dump_path(), "");
   std::filesystem::remove_all(dir);
 }
 

@@ -1026,6 +1026,65 @@ TEST(SolveServiceTest, DifferentSolverConfigsUseDifferentKeys) {
   EXPECT_NE(ra.value().key, rb.value().key);
 }
 
+// Every setting the config digest hashes moves it: a service that
+// differs from the defaults in that one setting gets another seed, so
+// its cache keys never meet the default service's.
+TEST(SolveServiceTest, ConfigSeedCoversEverySolverSetting) {
+  using mec::PipelineOptions;
+  struct Setting {
+    const char* name;
+    void (*edit)(PipelineOptions&);
+  };
+  const Setting settings[] = {
+      {"propagation.coupling_threshold",
+       [](PipelineOptions& o) { o.propagation.coupling_threshold += 1.0; }},
+      {"propagation.min_update_rate",
+       [](PipelineOptions& o) { o.propagation.min_update_rate *= 2.0; }},
+      {"propagation.max_rounds",
+       [](PipelineOptions& o) { ++o.propagation.max_rounds; }},
+      {"backend",
+       [](PipelineOptions& o) { o.backend = mec::CutBackend::kMaxFlow; }},
+      {"spectral.fiedler.backend",
+       [](PipelineOptions& o) {
+         o.spectral.fiedler.backend = spectral::EigenBackend::kShiftedPower;
+       }},
+      {"spectral.fiedler.tolerance",
+       [](PipelineOptions& o) { o.spectral.fiedler.tolerance *= 10.0; }},
+      {"spectral.fiedler.seed",
+       [](PipelineOptions& o) { ++o.spectral.fiedler.seed; }},
+      {"spectral.fiedler.max_iterations",
+       [](PipelineOptions& o) { ++o.spectral.fiedler.max_iterations; }},
+      {"maxflow.num_pairs", [](PipelineOptions& o) { ++o.maxflow.num_pairs; }},
+      {"maxflow.seed", [](PipelineOptions& o) { ++o.maxflow.seed; }},
+      {"kl.exact_pair_selection",
+       [](PipelineOptions& o) {
+         o.kl.exact_pair_selection = !o.kl.exact_pair_selection;
+       }},
+      {"kl.candidate_limit",
+       [](PipelineOptions& o) { ++o.kl.candidate_limit; }},
+      {"kl.seed", [](PipelineOptions& o) { ++o.kl.seed; }},
+      {"greedy.energy_weight",
+       [](PipelineOptions& o) { o.greedy.energy_weight *= 2.0; }},
+      {"greedy.time_weight",
+       [](PipelineOptions& o) { o.greedy.time_weight *= 2.0; }},
+      {"greedy.enable_group_moves",
+       [](PipelineOptions& o) {
+         o.greedy.enable_group_moves = !o.greedy.enable_group_moves;
+       }},
+      {"anchor_initial_parts",
+       [](PipelineOptions& o) {
+         o.anchor_initial_parts = !o.anchor_initial_parts;
+       }},
+  };
+  const SolveService defaults;
+  for (const Setting& setting : settings) {
+    SolveServiceOptions options;
+    setting.edit(options.solver);
+    const SolveService edited(options);
+    EXPECT_NE(edited.config_seed(), defaults.config_seed()) << setting.name;
+  }
+}
+
 // ---- Request-id correlation -----------------------------------------------
 
 TEST(RequestIdPropagation, ServiceAssignsNonZeroIdsAndHitsNameTheirOwner) {

@@ -1,6 +1,6 @@
-// Unit tests for the discrete-event simulator: engine ordering, FIFO
-// and processor-sharing resources, and the scheme executor's agreement
-// with the analytic cost model.
+// Unit tests for the discrete-event simulator: engine ordering, the
+// FIFO resource, and the scheme executor's agreement with the analytic
+// cost model.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -114,42 +114,6 @@ TEST(FifoResource, LateArrivalAfterIdle) {
   EXPECT_DOUBLE_EQ(late.completed, 101.0);
 }
 
-TEST(SharedResource, SingleJobFullRate) {
-  SimEngine engine;
-  SharedResource server(engine, 10.0);
-  JobStats seen;
-  server.submit(40.0, [&](const JobStats& s) { seen = s; });
-  engine.run();
-  EXPECT_NEAR(seen.sojourn(), 4.0, 1e-9);
-}
-
-TEST(SharedResource, TwoEqualJobsHalfRate) {
-  SimEngine engine;
-  SharedResource server(engine, 10.0);
-  JobStats a;
-  JobStats b;
-  server.submit(40.0, [&](const JobStats& s) { a = s; });
-  server.submit(40.0, [&](const JobStats& s) { b = s; });
-  engine.run();
-  // Both run at rate 5 throughout → finish at t = 8.
-  EXPECT_NEAR(a.completed, 8.0, 1e-9);
-  EXPECT_NEAR(b.completed, 8.0, 1e-9);
-}
-
-TEST(SharedResource, ShortJobLeavesThenLongSpeedsUp) {
-  SimEngine engine;
-  SharedResource server(engine, 10.0);
-  JobStats small;
-  JobStats large;
-  server.submit(20.0, [&](const JobStats& s) { small = s; });
-  server.submit(60.0, [&](const JobStats& s) { large = s; });
-  engine.run();
-  // Shared until the small job's 20 units drain at rate 5 → t = 4.
-  EXPECT_NEAR(small.completed, 4.0, 1e-9);
-  // Large had 40 left at t=4, then full rate 10 → t = 8.
-  EXPECT_NEAR(large.completed, 8.0, 1e-9);
-}
-
 // --- Executor against the analytic model ---------------------------------
 
 mec::SystemParams exec_params() {
@@ -228,21 +192,6 @@ TEST(Executor, FifoWaitGrowsWithUsers) {
     EXPECT_GT(avg, prev_avg_wait);
     prev_avg_wait = avg;
   }
-}
-
-TEST(Executor, ProcessorSharingAlsoExhibitsContention) {
-  std::vector<mec::UserApp> users(6, simple_user());
-  mec::MecSystem system{exec_params(), users};
-  SimOptions opts;
-  opts.discipline = ServerDiscipline::kProcessorSharing;
-  const SimReport shared = simulate_scheme(
-      system, mec::OffloadingScheme::all_remote(system), opts);
-  mec::MecSystem solo{exec_params(), {simple_user()}};
-  const SimReport alone = simulate_scheme(
-      solo, mec::OffloadingScheme::all_remote(solo), opts);
-  // Service under sharing takes longer than alone.
-  EXPECT_GT(shared.users[0].server_time + shared.users[0].server_wait,
-            alone.users[0].server_time - 1e-9);
 }
 
 TEST(Executor, MakespanIsMaxCompletion) {
