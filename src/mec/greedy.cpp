@@ -151,6 +151,10 @@ GreedyResult generate_scheme(
     std::vector<std::uint32_t> neighbours;
   };
   std::vector<PartAdjacency> adjacency(num_users);
+  // A prototype's heaviest initially-remote single part: no single part
+  // of it or of a replica weighs more, which bounds whose deactivation
+  // flag a commit can flip.
+  std::vector<double> max_part_weight(num_users, 0.0);
 
   // Per-user set-up, one index per user. A user that is not the first
   // holder of its graph checks whether it replicates that user; a
@@ -228,6 +232,7 @@ GreedyResult generate_scheme(
         }
       }
       const std::size_t id = first_part[u] + k;
+      max_part_weight[u] = std::max(max_part_weight[u], part.weight);
       cand_weight[id] = part.weight;
       cand_cross[id] = cross;
       cand_sep[id] = part.weight * local_factor + cross * cross_factor;
@@ -355,10 +360,14 @@ GreedyResult generate_scheme(
     bool deactivates;
     auto operator<=>(const ClassKey&) const = default;
   };
+  // Only an active user can be deactivated: a commit clamps a spent
+  // user's remote weight to exactly 0, so a zero-weight part it still
+  // holds remote empties no one's remote set.
   const auto key_of = [&](std::size_t id) {
+    const double remote = user_remote_w[cand_user[id]];
     return ClassKey{cand_sep[id], cand_weight[id],
-                    user_remote_w[cand_user[id]] - cand_weight[id] <=
-                        kImprovementEps};
+                    remote > 0.0 &&
+                        remote - cand_weight[id] <= kImprovementEps};
   };
   // Delta shared by every member of a class — O(1).
   const auto class_delta = [&](const ClassKey& key) {
@@ -373,17 +382,17 @@ GreedyResult generate_scheme(
 
   // One live queue entry per class keeps the lazy queue duplicate-free:
   // without this, every membership change pushes another entry and the
-  // validate loop drowns in stale duplicates.
+  // validate loop drowns in stale duplicates. A class keeps its ids in
+  // descending order, so its back is its lowest id, the member an argmin
+  // scan in id order would commit: ties go to the lowest candidate id.
   struct ClassBucket {
     std::vector<std::size_t> ids;
     bool queued = false;
   };
   using ClassMap = std::map<ClassKey, ClassBucket>;
   ClassMap classes;
-  // A bucketed candidate's class and its position in the class's ids;
-  // cand_pos == SIZE_MAX: in no bucket, and cand_class is stale.
-  std::vector<ClassMap::iterator> cand_class(num_candidates);
-  std::vector<std::size_t> cand_pos(num_candidates, SIZE_MAX);
+  // A candidate's class; classes.end(): in none, because it is exhausted.
+  std::vector<ClassMap::iterator> cand_class(num_candidates, classes.end());
 
   // Lazy best-first queue over CLASSES (CELF-style). Key monotonicity:
   // for a fixed (sep, weight, deactivates), the delta only INCREASES as
@@ -397,84 +406,88 @@ GreedyResult generate_scheme(
                       std::greater<QueueEntry>>
       queue;
 
-  // Push-back into a class, queueing the class if it has no live entry.
-  const auto append = [&](std::size_t id, ClassMap::iterator it) {
-    cand_class[id] = it;
-    cand_pos[id] = it->second.ids.size();
-    it->second.ids.push_back(id);
-    if (!it->second.queued) {
-      it->second.queued = true;
-      queue.emplace(class_delta(it->first), it->first);
-    }
+  // Queues a class that has no live entry.
+  const auto enqueue = [&](ClassMap::iterator it) {
+    if (it->second.queued) return;
+    it->second.queued = true;
+    queue.emplace(class_delta(it->first), it->first);
   };
   const auto insert_candidate = [&](std::size_t id) {
     if (cand_sep[id] == kInvalid) return;
-    append(id, classes.try_emplace(key_of(id)).first);
-  };
-  // Swap-remove from its class; true if that left the class empty.
-  const auto unlink = [&](std::size_t id) {
-    std::vector<std::size_t>& ids = cand_class[id]->second.ids;
-    const std::size_t last = ids.back();
-    ids[cand_pos[id]] = last;
-    cand_pos[last] = cand_pos[id];
-    ids.pop_back();
-    cand_pos[id] = SIZE_MAX;
-    return ids.empty();
+    const ClassMap::iterator it = classes.try_emplace(key_of(id)).first;
+    std::vector<std::size_t>& ids = it->second.ids;
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), id, std::greater<>()),
+               id);
+    cand_class[id] = it;
+    enqueue(it);
   };
   const auto remove_candidate = [&](std::size_t id) {
-    if (cand_pos[id] == SIZE_MAX) return;
     const ClassMap::iterator it = cand_class[id];
-    if (unlink(id)) classes.erase(it);  // a queued stale entry may
-                                        // float; pops skip it safely
+    if (it == classes.end()) return;
+    std::vector<std::size_t>& ids = it->second.ids;
+    if (ids.back() == id)  // a committed candidate is its class's back
+      ids.pop_back();
+    else
+      ids.erase(
+          std::lower_bound(ids.begin(), ids.end(), id, std::greater<>()));
+    cand_class[id] = classes.end();
+    if (ids.empty()) classes.erase(it);  // a queued stale entry may
+                                         // float; pops skip it safely
   };
 
   // Parts a commit touched: the moved parts and every part adjacent to
   // a moved node (the moved parts' neighbour lists), stamped with the
-  // commit's epoch. A candidate without a touched part keeps its move
-  // set, part weights and neighbour placements, so its cached separable
-  // delta is still exact.
+  // commit's epoch and listed once each in `stamped`. A candidate
+  // without a touched part keeps its move set, part weights and
+  // neighbour placements, so its cached separable delta is still exact.
   std::vector<std::uint64_t> touched_epoch(num_parts, 0);
   std::uint64_t commit_epoch = 0;
-  const auto touched = [&](std::size_t id) {
-    if (id < num_parts) return touched_epoch[id] == commit_epoch;
-    for (const std::size_t i : group_members[id - num_parts])
+  std::vector<std::size_t> stamped;
+  const auto stamp = [&](std::size_t i) {
+    if (touched_epoch[i] == commit_epoch) return;
+    touched_epoch[i] = commit_epoch;
+    stamped.push_back(i);
+  };
+  const auto group_touched = [&](std::size_t g) {
+    for (const std::size_t i : group_members[g])
       if (touched_epoch[i] == commit_epoch) return true;
     return false;
   };
 
   // Group retreats evaluate their initial deltas here; single parts got
-  // theirs in the set-up. Insertion stays in id order, so class-bucket
-  // order — the tie-break — is unchanged; a copied part whose
-  // counterpart is already in a class with its key joins that class
-  // without a map lookup.
+  // theirs in the set-up. Classes fill in id order, a copied part whose
+  // counterpart is already in a class with its key joining that class
+  // without a map lookup; each class is then put in descending order.
   for (std::size_t id = num_parts; id < num_candidates; ++id)
     refresh_candidate(id);
   for (std::size_t id = 0; id < num_candidates; ++id) {
-    if (const std::uint32_t c = counterpart[id];
-        c != kNoPart && cand_pos[c] != SIZE_MAX &&
-        key_of(id) == cand_class[c]->first)
-      append(id, cand_class[c]);
-    else
-      insert_candidate(id);
+    if (cand_sep[id] == kInvalid) continue;
+    const ClassKey key = key_of(id);
+    ClassMap::iterator it = counterpart[id] == kNoPart
+                                ? classes.end()
+                                : cand_class[counterpart[id]];
+    if (it == classes.end() || it->first != key)
+      it = classes.try_emplace(key).first;
+    it->second.ids.push_back(id);
+    cand_class[id] = it;
+    enqueue(it);
   }
+  for (auto& [key, bucket] : classes)
+    std::reverse(bucket.ids.begin(), bucket.ids.end());
 
-  // Re-classes a candidate of the committing user. An untouched
-  // candidate whose key is unchanged replays its remove + insert inside
-  // its own class: swap-remove, push-back, and a fresh entry if the
-  // class had no other member (remove would have dissolved it, insert
-  // re-created it unqueued).
-  const auto reclass = [&](std::size_t id) {
-    const bool stale = touched(id);
-    if (!stale && cand_pos[id] != SIZE_MAX &&
-        key_of(id) == cand_class[id]->first) {
-      const ClassMap::iterator it = cand_class[id];
-      if (unlink(id)) it->second.queued = false;
-      append(id, it);
-      return;
-    }
+  // Takes a candidate of the committing user out of its class, refreshes
+  // its delta if the commit touched it, and files it again by its key.
+  std::size_t reclassed = 0;
+  const auto reclass = [&](std::size_t id, bool refresh) {
+    ++reclassed;
     remove_candidate(id);
-    if (stale) refresh_candidate(id);
+    if (refresh) refresh_candidate(id);
     insert_candidate(id);
+  };
+  // An untouched candidate moves only if its deactivation flag flipped.
+  const auto reclass_if_flipped = [&](std::size_t id) {
+    if (cand_class[id] != classes.end() && key_of(id) != cand_class[id]->first)
+      reclass(id, false);
   };
 
   // Greedy loop.
@@ -490,7 +503,7 @@ GreedyResult generate_scheme(
       const double fresh = class_delta(key);
       if (queue.empty() || fresh <= queue.top().first + 1e-15) {
         it->second.queued = false;  // its entry is consumed
-        best = it->second.ids.back();  // members are interchangeable
+        best = it->second.ids.back();  // the class's lowest id
         best_key = key;
         best_delta = fresh;
         break;
@@ -510,21 +523,23 @@ GreedyResult generate_scheme(
     const PartAdjacency& part_adjacency = adjacency[prototype[user_index]];
     const std::size_t first = first_part[user_index];
     ++commit_epoch;
+    stamped.clear();
     for (const std::size_t i : move) {
-      touched_epoch[i] = commit_epoch;
+      stamp(i);
       for (const graph::NodeId v : part_at(user_index, i).nodes)
         result.scheme.placement[user_index][v] = Placement::kLocal;
       const std::size_t k = i - first;
       for (std::uint32_t n = part_adjacency.offsets[k];
            n < part_adjacency.offsets[k + 1]; ++n)
-        touched_epoch[first + part_adjacency.neighbours[n]] = commit_epoch;
+        stamp(first + part_adjacency.neighbours[n]);
       is_remote[i] = 0;
     }
     user_local_w[user_index] += weight;
+    const bool was_active = user_remote_w[user_index] > 0.0;
     user_remote_w[user_index] -= weight;
     if (user_remote_w[user_index] <= kImprovementEps) {
       user_remote_w[user_index] = 0.0;
-      --active_users;
+      if (was_active) --active_users;
     }
     user_cross_w[user_index] += dx;
     total_remote -= weight;
@@ -535,26 +550,35 @@ GreedyResult generate_scheme(
     result.objective_history.push_back(objective);
     ++result.moves;
 
-    // This user's deactivation flag may have changed for every
-    // candidate, and the touched ones also changed cross weights or
-    // remaining group members: re-class them all, in id order, with
-    // fresh queue entries so the lazy queue's lower-bound invariant and
-    // bucket order hold.
-    for (std::size_t id = first; id < first_part[user_index + 1]; ++id)
-      reclass(id);
+    // Class order is id order, so only a candidate whose key the commit
+    // may have changed is re-classed, and its new class gets a fresh
+    // queue entry if it has none, which keeps the lower-bound invariant.
+    // Those are the candidates holding a touched part, each refreshed
+    // once; the user's group retreats, refreshed if touched; and single
+    // parts whose deactivation flag flipped. IEEE subtraction is
+    // monotone, so while the user's remote weight exceeds its heaviest
+    // part's by more than ε, remote − w > ε held for every part before
+    // the commit and still holds: no flag can flip.
+    for (const std::size_t i : stamped) reclass(i, true);
     for (std::size_t g = first_group[user_index];
-         g < first_group[user_index + 1]; ++g)
-      reclass(num_parts + g);
+         g < first_group[user_index + 1]; ++g) {
+      if (group_touched(g))
+        reclass(num_parts + g, true);
+      else
+        reclass_if_flipped(num_parts + g);
+    }
+    if (user_remote_w[user_index] - max_part_weight[prototype[user_index]] <=
+        kImprovementEps)
+      for (std::size_t id = first; id < first_part[user_index + 1]; ++id)
+        reclass_if_flipped(id);
     // The selected class consumed its queue entry; if it survived the
     // refresh with members left, give it a fresh one.
-    if (const auto it = classes.find(best_key);
-        it != classes.end() && !it->second.queued) {
-      it->second.queued = true;
-      queue.emplace(class_delta(best_key), best_key);
-    }
+    if (const auto it = classes.find(best_key); it != classes.end())
+      enqueue(it);
   }
 
   MECOFF_COUNTER_ADD("mec.greedy.delta_evaluations", delta_evaluations);
+  MECOFF_COUNTER_ADD("mec.greedy.reclassed", reclassed);
   return result;
 }
 

@@ -11,25 +11,26 @@
 // the committing user's parts that contain or touch a moved node — so
 // multi-user runs with tens of thousands of parts stay tractable. A
 // commit finds the parts it touches in the moved parts' neighbour lists,
-// reuses its candidate's cached cross-weight change, and sends only the
-// committing user's candidates whose class key changed through the class
-// map; the rest are re-appended inside the class bucket they hold, in
-// the order a remove + re-insert would leave them, which is the
-// tie-break. Everything before the first commit is per user (users meet
-// only in the server term), so that set-up runs one index per user on
-// the caller's pool: a user's placement row, aggregates, initial
-// single-part deltas and part neighbour lists. A replica user copies
-// the set-up of the first user holding its graph payload instead of
-// recomputing it: it names that user's very part list, or one equal to
-// it part for part. The totals, the group retreats' deltas, class
-// insertion and the commit loop stay serial, in user and id order.
+// reuses its candidate's cached cross-weight change, and re-classes only
+// the committing user's candidates whose class key it can have changed.
+// Ties within a class go to the lowest candidate id, so class order is
+// a function of state and nothing else is re-filed. Everything before
+// the first commit is per user (users meet only in the server term), so
+// that set-up runs one index per user on the caller's pool: a user's
+// placement row, aggregates, initial single-part deltas and part
+// neighbour lists. A replica user copies the set-up of the first user
+// holding its graph payload instead of recomputing it: it names that
+// user's very part list, or one equal to it part for part. The totals,
+// the group retreats' deltas, class insertion and the commit loop stay
+// serial, in user and id order.
 // Tests verify the incremental objective against a full evaluate()
 // after every move, and the placements against a from-scratch reference
 // greedy, against a run where nothing is copied (whether replicas share
 // their prototype's list or hold a copy of it), against the same run
 // with and without a pool, and — tie order and objective bits included —
-// against the lazy greedy that took every re-classed candidate through
-// the map.
+// against the lazy greedy that took every candidate of the committing
+// user through the class map, set to commit the lowest id of its best
+// class.
 #pragma once
 
 #include <span>
@@ -88,7 +89,7 @@ struct GreedyResult {
 /// Run the greedy over `parts_of_user`, one part list per user of
 /// `system`; several users may name the same list. Candidate ids are
 /// user-major: each user's parts in list order, then, with group moves,
-/// each user's group retreats; ties go by that order.
+/// each user's group retreats; ties go to the lowest candidate id.
 ///
 /// Preconditions: one list per user; a user's parts are disjoint, hold
 /// only nodes of its graph and cover only offloadable nodes (none

@@ -234,11 +234,97 @@ TEST(Greedy, MultiUserContentionTriggersPullback) {
   EXPECT_EQ(solo_r.scheme.remote_count(0), 8u);
 }
 
+/// The contended server of the two tests below.
+SystemParams tight_server_params() {
+  SystemParams p = test_params();
+  p.server_capacity = 30.0;
+  p.contention_factor = 0.5;
+  return p;
+}
+
+/// A user whose pinned node 0 feeds nodes 1.. over `edges` (u, v,
+/// weight); every node but 0 is offloadable.
+UserApp pinned_user(const std::vector<double>& weights,
+                    const std::vector<std::tuple<int, int, double>>& edges) {
+  graph::GraphBuilder b;
+  for (const double w : weights) b.add_node(w);
+  for (const auto& [u, v, w] : edges)
+    b.add_edge(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v),
+               w);
+  UserApp app;
+  app.graph = b.build();
+  app.unoffloadable.assign(weights.size(), false);
+  app.unoffloadable[0] = true;
+  return app;
+}
+
+/// One remote part per listed node.
+std::vector<Part> single_node_parts(const UserApp& app,
+                                    const std::vector<graph::NodeId>& nodes) {
+  std::vector<Part> parts;
+  for (const graph::NodeId v : nodes)
+    parts.push_back({.nodes = {v}, .weight = app.graph.node_weight(v)});
+  return parts;
+}
+
+TEST(Greedy, ZeroWeightPartOfAnIdleUserDeactivatesNoOne) {
+  // User B's first move (b1) empties its remote weight, yet it still
+  // holds b2 remote, which weighs 0. Pulling b2 local deactivates no
+  // one: if it counted B out a second time, K would fall below the one
+  // user (A) still offloading, the coupled term would drop out of the
+  // objective and A's retreat, which that term pays for, would never
+  // come. The moves are b1, a1, b2; after each, the history must read
+  // what evaluate() gives for the placement so far.
+  const UserApp a = pinned_user({1.0, 50.0}, {{0, 1, 26.0}});
+  const UserApp b = pinned_user({1.0, 20.0, 0.0}, {{0, 1, 100.0}, {1, 2, 1.0}});
+  const MecSystem system{tight_server_params(), {a, b}};
+  const std::vector<std::vector<Part>> parts{single_node_parts(a, {1}),
+                                             single_node_parts(b, {1, 2})};
+  const GreedyResult r = generate_scheme(system, lists_of(parts));
+
+  OffloadingScheme scheme = OffloadingScheme::all_remote(system);
+  const std::vector<std::pair<std::size_t, graph::NodeId>> order{
+      {1, 1}, {0, 1}, {1, 2}};
+  for (std::size_t k = 1; k < r.objective_history.size(); ++k) {
+    ASSERT_LE(k, order.size());
+    scheme.placement[order[k - 1].first][order[k - 1].second] =
+        Placement::kLocal;
+    const double want = evaluate(system, scheme).objective();
+    EXPECT_NEAR(r.objective_history[k], want, 1e-9 * (1.0 + want))
+        << "after move " << k;
+  }
+  EXPECT_EQ(r.moves, 3u);
+  EXPECT_EQ(r.scheme, scheme);
+  EXPECT_EQ(r.scheme.placement[0][1], Placement::kLocal);
+}
+
+TEST(Greedy, TiesGoToTheLowestCandidateId) {
+  // Six replica users share one part list, so their candidates tie bit
+  // for bit. The contended server makes four of them retreat; the four
+  // are the lowest ids, as an argmin scan in id order picks them.
+  const UserApp app = pinned_user({1.0, 30.0}, {{0, 1, 10.0}});
+  const MecSystem system = make_uniform_system(tight_server_params(), {app}, 6);
+  const std::vector<Part> parts = single_node_parts(app, {1});
+  const std::vector<std::span<const Part>> lists(system.num_users(), parts);
+  const GreedyResult r = generate_scheme(system, lists);
+  EXPECT_EQ(r.moves, 4u);
+  std::vector<std::size_t> local_users;
+  for (std::size_t u = 0; u < system.num_users(); ++u)
+    if (r.scheme.remote_count(u) == 0) local_users.push_back(u);
+  EXPECT_EQ(local_users, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+// Which member of the best class the lazy reference greedy commits: the
+// back of its swap-removed bucket, as that greedy did, or the lowest
+// candidate id, as generate_scheme does.
+enum class Pick { kBucketBack, kLowestId };
+
 // The lazy greedy kept verbatim further down, the bitwise oracle of
-// GreedyLazyQueue.MatchesParentTieOrderBitwise and of the replica test.
+// GreedyLazyQueue.MatchesReferenceLazyGreedyBitwise and of the replica
+// test.
 GreedyResult reference_lazy_greedy(const MecSystem& system,
                                    const std::vector<UserPart>& parts,
-                                   const GreedyOptions& options);
+                                   const GreedyOptions& options, Pick pick);
 
 }  // namespace
 }  // namespace mecoff::mec
@@ -599,7 +685,7 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
   // lists count. Every run also runs with the per-user set-up on a
   // pool, which must change nothing, evaluation count included, and
   // every seed is checked bit for bit against the lazy reference
-  // greedy.
+  // greedy with the lowest-id pick.
   constexpr std::size_t kProtos = 3;
   constexpr std::size_t kUsers = 36;
   constexpr std::size_t kFlipped = 7;
@@ -689,8 +775,8 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
       const Run copied_pooled = run(system, copied_lists, &workers);
       const Run computed_pooled = run(fresh, copied_lists, &workers);
 
-      const GreedyResult want =
-          mecoff::mec::reference_lazy_greedy(system, flatten(parts), opts);
+      const GreedyResult want = mecoff::mec::reference_lazy_greedy(
+          system, flatten(parts), opts, mecoff::mec::Pick::kLowestId);
 
       const std::string where = "seed " + std::to_string(seed) +
                                 " groups " + std::to_string(group_moves);
@@ -729,10 +815,11 @@ TEST(GreedyReplicas, CopiedSetUpMatchesRecomputedBitwise) {
 namespace mecoff::mec {
 namespace {
 
-// The generate_scheme that took every re-classed candidate out of its
-// class through the map and put it back, and re-evaluated the committed
-// candidate's cross delta, kept verbatim (minus its counter) as the
-// oracle for tie order: placements, moves and objective bits must match.
+// The generate_scheme that took every candidate of the committing user
+// out of its class through the map and put it back, and re-evaluated the
+// committed candidate's cross delta, kept verbatim (minus its counter)
+// but for the pick rule it takes: with Pick::kLowestId, placements,
+// moves and objective bits must match generate_scheme's.
 
 constexpr std::uint32_t kNoPart = UINT32_MAX;
 constexpr double kImprovementEps = 1e-12;
@@ -754,7 +841,7 @@ double coupled_time(double total_remote, std::size_t active_users,
 
 GreedyResult reference_lazy_greedy(const MecSystem& system,
                                    const std::vector<UserPart>& parts,
-                                   const GreedyOptions& options) {
+                                   const GreedyOptions& options, Pick pick) {
   MECOFF_EXPECTS(system.valid());
   const SystemParams& p = system.params;
 
@@ -1087,7 +1174,10 @@ GreedyResult reference_lazy_greedy(const MecSystem& system,
       const double fresh = class_delta(key);
       if (queue.empty() || fresh <= queue.top().first + 1e-15) {
         it->second.queued = false;  // its entry is consumed
-        best = it->second.ids.back();  // members are interchangeable
+        best = pick == Pick::kBucketBack
+                   ? it->second.ids.back()  // members are interchangeable
+                   : *std::min_element(it->second.ids.begin(),
+                                       it->second.ids.end());
         best_key = key;
         best_delta = fresh;
         break;
@@ -1199,16 +1289,18 @@ UserApp pinned_netgen_user(std::size_t nodes, std::uint64_t seed) {
   return app;
 }
 
-TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
-  // Which of several tied candidates the greedy commits — the back of
-  // its class bucket — shows up only in which user's placement moves,
-  // so the reference must agree bit for bit, not just in objective.
-  // Replica-heavy systems (many users over 3 prototypes) fill class
-  // buckets with bitwise ties; distinct-user systems make one-member
-  // classes. The parameter sets range from a roomy server to a tiny
-  // congested one, so users retreat completely and untouched
-  // candidates flip their deactivation flag. Every system also runs
-  // with the per-user set-up on a pool.
+TEST(GreedyLazyQueue, MatchesReferenceLazyGreedyBitwise) {
+  // Which of several tied candidates the greedy commits — the lowest id
+  // in its class — shows up only in which user's placement moves, so
+  // the lowest-id reference must agree bit for bit, not just in
+  // objective. The reference that committed the back of a swap-removed
+  // bucket must still agree in moves and objective bits everywhere,
+  // and in placements wherever no two users tie. Replica-heavy systems
+  // (many users over 3 prototypes) fill class buckets with bitwise
+  // ties; distinct-user systems make one-member classes. The parameter
+  // sets range from a roomy server to a tiny congested one, so users
+  // retreat completely and untouched candidates flip their deactivation
+  // flag. Every system also runs with the per-user set-up on a pool.
   parallel::ThreadPool workers(4);
   std::vector<SystemParams> param_sets;
   for (const auto& [capacity, contention, transmit] :
@@ -1251,7 +1343,9 @@ TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
             const GreedyResult pooled =
                 generate_scheme(system, lists_of(parts), opts, &workers);
             const GreedyResult want =
-                reference_lazy_greedy(system, flat, opts);
+                reference_lazy_greedy(system, flat, opts, Pick::kLowestId);
+            const GreedyResult bucket_back =
+                reference_lazy_greedy(system, flat, opts, Pick::kBucketBack);
             const std::string where =
                 "seed " + std::to_string(seed) + " replicas " +
                 std::to_string(replicas) + " anchor " +
@@ -1263,6 +1357,14 @@ TEST(GreedyLazyQueue, MatchesParentTieOrderBitwise) {
                                                     where + " pooled");
             greedy_extensions::expect_bitwise_equal(
                 pooled, want, where + " pooled, reference");
+            EXPECT_EQ(got.moves, bucket_back.moves) << where;
+            EXPECT_EQ(greedy_extensions::bits_of(got.objective_history),
+                      greedy_extensions::bits_of(
+                          bucket_back.objective_history))
+                << where;
+            if (!replicas) {
+              EXPECT_EQ(got.scheme, bucket_back.scheme) << where;
+            }
             total_moves += got.moves;
           }
         }
