@@ -15,8 +15,11 @@
 //      non-empty and query-stripped.
 //   4. parse_content_length tri-state: kMalformed and kAbsent are
 //      distinct — a malformed declared length must surface as
-//      kBadContentLength (-> 400), never as "no body" (the regression
-//      this PR's bug fix pinned down).
+//      kBadContentLength (-> 400), never as "no body".
+//   5. One framing length: a POST that parses kOk sizes its body from
+//      the same value the parsed `content-length` header holds, clamped
+//      the way the parser clamps, so two differing Content-Length lines
+//      can never both pass (RFC 9112 §6.3).
 #include <cstdint>
 #include <string>
 
@@ -24,6 +27,25 @@
 #include "support/fuzz_input.hpp"
 
 namespace serve = mecoff::obs::serve;
+
+namespace {
+
+/// `text` as a declared length, accumulated the way
+/// parse_content_length accumulates it (stopping once past the cap);
+/// false when it is not a non-empty run of decimal digits.
+bool clamped_length(const std::string& text, std::size_t& out) {
+  if (text.empty()) return false;
+  std::size_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    if (value > serve::kMaxHttpBody) continue;
+    value = value * 10 + static_cast<std::size_t>(c - '0');
+  }
+  out = value;
+  return true;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -67,6 +89,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                 "query string not stripped from path");
     FUZZ_ASSERT(head1.request.body.empty(),
                 "head parsing must not populate the body");
+    if (head1.request.method == "POST") {
+      const auto header = head1.request.headers.find("content-length");
+      std::size_t declared = 0;
+      FUZZ_ASSERT(header == head1.request.headers.end()
+                      ? head1.content_length == 0
+                      : clamped_length(header->second, declared) &&
+                            declared == head1.content_length,
+                  "POST body framed by a length other than its "
+                  "content-length header");
+    }
   }
 
   // Exercise the Content-Length tri-state directly on the header

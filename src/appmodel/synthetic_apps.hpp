@@ -7,8 +7,6 @@
 // compressor should fuse.
 #pragma once
 
-#include <cstdint>
-
 #include "appmodel/application.hpp"
 
 namespace mecoff::appmodel {
@@ -30,15 +28,5 @@ namespace mecoff::appmodel {
 /// Voice assistant: wake-word detection pinned (always-on mic), ASR /
 /// NLU / TTS stages offloadable with a tightly coupled decoder cluster.
 [[nodiscard]] Application make_voice_assistant_app();
-
-/// Indoor SLAM navigation: camera+IMU pinned, tracking loop latency-
-/// critical (heavy data per frame), mapping/relocalization offloadable.
-[[nodiscard]] Application make_slam_navigation_app();
-
-/// Randomized app with `functions` nodes for soak tests: clustered
-/// call structure, ~`unoffloadable_fraction` of functions pinned.
-[[nodiscard]] Application make_random_app(std::size_t functions,
-                                          double unoffloadable_fraction,
-                                          std::uint64_t seed);
 
 }  // namespace mecoff::appmodel

@@ -33,24 +33,11 @@ std::string Config::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-double Config::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  double out = 0;
-  return parse_double(it->second, out) ? out : fallback;
-}
-
 long long Config::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   long long out = 0;
   return parse_int(it->second, out) ? out : fallback;
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second == "1" || it->second == "true" || it->second == "yes";
 }
 
 }  // namespace mecoff

@@ -22,11 +22,8 @@ class Config {
   /// Typed getters returning `fallback` when the key is missing or malformed.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   [[nodiscard]] const std::map<std::string, std::string>& entries() const {
     return values_;

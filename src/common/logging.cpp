@@ -1,6 +1,5 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <iostream>
 
 #include "common/thread_annotations.hpp"
@@ -8,23 +7,12 @@
 namespace mecoff {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 Mutex g_mutex;  // serializes whole lines onto std::cerr
 
 const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
-    case LogLevel::kWarn: return "WARN ";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF  ";
-  }
-  return "?????";
+  return level == LogLevel::kError ? "ERROR" : "WARN ";
 }
 }  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
 
 void log_message(LogLevel level, const std::string& message) {
   const MutexLock lock(g_mutex);

@@ -1,5 +1,5 @@
-// Minimal leveled logger. Library code logs sparingly (warnings about
-// degenerate inputs, solver fallbacks); benches and examples use Info.
+// Minimal logger for warnings and errors. Library code logs sparingly
+// (degenerate inputs, solver fallbacks); every line reaches stderr.
 #pragma once
 
 #include <sstream>
@@ -7,11 +7,7 @@
 
 namespace mecoff {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Global log threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+enum class LogLevel { kWarn, kError };
 
 /// Emit one log line to stderr (thread-safe).
 void log_message(LogLevel level, const std::string& message);
@@ -22,12 +18,10 @@ class LogLine {
   explicit LogLine(LogLevel level) : level_(level) {}
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
-  ~LogLine() {
-    if (level_ >= log_level()) log_message(level_, stream_.str());
-  }
+  ~LogLine() { log_message(level_, stream_.str()); }
   template <typename T>
   LogLine& operator<<(const T& value) {
-    if (level_ >= log_level()) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
@@ -39,7 +33,5 @@ class LogLine {
 
 }  // namespace mecoff
 
-#define MECOFF_LOG_DEBUG ::mecoff::detail::LogLine(::mecoff::LogLevel::kDebug)
-#define MECOFF_LOG_INFO ::mecoff::detail::LogLine(::mecoff::LogLevel::kInfo)
 #define MECOFF_LOG_WARN ::mecoff::detail::LogLine(::mecoff::LogLevel::kWarn)
 #define MECOFF_LOG_ERROR ::mecoff::detail::LogLine(::mecoff::LogLevel::kError)

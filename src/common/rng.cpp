@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "common/contracts.hpp"
 
@@ -65,14 +64,6 @@ double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
 }
 
-double Rng::normal(double mean, double stddev) {
-  // Box–Muller; u1 in (0,1] so log() is finite.
-  const double u1 = 1.0 - uniform();
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::exponential(double mean) {
@@ -80,18 +71,10 @@ double Rng::exponential(double mean) {
   return -mean * std::log(1.0 - uniform());
 }
 
-double Rng::pareto(double alpha, double xm) {
-  MECOFF_EXPECTS(alpha > 0.0 && xm > 0.0);
-  const double u = 1.0 - uniform();  // in (0,1]
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::index(std::size_t n) {
   MECOFF_EXPECTS(n > 0);
   return static_cast<std::size_t>(
       uniform_int(0, static_cast<std::int64_t>(n) - 1));
 }
-
-Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace mecoff

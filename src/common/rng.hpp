@@ -28,18 +28,11 @@ class Rng {
   /// Uniform double in [lo, hi). Requires lo < hi.
   double uniform(double lo, double hi);
 
-  /// Standard normal via Box–Muller (no cached spare; stateless per call pair).
-  double normal(double mean = 0.0, double stddev = 1.0);
-
   /// Bernoulli with probability p of true.
   bool bernoulli(double p);
 
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
-
-  /// Pareto-distributed value with shape `alpha`, scale `xm` (>0). Used for
-  /// power-law-ish degree/weight distributions in call-graph generators.
-  double pareto(double alpha, double xm);
 
   /// Fisher–Yates shuffle.
   template <typename T>
@@ -54,10 +47,6 @@ class Rng {
 
   /// Pick an index in [0, n) uniformly. Requires n > 0.
   std::size_t index(std::size_t n);
-
-  /// Derive an independent child generator (for per-subtask determinism
-  /// independent of scheduling order).
-  Rng fork();
 
  private:
   std::array<std::uint64_t, 4> state_;

@@ -5,20 +5,6 @@
 
 namespace mecoff {
 
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::vector<std::string> split_ws(std::string_view text) {
   std::vector<std::string> out;
   std::size_t i = 0;
@@ -44,19 +30,6 @@ std::string_view trim(std::string_view text) {
          std::isspace(static_cast<unsigned char>(text[end - 1])))
     --end;
   return text.substr(begin, end - begin);
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.substr(0, prefix.size()) == prefix;
 }
 
 bool parse_double(std::string_view text, double& out) {

@@ -8,20 +8,11 @@
 
 namespace mecoff {
 
-/// Split `text` on `delim`, keeping empty fields.
-std::vector<std::string> split(std::string_view text, char delim);
-
 /// Split `text` on any run of whitespace, dropping empty fields.
 std::vector<std::string> split_ws(std::string_view text);
 
 /// Strip leading/trailing whitespace.
 std::string_view trim(std::string_view text);
-
-/// Join `parts` with `sep` between elements.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// True if `text` begins with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Parse helpers returning false on malformed input (no exceptions).
 bool parse_double(std::string_view text, double& out);

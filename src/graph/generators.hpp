@@ -1,19 +1,13 @@
-// Workload generators.
+// Workload generator.
 //
 // netgen_style() is the repo's substitute for the NETGEN tool the paper
 // uses: it honours the same knobs (node count, edge count, weight
 // ranges) and produces clustered graphs "similar to the actual function
 // data flow graph of mobile applications" — heavy intra-cluster edges
 // (tightly coupled helper functions) and light inter-cluster edges
-// (loose module boundaries), grouped into components.
-//
-// app_call_graph() produces tree-like call structures with power-law
-// fan-out plus shortcut data edges, matching the Fig. 1 style of real
-// applications more closely; used by tests and examples.
-//
-// The fixed-shape generators (path/cycle/complete/star/grid/barbell/
-// weighted_dumbbell) have analytically known minimum cuts and are the
-// backbone of the cut-algorithm test suites.
+// (loose module boundaries), grouped into components. The fixed shapes
+// with known minimum cuts that the test suites use live in
+// tests/testlib/test_graphs.hpp.
 #pragma once
 
 #include <cstdint>
@@ -57,50 +51,5 @@ struct NetgenResult {
 };
 [[nodiscard]] NetgenResult netgen_style_with_metadata(
     const NetgenParams& params);
-
-struct CallGraphParams {
-  std::size_t functions = 64;
-  /// Pareto shape for fan-out (smaller => heavier tail).
-  double fanout_shape = 1.6;
-  double min_compute = 1.0;
-  double max_compute = 100.0;
-  double min_data = 1.0;
-  double max_data = 20.0;
-  /// Probability of an extra "shortcut" data edge between random nodes.
-  double shortcut_probability = 0.08;
-  std::uint64_t seed = 1;
-};
-
-/// Tree-like function call graph with shortcut data edges (connected).
-[[nodiscard]] WeightedGraph app_call_graph(const CallGraphParams& params);
-
-// --- Fixed shapes for testing ------------------------------------------
-
-/// Path v0 - v1 - ... - v(n-1); all node weights `nw`, edge weights `ew`.
-[[nodiscard]] WeightedGraph path_graph(std::size_t n, double nw = 1.0,
-                                       double ew = 1.0);
-
-/// Cycle on n >= 3 nodes.
-[[nodiscard]] WeightedGraph cycle_graph(std::size_t n, double nw = 1.0,
-                                        double ew = 1.0);
-
-/// Complete graph on n nodes.
-[[nodiscard]] WeightedGraph complete_graph(std::size_t n, double nw = 1.0,
-                                           double ew = 1.0);
-
-/// Star: center 0 connected to n-1 leaves.
-[[nodiscard]] WeightedGraph star_graph(std::size_t n, double nw = 1.0,
-                                       double ew = 1.0);
-
-/// rows x cols grid with 4-neighborhood.
-[[nodiscard]] WeightedGraph grid_graph(std::size_t rows, std::size_t cols,
-                                       double nw = 1.0, double ew = 1.0);
-
-/// Two cliques of size `clique` joined by a single bridge edge of weight
-/// `bridge_weight` — the bridge is the unique minimum cut when
-/// bridge_weight < clique-internal connectivity.
-[[nodiscard]] WeightedGraph barbell_graph(std::size_t clique,
-                                          double bridge_weight = 1.0,
-                                          double clique_edge_weight = 10.0);
 
 }  // namespace mecoff::graph

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/contracts.hpp"
-#include "graph/partition.hpp"
-
 namespace mecoff::graph {
 
 GraphStats compute_stats(const WeightedGraph& g) {
@@ -31,19 +28,6 @@ GraphStats compute_stats(const WeightedGraph& g) {
     }
   }
   return s;
-}
-
-double conductance(const WeightedGraph& g,
-                   const std::vector<std::uint8_t>& side) {
-  MECOFF_EXPECTS(side.size() == g.num_nodes());
-  double vol0 = 0.0;
-  double vol1 = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    (side[v] == 0 ? vol0 : vol1) += g.weighted_degree(v);
-  }
-  const double denom = std::min(vol0, vol1);
-  if (denom <= 0.0) return 0.0;
-  return cut_weight(g, side) / denom;
 }
 
 }  // namespace mecoff::graph

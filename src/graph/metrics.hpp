@@ -21,10 +21,4 @@ struct GraphStats {
 
 [[nodiscard]] GraphStats compute_stats(const WeightedGraph& g);
 
-/// Conductance of a node subset S given as a side vector: cut(S, S̄) /
-/// min(vol(S), vol(S̄)) with volume = Σ weighted degrees. Returns 0 for
-/// degenerate (empty/full) sides.
-[[nodiscard]] double conductance(const WeightedGraph& g,
-                                 const std::vector<std::uint8_t>& side);
-
 }  // namespace mecoff::graph

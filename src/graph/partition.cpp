@@ -11,13 +11,6 @@ std::size_t Bipartition::size(std::uint8_t which) const {
   return count;
 }
 
-std::vector<NodeId> Bipartition::nodes_on_side(std::uint8_t which) const {
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < side.size(); ++v)
-    if (side[v] == which) out.push_back(v);
-  return out;
-}
-
 double cut_weight(const WeightedGraph& g,
                   const std::vector<std::uint8_t>& side) {
   MECOFF_EXPECTS(side.size() == g.num_nodes());

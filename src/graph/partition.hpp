@@ -20,7 +20,6 @@ struct Bipartition {
   double cut_weight = 0.0;         // Σ edge weights crossing the cut
 
   [[nodiscard]] std::size_t size(std::uint8_t which) const;
-  [[nodiscard]] std::vector<NodeId> nodes_on_side(std::uint8_t which) const;
 };
 
 /// Σ weight of edges whose endpoints lie on different sides — the CUT of

@@ -25,12 +25,6 @@ std::size_t WeightedGraph::degree(NodeId v) const {
   return data_->offsets[v + 1] - data_->offsets[v];
 }
 
-double WeightedGraph::weighted_degree(NodeId v) const {
-  double sum = 0.0;
-  for (const Adjacency& adj : neighbors(v)) sum += adj.weight;
-  return sum;
-}
-
 const Edge& WeightedGraph::edge(EdgeId e) const {
   MECOFF_EXPECTS(e < num_edges());
   return data_->edges[e];
@@ -51,12 +45,6 @@ double WeightedGraph::total_edge_weight() const {
   double sum = 0.0;
   for (const Edge& e : edges()) sum += e.weight;
   return sum;
-}
-
-bool WeightedGraph::has_edge(NodeId u, NodeId v) const {
-  for (const Adjacency& adj : neighbors(u))
-    if (adj.neighbor == v) return true;
-  return false;
 }
 
 double WeightedGraph::edge_weight_between(NodeId u, NodeId v) const {

@@ -82,9 +82,6 @@ class WeightedGraph {
   /// Number of incident edges of `v`.
   [[nodiscard]] std::size_t degree(NodeId v) const;
 
-  /// Sum of incident edge weights of `v` (the "volume" contribution).
-  [[nodiscard]] double weighted_degree(NodeId v) const;
-
   /// All undirected edges, sorted by (u, v) with u < v; EdgeIds index
   /// this order.
   [[nodiscard]] std::span<const Edge> edges() const {
@@ -103,9 +100,6 @@ class WeightedGraph {
 
   /// Sum of all edge weights (total communication volume).
   [[nodiscard]] double total_edge_weight() const;
-
-  /// True if an edge {u, v} exists (O(deg(u))).
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
   /// Weight of edge {u, v}; 0.0 when absent.
   [[nodiscard]] double edge_weight_between(NodeId u, NodeId v) const;

@@ -35,24 +35,23 @@ struct Swap {
 };
 
 /// Unlocked nodes of `which` side ordered by descending D value,
-/// truncated to `limit` (SIZE_MAX = all).
+/// truncated to kCandidateLimit.
 std::vector<NodeId> top_candidates(const std::vector<std::uint8_t>& side,
                                    const std::vector<bool>& locked,
                                    const std::vector<double>& d,
-                                   std::uint8_t which, std::size_t limit) {
+                                   std::uint8_t which) {
   std::vector<NodeId> out;
   for (NodeId v = 0; v < side.size(); ++v)
     if (side[v] == which && !locked[v]) out.push_back(v);
   std::sort(out.begin(), out.end(),
             [&](NodeId x, NodeId y) { return d[x] > d[y]; });
-  if (out.size() > limit) out.resize(limit);
+  if (out.size() > kCandidateLimit) out.resize(kCandidateLimit);
   return out;
 }
 
 }  // namespace
 
-KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial,
-                              const KlOptions& options) {
+KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial) {
   MECOFF_EXPECTS(graph::is_valid_partition(g, initial.side));
   MECOFF_TRACE_SPAN_ARG("kl.refine", g.num_nodes());
   MECOFF_COUNTER_ADD("kl.refine.runs", 1);
@@ -61,17 +60,14 @@ KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial,
   result.partition = std::move(initial);
   std::vector<std::uint8_t>& side = result.partition.side;
 
-  const std::size_t limit =
-      options.exact_pair_selection ? SIZE_MAX : options.candidate_limit;
-
   for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
     std::vector<double> d = compute_d_values(g, side);
     std::vector<bool> locked(g.num_nodes(), false);
     std::vector<Swap> sequence;
 
     while (true) {
-      const std::vector<NodeId> as = top_candidates(side, locked, d, 0, limit);
-      const std::vector<NodeId> bs = top_candidates(side, locked, d, 1, limit);
+      const std::vector<NodeId> as = top_candidates(side, locked, d, 0);
+      const std::vector<NodeId> bs = top_candidates(side, locked, d, 1);
       if (as.empty() || bs.empty()) break;
 
       Swap best{graph::kInvalidNode, graph::kInvalidNode,
@@ -80,11 +76,9 @@ KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial,
         // Direct neighbors of a on side 1 can beat the top-D shortlist
         // because of the −2·w(a,b) term; include them too.
         std::vector<NodeId> b_pool = bs;
-        if (!options.exact_pair_selection) {
-          for (const graph::Adjacency& adj : g.neighbors(a))
-            if (side[adj.neighbor] == 1 && !locked[adj.neighbor])
-              b_pool.push_back(adj.neighbor);
-        }
+        for (const graph::Adjacency& adj : g.neighbors(a))
+          if (side[adj.neighbor] == 1 && !locked[adj.neighbor])
+            b_pool.push_back(adj.neighbor);
         for (const NodeId b : b_pool) {
           const double gain = d[a] + d[b] - 2.0 * g.edge_weight_between(a, b);
           if (gain > best.gain) best = Swap{a, b, gain};
@@ -137,9 +131,6 @@ KlResult kernighan_lin_refine(const WeightedGraph& g, Bipartition initial,
   return result;
 }
 
-KernighanLinBipartitioner::KernighanLinBipartitioner(KlOptions options)
-    : options_(options) {}
-
 Bipartition KernighanLinBipartitioner::bipartition(const WeightedGraph& g) {
   Bipartition initial;
   initial.side.assign(g.num_nodes(), 0);
@@ -148,12 +139,12 @@ Bipartition KernighanLinBipartitioner::bipartition(const WeightedGraph& g) {
   // Random balanced start (classic KL assumes |A| ≈ |B|).
   std::vector<NodeId> order(g.num_nodes());
   std::iota(order.begin(), order.end(), NodeId{0});
-  Rng rng(options_.seed);
+  Rng rng(kStartSeed);
   rng.shuffle(order);
   for (std::size_t i = 0; i < order.size() / 2; ++i) initial.side[order[i]] = 1;
   initial.cut_weight = graph::cut_weight(g, initial.side);
 
-  return kernighan_lin_refine(g, std::move(initial), options_).partition;
+  return kernighan_lin_refine(g, std::move(initial)).partition;
 }
 
 }  // namespace mecoff::kl

@@ -5,10 +5,12 @@
 // pair, and at the end of the pass commit the best prefix of swaps if
 // its cumulative gain is positive.
 //
-// Pair selection per swap is exact over all unlocked pairs when
-// `exact_pair_selection` (O(n³) per pass — fine for compressed graphs
-// and tests) or restricted to the top `candidate_limit` D-value nodes
-// per side plus direct neighbors (near-exact, much faster) otherwise.
+// Each swap picks the best-gain pair from a shortlist: the
+// kCandidateLimit unlocked nodes of highest D value on each side, plus,
+// for each side-0 candidate a, a's unlocked neighbours on side 1 (the
+// −2·w(a,b) term can favour them). When each side has at most
+// kCandidateLimit unlocked nodes the shortlist holds every node, and
+// the pick is the exact best pair.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +23,11 @@ namespace mecoff::kl {
 /// ends it earlier.
 inline constexpr std::size_t kMaxPasses = 10;
 
-struct KlOptions {
-  bool exact_pair_selection = false;
-  std::size_t candidate_limit = 64;
-  std::uint64_t seed = 0x6b31;
-};
+/// Unlocked nodes per side on a swap's shortlist.
+inline constexpr std::size_t kCandidateLimit = 64;
+
+/// Seed of KernighanLinBipartitioner's random balanced start.
+inline constexpr std::uint64_t kStartSeed = 0x6b31;
 
 struct KlResult {
   graph::Bipartition partition;
@@ -35,21 +37,15 @@ struct KlResult {
 
 /// Refine `initial` (sizes are preserved — KL swaps pairs).
 [[nodiscard]] KlResult kernighan_lin_refine(const graph::WeightedGraph& g,
-                                            graph::Bipartition initial,
-                                            const KlOptions& options);
+                                            graph::Bipartition initial);
 
 /// Full baseline: random balanced initial partition, then refinement.
 class KernighanLinBipartitioner final : public graph::Bipartitioner {
  public:
-  explicit KernighanLinBipartitioner(KlOptions options = {});
-
   [[nodiscard]] graph::Bipartition bipartition(
       const graph::WeightedGraph& g) override;
 
   [[nodiscard]] std::string name() const override { return "kl"; }
-
- private:
-  KlOptions options_;
 };
 
 }  // namespace mecoff::kl

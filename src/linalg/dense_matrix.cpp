@@ -1,7 +1,5 @@
 #include "linalg/dense_matrix.hpp"
 
-#include <cmath>
-
 #include "common/contracts.hpp"
 
 namespace mecoff::linalg {
@@ -22,48 +20,6 @@ double DenseMatrix::operator()(std::size_t r, std::size_t c) const {
 std::span<const double> DenseMatrix::row(std::size_t r) const {
   MECOFF_EXPECTS(r < rows_);
   return {data_.data() + r * cols_, cols_};
-}
-
-std::span<double> DenseMatrix::row(std::size_t r) {
-  MECOFF_EXPECTS(r < rows_);
-  return {data_.data() + r * cols_, cols_};
-}
-
-Vec DenseMatrix::multiply(std::span<const double> x) const {
-  MECOFF_EXPECTS(x.size() == cols_);
-  Vec y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) y[r] = dot(row(r), x);
-  return y;
-}
-
-DenseMatrix DenseMatrix::multiply(const DenseMatrix& other) const {
-  MECOFF_EXPECTS(cols_ == other.rows_);
-  DenseMatrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c)
-        out(r, c) += a * other(k, c);
-    }
-  }
-  return out;
-}
-
-DenseMatrix DenseMatrix::transposed() const {
-  DenseMatrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
-double DenseMatrix::symmetry_error() const {
-  MECOFF_EXPECTS(rows_ == cols_);
-  double err = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = r + 1; c < cols_; ++c)
-      err = std::max(err, std::abs((*this)(r, c) - (*this)(c, r)));
-  return err;
 }
 
 }  // namespace mecoff::linalg

@@ -23,19 +23,6 @@ class DenseMatrix {
 
   /// Row view.
   [[nodiscard]] std::span<const double> row(std::size_t r) const;
-  [[nodiscard]] std::span<double> row(std::size_t r);
-
-  /// y = A·x. Requires x.size() == cols().
-  [[nodiscard]] Vec multiply(std::span<const double> x) const;
-
-  /// C = A·B. Requires cols() == B.rows().
-  [[nodiscard]] DenseMatrix multiply(const DenseMatrix& other) const;
-
-  [[nodiscard]] DenseMatrix transposed() const;
-
-  /// max |A(i,j) - A(j,i)| over the upper triangle (0 for non-square is
-  /// a precondition violation).
-  [[nodiscard]] double symmetry_error() const;
 
  private:
   std::size_t rows_ = 0;

@@ -31,15 +31,4 @@ DenseMatrix dense_laplacian(const graph::WeightedGraph& g) {
   return m;
 }
 
-double laplacian_quadratic_form(const graph::WeightedGraph& g,
-                                std::span<const double> q) {
-  MECOFF_EXPECTS(q.size() == g.num_nodes());
-  double sum = 0.0;
-  for (const graph::Edge& e : g.edges()) {
-    const double d = q[e.u] - q[e.v];
-    sum += e.weight * d * d;
-  }
-  return sum;
-}
-
 }  // namespace mecoff::linalg

@@ -16,8 +16,4 @@ namespace mecoff::linalg {
 /// Dense Laplacian (for small graphs / tests).
 [[nodiscard]] DenseMatrix dense_laplacian(const graph::WeightedGraph& g);
 
-/// qᵀ L q computed directly from the graph in O(E) without forming L.
-[[nodiscard]] double laplacian_quadratic_form(const graph::WeightedGraph& g,
-                                              std::span<const double> q);
-
 }  // namespace mecoff::linalg

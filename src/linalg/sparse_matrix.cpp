@@ -41,12 +41,6 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
   return m;
 }
 
-Vec SparseMatrix::multiply(std::span<const double> x) const {
-  Vec y(rows(), 0.0);
-  multiply_into(x, y);
-  return y;
-}
-
 void SparseMatrix::multiply_into(std::span<const double> x,
                                  std::span<double> y) const {
   MECOFF_EXPECTS(x.size() == cols_);
@@ -57,21 +51,6 @@ void SparseMatrix::multiply_into(std::span<const double> x,
       sum += values_[k] * x[col_indices_[k]];
     y[r] = sum;
   }
-}
-
-double SparseMatrix::at(std::size_t r, std::size_t c) const {
-  MECOFF_EXPECTS(r < rows() && c < cols_);
-  for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-    if (col_indices_[k] == c) return values_[k];
-  return 0.0;
-}
-
-double SparseMatrix::row_sum(std::size_t r) const {
-  MECOFF_EXPECTS(r < rows());
-  double sum = 0.0;
-  for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-    sum += values_[k];
-  return sum;
 }
 
 double SparseMatrix::gershgorin_bound() const {

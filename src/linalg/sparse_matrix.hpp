@@ -1,7 +1,9 @@
 // Compressed-sparse-row matrix. Graph Laplacians at the paper's scales
 // (up to 5000 nodes, ~40k edges) are extremely sparse; CSR SpMV is the
-// workhorse of the Lanczos solver. It always runs serially: the
-// pipeline parallelizes across sub-graphs, never inside one matvec.
+// workhorse of the Lanczos solver, and multiply_into is its one kernel
+// (tests read entries and row sums through it too). It always runs
+// serially: the pipeline parallelizes across sub-graphs, never inside
+// one matvec.
 #pragma once
 
 #include <span>
@@ -31,20 +33,11 @@ class SparseMatrix {
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nonzeros() const { return values_.size(); }
 
-  /// y = A·x (serial).
-  [[nodiscard]] Vec multiply(std::span<const double> x) const;
-
   /// y = A·x into preallocated y (no allocation; hot path). Each row
   /// is one sequential accumulator summing strictly in CSR storage
   /// order; every golden fixture and bench baseline is pinned to that
   /// order.
   void multiply_into(std::span<const double> x, std::span<double> y) const;
-
-  /// Entry lookup, O(row nnz). Mostly for tests.
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  /// Σ of a row's values (for Laplacian row-sum checks).
-  [[nodiscard]] double row_sum(std::size_t r) const;
 
   /// Gershgorin upper bound on the spectral radius of a symmetric
   /// matrix: max_r Σ_c |A(r,c)|.

@@ -24,13 +24,6 @@ void scale(std::span<double> x, double a) {
   for (double& v : x) v *= a;
 }
 
-double normalize(std::span<double> x) {
-  const double n = norm2(x);
-  MECOFF_EXPECTS(n > 0.0);
-  scale(x, 1.0 / n);
-  return n;
-}
-
 void deflate(std::span<double> x, std::span<const double> d) {
   const double c = dot(x, d);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] -= c * d[i];

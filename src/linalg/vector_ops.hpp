@@ -22,9 +22,6 @@ void axpy(double a, std::span<const double> x, std::span<double> y);
 /// x *= a.
 void scale(std::span<double> x, double a);
 
-/// x /= ‖x‖₂; returns the original norm. Requires a nonzero vector.
-double normalize(std::span<double> x);
-
 /// Remove the component of x along the (unit) direction d: x -= <x,d>·d.
 void deflate(std::span<double> x, std::span<const double> d);
 

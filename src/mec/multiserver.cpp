@@ -167,18 +167,4 @@ MultiServerResult MultiServerOffloader::solve(
   return result;
 }
 
-SystemCost evaluate_server_group(const MultiServerSystem& system,
-                                 const MultiServerResult& result,
-                                 std::size_t server) {
-  MECOFF_EXPECTS(server < system.servers.size());
-  std::vector<std::size_t> members;
-  MecSystem sub =
-      subsystem_for(system, result.server_of_user, server, members);
-  OffloadingScheme scheme;
-  for (const std::size_t u : members)
-    scheme.placement.push_back(result.scheme.placement[u]);
-  if (sub.users.empty()) return SystemCost{};
-  return evaluate(sub, scheme);
-}
-
 }  // namespace mecoff::mec

@@ -77,9 +77,4 @@ class MultiServerOffloader {
   MultiServerOptions options_;
 };
 
-/// Evaluate a full multi-server result from scratch (test oracle).
-[[nodiscard]] SystemCost evaluate_server_group(
-    const MultiServerSystem& system, const MultiServerResult& result,
-    std::size_t server);
-
 }  // namespace mecoff::mec

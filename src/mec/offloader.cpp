@@ -5,7 +5,6 @@
 #include <span>
 
 #include "common/contracts.hpp"
-#include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -33,7 +32,7 @@ std::unique_ptr<graph::Bipartitioner> PipelineOffloader::make_cutter() const {
     case CutBackend::kMaxFlow:
       return std::make_unique<mincut::MaxFlowBipartitioner>(options_.maxflow);
     case CutBackend::kKernighanLin:
-      return std::make_unique<kl::KernighanLinBipartitioner>(options_.kl);
+      return std::make_unique<kl::KernighanLinBipartitioner>();
   }
   throw PreconditionError("unknown cut backend");
 }
@@ -152,7 +151,7 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system) {
           all_remote();
           return;
         }
-        cut = kl::KernighanLinBipartitioner(options_.kl).bipartition(
+        cut = kl::KernighanLinBipartitioner().bipartition(
             comp.compression.compressed);
         result.kl_fallback = true;
       }
@@ -285,16 +284,13 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system) {
   stats_.final_objective = greedy.objective_history.back();
   stats_.total_seconds = total_timer.elapsed_seconds();
 
-  // Single-source timing contract: the registry gauges below are
-  // written from the very doubles SolveStats holds — there is no second
-  // clock — so last_stats() and the metrics dump can never disagree
-  // (asserted in tests/obs_test.cpp). Counters accumulate across
-  // solves; gauges reflect the most recent one.
-  MECOFF_GAUGE_SET("mec.solve.compress_task_seconds",
-                   stats_.compress_seconds);
-  MECOFF_GAUGE_SET("mec.solve.cut_task_seconds", stats_.cut_seconds);
-  MECOFF_GAUGE_SET("mec.solve.greedy_seconds", stats_.greedy_seconds);
-  MECOFF_GAUGE_SET("mec.solve.total_seconds", stats_.total_seconds);
+  // The registry reads the very doubles SolveStats holds — there is no
+  // second clock (asserted in tests/obs_test.cpp). Counters accumulate
+  // across solves; the objective gauge reflects the most recent one.
+  // Stage timings go to quantile windows instead (mec.user.*_seconds
+  // per user task, mec.solve.latency below), which keep every solve's
+  // sample; a gauge would hold only the last writer's under concurrent
+  // solves.
   MECOFF_GAUGE_SET("mec.solve.final_objective", stats_.final_objective);
   MECOFF_COUNTER_ADD("mec.solve.users", num_users);
   MECOFF_COUNTER_ADD("mec.solve.distinct_users", distinct);
@@ -306,7 +302,7 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system) {
   MECOFF_COUNTER_ADD("mec.fallback.all_remote", stats_.fallback_all_remote);
   MECOFF_COUNTER_ADD("mec.solve.deadline_expired",
                      stats_.deadline_expired ? 1 : 0);
-  // Live serving feeds, same doubles as SolveStats (the gauge==stats
+  // Live serving feeds, same doubles as SolveStats (the single-source
   // contract extends to the quantile window and the flight recorder):
   // the sliding-window latency summary /metrics exposes...
   MECOFF_QUANTILES_RECORD_ID("mec.solve.latency", stats_.total_seconds,
@@ -334,27 +330,6 @@ OffloadingScheme PipelineOffloader::solve(const MecSystem& system) {
     (void)obs::FlightRecorder::global().record(std::move(record));
   }
   return std::move(greedy.scheme);
-}
-
-RandomOffloader::RandomOffloader(double remote_probability,
-                                 std::uint64_t seed)
-    : remote_probability_(remote_probability), seed_(seed) {
-  MECOFF_EXPECTS(remote_probability >= 0.0 && remote_probability <= 1.0);
-}
-
-OffloadingScheme RandomOffloader::solve(const MecSystem& system) {
-  Rng rng(seed_);
-  OffloadingScheme scheme = OffloadingScheme::all_local(system);
-  for (std::size_t u = 0; u < system.num_users(); ++u) {
-    const UserApp& user = system.users[u];
-    for (graph::NodeId v = 0; v < user.graph.num_nodes(); ++v) {
-      const bool pinned =
-          !user.unoffloadable.empty() && user.unoffloadable[v];
-      if (!pinned && rng.bernoulli(remote_probability_))
-        scheme.placement[u][v] = Placement::kRemote;
-    }
-  }
-  return scheme;
 }
 
 }  // namespace mecoff::mec

@@ -10,8 +10,8 @@
 //              (spectral | max-flow | Kernighan–Lin) → parts
 //   jointly:   Algorithm 2 greedy over all users' parts.
 //
-// Reference offloaders (AllLocal / AllRemote / Random) bound the
-// solution space and anchor the normalized figures.
+// Reference offloaders (AllLocal / AllRemote) bound the solution space
+// and anchor the normalized figures.
 #pragma once
 
 #include <memory>
@@ -62,7 +62,6 @@ struct PipelineOptions {
   CutBackend backend = CutBackend::kSpectral;
   spectral::SpectralOptions spectral;
   mincut::MaxFlowCutOptions maxflow;
-  kl::KlOptions kl;
   GreedyOptions greedy;
   /// Execution engine for the per-user solve stage (compression +
   /// cut). A multi-user solve fans out one parallel_for index per
@@ -108,10 +107,9 @@ class PipelineOffloader final : public Offloader {
     double final_objective = 0.0;
     /// Per-stage wall clock of the last solve(). `compress_seconds` and
     /// `cut_seconds` add up the per-user tasks' wall times (with a pool
-    /// the tasks overlap, so they may exceed the solve's wall clock;
-    /// gauges `mec.solve.{compress,cut}_task_seconds`); the greedy is a
-    /// single global pass, so `greedy_seconds` and `total_seconds` are
-    /// plain wall clock.
+    /// the tasks overlap, so they may exceed the solve's wall clock);
+    /// the greedy is a single global pass, so `greedy_seconds` and
+    /// `total_seconds` are plain wall clock.
     double compress_seconds = 0.0;
     double cut_seconds = 0.0;
     double greedy_seconds = 0.0;
@@ -157,20 +155,6 @@ class AllRemoteOffloader final : public Offloader {
     return OffloadingScheme::all_remote(system);
   }
   [[nodiscard]] std::string name() const override { return "all_remote"; }
-};
-
-/// Independent coin flip per offloadable function — the sanity floor
-/// any structured method must beat.
-class RandomOffloader final : public Offloader {
- public:
-  explicit RandomOffloader(double remote_probability = 0.5,
-                           std::uint64_t seed = 0xc01);
-  [[nodiscard]] OffloadingScheme solve(const MecSystem& system) override;
-  [[nodiscard]] std::string name() const override { return "random"; }
-
- private:
-  double remote_probability_;
-  std::uint64_t seed_;
 };
 
 }  // namespace mecoff::mec

@@ -17,12 +17,6 @@ void write_scheme(const OffloadingScheme& scheme, std::ostream& out) {
   }
 }
 
-std::string to_scheme_text(const OffloadingScheme& scheme) {
-  std::ostringstream out;
-  write_scheme(scheme, out);
-  return out.str();
-}
-
 Result<OffloadingScheme> parse_scheme_text(const std::string& text) {
   std::istringstream in(text);
   OffloadingScheme scheme;

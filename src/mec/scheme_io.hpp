@@ -17,7 +17,6 @@
 namespace mecoff::mec {
 
 void write_scheme(const OffloadingScheme& scheme, std::ostream& out);
-[[nodiscard]] std::string to_scheme_text(const OffloadingScheme& scheme);
 
 /// Parse the format above; errors carry line numbers. The scheme's
 /// shape is validated against nothing here — pair with

@@ -29,7 +29,7 @@ Bipartition MaxFlowBipartitioner::bipartition(const WeightedGraph& g) {
   }
 
   // Best of k random terminal pairs; the first lightest cut wins ties.
-  Rng rng(options_.seed);
+  Rng rng(kTerminalSeed);
   Bipartition best;
   for (std::size_t i = 0; i < std::max<std::size_t>(1, options_.num_pairs);
        ++i) {

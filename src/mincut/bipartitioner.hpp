@@ -6,7 +6,7 @@
 // Max-flow computes an s–t cut, but the offloading problem has no
 // natural terminals, so terminal selection is part of the baseline: the
 // best (lightest) Dinic cut over `num_pairs` random terminal pairs
-// drawn from `seed` (best-of-k; k = 8 by default).
+// drawn from kTerminalSeed (best-of-k; k = 8 by default).
 #pragma once
 
 #include <cstdint>
@@ -16,9 +16,11 @@
 
 namespace mecoff::mincut {
 
+/// Seed of the random terminal pairs.
+inline constexpr std::uint64_t kTerminalSeed = 0x7ea1;
+
 struct MaxFlowCutOptions {
   std::size_t num_pairs = 8;  ///< k: terminal pairs tried (0 runs one)
-  std::uint64_t seed = 0x7ea1;
 };
 
 class MaxFlowBipartitioner final : public graph::Bipartitioner {

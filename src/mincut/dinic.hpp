@@ -1,13 +1,22 @@
-// Dinic's algorithm: level-graph BFS + blocking-flow DFS. Asymptotically
-// faster than Edmonds–Karp (O(V²·E)); provided so the min-cut baseline
-// can scale to the 5000-node experiments, and as a cross-check oracle —
-// both must compute identical flow values.
+// Dinic's algorithm: level-graph BFS + blocking-flow DFS, O(V²·E). It
+// finds the same maximum flow as Edmonds–Karp, the Ford–Fulkerson
+// variant the paper names, and is asymptotically faster, so the min-cut
+// baseline scales to the 5000-node experiments. The test suites keep
+// Edmonds–Karp as its oracle (tests/testlib/edmonds_karp.hpp).
 #pragma once
 
 #include "graph/partition.hpp"
-#include "mincut/edmonds_karp.hpp"  // MaxFlowResult
+#include "mincut/flow_network.hpp"
 
 namespace mecoff::mincut {
+
+struct MaxFlowResult {
+  double flow_value = 0.0;
+  std::size_t augmenting_paths = 0;
+  /// Source-side indicator of the induced min cut (1 = reachable from s
+  /// in the residual network).
+  std::vector<std::uint8_t> source_side;
+};
 
 /// Max flow s→t via Dinic; network residuals are mutated.
 [[nodiscard]] MaxFlowResult dinic(FlowNetwork& net, graph::NodeId s,

@@ -71,15 +71,6 @@ FlightRecorder& FlightRecorder::global() {
   return recorder;
 }
 
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  MECOFF_EXPECTS(capacity > 0);
-  const MutexLock lock(mutex_);
-  capacity_ = capacity;
-  ring_.clear();
-  ring_.reserve(capacity);
-  head_ = 0;
-}
-
 void FlightRecorder::set_dump_dir(std::string dir) {
   const MutexLock lock(mutex_);
   dump_dir_ = std::move(dir);
@@ -173,11 +164,6 @@ std::size_t FlightRecorder::size() const {
   return ring_.size();
 }
 
-std::size_t FlightRecorder::capacity() const {
-  const MutexLock lock(mutex_);
-  return capacity_;
-}
-
 std::uint64_t FlightRecorder::total_records() const {
   const MutexLock lock(mutex_);
   return next_seq_;
@@ -256,17 +242,6 @@ std::string FlightRecorder::render_json_locked(AnomalyKind trigger) const {
 std::string FlightRecorder::to_json(AnomalyKind trigger) const {
   const MutexLock lock(mutex_);
   return render_json_locked(trigger);
-}
-
-void FlightRecorder::clear() {
-  const MutexLock lock(mutex_);
-  ring_.clear();
-  head_ = 0;
-  next_seq_ = 0;
-  anomalies_ = 0;
-  dumps_ = 0;
-  last_dump_path_.clear();
-  latency_window_.reset();
 }
 
 }  // namespace mecoff::obs

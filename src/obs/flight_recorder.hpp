@@ -89,8 +89,6 @@ class FlightRecorder {
   /// The process-wide recorder the solve pipeline feeds.
   static FlightRecorder& global();
 
-  /// Resize the ring (drops current contents).
-  void set_capacity(std::size_t capacity);
   /// Directory for post-mortem dumps; empty (default) disables dumping
   /// while anomaly detection and counting stay armed.
   void set_dump_dir(std::string dir);
@@ -105,7 +103,6 @@ class FlightRecorder {
   AnomalyKind record(SolveRecord record);
 
   [[nodiscard]] std::size_t size() const;          ///< records in ring
-  [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::uint64_t total_records() const;
   [[nodiscard]] std::uint64_t anomaly_count() const;
   [[nodiscard]] std::uint64_t dump_count() const;
@@ -130,9 +127,6 @@ class FlightRecorder {
   /// last_dump_path().
   Result<std::string> dump_now(const std::string& label);
 
-  /// Drop all records and reset counters (capacity/config survive).
-  void clear();
-
  private:
   [[nodiscard]] std::string render_json_locked(AnomalyKind trigger) const
       REQUIRES(mutex_);
@@ -141,7 +135,7 @@ class FlightRecorder {
 
   mutable Mutex mutex_;
   std::vector<SolveRecord> ring_ GUARDED_BY(mutex_);
-  std::size_t capacity_ GUARDED_BY(mutex_);
+  const std::size_t capacity_;
   /// next write position once full
   std::size_t head_ GUARDED_BY(mutex_) = 0;
   std::uint64_t next_seq_ GUARDED_BY(mutex_) = 0;

@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string_view>
 
 namespace mecoff::obs::serve {
 
 ContentLengthStatus parse_content_length(const std::string& buffer,
                                          std::size_t start, std::size_t end,
                                          std::size_t& out) {
+  // Every line is read: RFC 9112 §6.3 makes differing Content-Length
+  // values invalid framing. Values compare by their digits without
+  // leading zeros, which is exact at any magnitude.
+  std::string_view first;
+  bool seen = false;
   while (start < end) {
     std::size_t eol = buffer.find("\r\n", start);
     if (eol == std::string::npos || eol > end) eol = end;
@@ -32,13 +38,22 @@ ContentLengthStatus parse_content_length(const std::string& buffer,
           value = value * 10 + static_cast<std::size_t>(c - '0');
         }
         if (!any) return ContentLengthStatus::kMalformed;
-        out = value;
-        return ContentLengthStatus::kOk;
+        std::string_view digits(buffer.data() + value_start,
+                                value_end - value_start);
+        digits.remove_prefix(
+            std::min(digits.find_first_not_of('0'), digits.size()));
+        if (!seen) {
+          first = digits;
+          seen = true;
+          out = value;
+        } else if (digits != first) {
+          return ContentLengthStatus::kMalformed;
+        }
       }
     }
     start = eol + 2;
   }
-  return ContentLengthStatus::kAbsent;
+  return seen ? ContentLengthStatus::kOk : ContentLengthStatus::kAbsent;
 }
 
 void parse_headers(const std::string& buffer, std::size_t start,

@@ -26,16 +26,18 @@ inline constexpr std::size_t kMaxHeaderBlock = 64 * 1024;
 inline constexpr std::size_t kMaxHttpBody = 1024 * 1024;
 
 /// Outcome of Content-Length extraction. `kMalformed` (non-digit bytes,
-/// empty value) is distinct from `kAbsent` on purpose: a malformed
-/// declared length must be answered 400, not silently treated as a
-/// body-less request (the request body would be misread as a pipelined
-/// follow-up otherwise).
+/// empty value, or two Content-Length lines whose values differ) is
+/// distinct from `kAbsent` on purpose: a malformed declared length must
+/// be answered 400, not silently treated as a body-less request (the
+/// request body would be misread as a pipelined follow-up otherwise).
 enum class ContentLengthStatus { kAbsent, kOk, kMalformed };
 
 /// Case-insensitive Content-Length lookup in the raw header block
-/// `[start, end)`. On kOk, `out` holds the value clamped just past
-/// kMaxHttpBody (the caller rejects anything over the cap, so exact
-/// magnitude beyond it is irrelevant and cannot overflow).
+/// `[start, end)`. Every Content-Length line must carry the same value
+/// (RFC 9112 §6.3); a repeat of that value is accepted. On kOk, `out`
+/// holds the value clamped just past kMaxHttpBody (the caller rejects
+/// anything over the cap, so exact magnitude beyond it is irrelevant
+/// and cannot overflow).
 ContentLengthStatus parse_content_length(const std::string& buffer,
                                          std::size_t start, std::size_t end,
                                          std::size_t& out);
@@ -54,7 +56,8 @@ enum class HeadStatus {
   kOk,
   kBadRequestLine,    ///< 400 — missing/oversized/short line, empty target
   kMethodNotAllowed,  ///< 405 — anything but GET/HEAD/POST
-  kBadContentLength,  ///< 400 — POST with a malformed Content-Length
+  kBadContentLength,  ///< 400 — POST with a malformed or conflicting
+                      ///< Content-Length
   kBodyTooLarge,      ///< 413 — declared length over kMaxHttpBody
 };
 

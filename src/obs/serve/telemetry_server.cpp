@@ -83,10 +83,6 @@ void TelemetryServer::add_varz_section(std::string key,
   varz_sections_.emplace_back(std::move(key), std::move(renderer));
 }
 
-void TelemetryServer::set_io_timeout_ms(int ms) {
-  http_.set_io_timeout_ms(ms);
-}
-
 Result<std::uint16_t> TelemetryServer::start(std::uint16_t port) {
   return http_.start(port);
 }

@@ -61,9 +61,6 @@ class TelemetryServer {
   /// leaves /timez answering 503 "no timeline configured".
   void set_timeline(const Timeline* timeline) { timeline_ = timeline; }
 
-  /// Passthrough to HttpServer::set_io_timeout_ms (pre-start only).
-  void set_io_timeout_ms(int ms);
-
   /// Start serving on 127.0.0.1:`port` (0 = ephemeral). Returns the
   /// bound port.
   Result<std::uint16_t> start(std::uint16_t port);

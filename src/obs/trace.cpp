@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "common/strings.hpp"
 
@@ -95,12 +94,6 @@ void TraceCollector::write_chrome_trace(std::ostream& out) const {
     out << "}}";
   }
   out << "]}";
-}
-
-std::string TraceCollector::chrome_trace_json() const {
-  std::ostringstream out;
-  write_chrome_trace(out);
-  return out.str();
 }
 
 TraceSpan::TraceSpan(const char* name, std::uint64_t arg)

@@ -22,7 +22,6 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -73,7 +72,6 @@ class TraceCollector {
   /// Chrome trace-event JSON ("traceEvents" array of "X" events,
   /// microsecond timestamps) — load via chrome://tracing or Perfetto.
   void write_chrome_trace(std::ostream& out) const;
-  [[nodiscard]] std::string chrome_trace_json() const;
 
   /// Microseconds since the collector's epoch, on the steady clock.
   [[nodiscard]] double now_us() const {

@@ -106,19 +106,6 @@ struct TextSink {
 FingerprintBuilder::FingerprintBuilder(const Fingerprint& seed)
     : hi_(seed.hi), lo_(seed.lo) {}
 
-std::string Fingerprint::to_hex() const {
-  static const char* digits = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    const std::uint64_t word = i < 8 ? hi : lo;
-    const int shift = 56 - 8 * (i % 8);
-    const auto byte = static_cast<unsigned>((word >> shift) & 0xFF);
-    out[2 * static_cast<std::size_t>(i)] = digits[byte >> 4];
-    out[2 * static_cast<std::size_t>(i) + 1] = digits[byte & 0xF];
-  }
-  return out;
-}
-
 Fingerprint fingerprint_request(const mec::UserApp& user,
                                 const mec::SystemParams& params) {
   HashSink sink;

@@ -52,9 +52,6 @@ struct Fingerprint {
   std::uint64_t lo = 0;
 
   [[nodiscard]] bool operator==(const Fingerprint&) const = default;
-
-  /// 32 hex digits, for logs and debugging.
-  [[nodiscard]] std::string to_hex() const;
 };
 
 struct FingerprintHash {

@@ -30,13 +30,8 @@ Fingerprint fingerprint_solver_config(const mec::PipelineOptions& options) {
   fp.add_u64(static_cast<std::uint64_t>(options.backend));
   fp.add_u64(static_cast<std::uint64_t>(options.spectral.fiedler.backend));
   fp.add_double(options.spectral.fiedler.tolerance);
-  fp.add_u64(options.spectral.fiedler.seed);
   fp.add_u64(options.spectral.fiedler.max_iterations);
   fp.add_u64(options.maxflow.num_pairs);
-  fp.add_u64(options.maxflow.seed);
-  fp.add_bool(options.kl.exact_pair_selection);
-  fp.add_u64(options.kl.candidate_limit);
-  fp.add_u64(options.kl.seed);
   fp.add_double(options.greedy.energy_weight);
   fp.add_double(options.greedy.time_weight);
   fp.add_bool(options.greedy.enable_group_moves);

@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <limits>
-
 #include "common/contracts.hpp"
 #include "obs/obs.hpp"
 
@@ -18,20 +16,9 @@ void SimEngine::schedule_after(SimTime delay, std::function<void()> fn) {
 }
 
 SimTime SimEngine::run() {
-  return run_core(std::numeric_limits<SimTime>::infinity());
-}
-
-SimTime SimEngine::run_until(SimTime horizon) {
-  MECOFF_EXPECTS(horizon >= now_);
-  run_core(horizon);
-  if (now_ < horizon) now_ = horizon;
-  return now_;
-}
-
-SimTime SimEngine::run_core(SimTime horizon) {
   MECOFF_TRACE_SPAN_ARG("sim.run", queue_.size());
   executed_ = 0;
-  while (!queue_.empty() && queue_.top().time <= horizon) {
+  while (!queue_.empty()) {
     // priority_queue::top is const; the handler is moved out via a copy
     // of the wrapper before pop (handlers are cheap shared closures).
     Event event = queue_.top();
@@ -46,10 +33,8 @@ SimTime SimEngine::run_core(SimTime horizon) {
     MECOFF_COUNTER_ADD("sim.events", 1);
     event.fn();
   }
-  // Gauges for a /varz scrape: how much the last run() executed and how
-  // deep the queue still is.
+  // Gauge for a /varz scrape: how much the last run() executed.
   MECOFF_GAUGE_SET("sim.run.executed", static_cast<double>(executed_));
-  MECOFF_GAUGE_SET("sim.run.pending", static_cast<double>(queue_.size()));
   return now_;
 }
 

@@ -30,21 +30,16 @@ class SimEngine {
 
   /// Run until the queue drains; returns the final clock value.
   ///
-  /// HAZARD: unbounded. A handler that perpetually reschedules itself
-  /// (a polling loop, a flapping link) makes this spin forever; when
-  /// handlers are not known to terminate, use run_until() instead.
+  /// There is no horizon: termination rests on the handlers. The
+  /// shipped ones (FifoResource, GilbertElliottLink, driven by the
+  /// batch executor) schedule a follow-up only while a submitted job
+  /// is still queued, and an idle link schedules nothing, so a batch
+  /// of finitely many jobs drains. A handler that rescheduled itself
+  /// unconditionally would make this spin forever.
   SimTime run();
 
-  /// Run events with time <= `horizon` (>= now); later events stay
-  /// queued. The clock ends at `horizon` even if the queue drained
-  /// earlier, so follow-up schedule_after() calls are horizon-relative.
-  SimTime run_until(SimTime horizon);
-
-  /// Number of events executed by the last run()/run_until().
+  /// Number of events executed by the last run().
   [[nodiscard]] std::size_t events_executed() const { return executed_; }
-
-  /// Events still queued (nonzero after a horizon stop).
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
   struct Event {
@@ -57,8 +52,6 @@ class SimEngine {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
-
-  SimTime run_core(SimTime horizon);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -31,7 +31,7 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
     popt.tolerance = options.tolerance;
     popt.max_iterations = options.max_iterations;
     popt.deflate = {linalg::constant_unit(n)};
-    popt.seed = options.seed;
+    popt.seed = kFiedlerSeed;
     const linalg::PowerResult res =
         linalg::power_smallest_shifted(dense_op, lap.gershgorin_bound(),
                                        popt);
@@ -47,7 +47,7 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
     lopt.num_pairs = 1;
     lopt.tolerance = options.tolerance;
     lopt.deflate = {linalg::constant_unit(g.num_nodes())};
-    lopt.seed = options.seed;
+    lopt.seed = kFiedlerSeed;
     const linalg::LanczosResult res = linalg::lanczos_smallest(op, lopt);
     MECOFF_ENSURES(!res.pairs.empty());
     out.value = res.pairs.front().value;
@@ -59,7 +59,7 @@ FiedlerResult fiedler_pair(const graph::WeightedGraph& g,
     popt.tolerance = options.tolerance;
     popt.max_iterations = options.max_iterations;
     popt.deflate = {linalg::constant_unit(g.num_nodes())};
-    popt.seed = options.seed;
+    popt.seed = kFiedlerSeed;
     const linalg::PowerResult res =
         linalg::power_smallest_shifted(op, lap.gershgorin_bound(), popt);
     out.value = res.pair.value;

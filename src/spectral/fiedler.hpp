@@ -39,13 +39,15 @@ enum class EigenBackend {
   kDensePowerNaive,
 };
 
+/// Seed of every backend's random start vector.
+inline constexpr std::uint64_t kFiedlerSeed = 0x5eed;
+
 struct FiedlerOptions {
   EigenBackend backend = EigenBackend::kLanczos;
   double tolerance = 1e-8;
   /// Nothing reads this field: every solve is serial. It stays
   /// declared only because perfbench/ still sets it.
   parallel::ThreadPool* pool = nullptr;
-  std::uint64_t seed = 0x5eed;
   /// Work bound of the power backends. With it and Lanczos's restart
   /// ceiling (linalg::kLanczosMaxSubspace) every backend terminates no
   /// matter how ill-conditioned the graph is — the solve may come back

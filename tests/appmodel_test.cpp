@@ -21,6 +21,7 @@
 #include "graph/components.hpp"
 #include "mec/offloader.hpp"
 #include "support/workloads.hpp"
+#include "testlib/test_apps.hpp"
 
 #ifndef MECOFF_DSL_CORPUS_DIR
 #error "build must define MECOFF_DSL_CORPUS_DIR (see tests/CMakeLists.txt)"

@@ -31,10 +31,10 @@
 #include "graph/components.hpp"
 #include "graph/partition.hpp"
 #include "graph/weighted_graph.hpp"
-#include "linalg/jacobi.hpp"
 #include "linalg/laplacian.hpp"
 #include "mincut/stoer_wagner.hpp"
 #include "spectral/bipartitioner.hpp"
+#include "testlib/linalg_oracles.hpp"
 
 namespace mecoff {
 namespace {
@@ -114,8 +114,11 @@ double exact_lambda2(const graph::WeightedGraph& g) {
 
 double max_weighted_degree(const graph::WeightedGraph& g) {
   double max_degree = 0.0;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v)
-    max_degree = std::max(max_degree, g.weighted_degree(v));
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    double degree = 0.0;
+    for (const graph::Adjacency& adj : g.neighbors(v)) degree += adj.weight;
+    max_degree = std::max(max_degree, degree);
+  }
   return max_degree;
 }
 

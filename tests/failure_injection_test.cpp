@@ -19,11 +19,12 @@
 #include "mec/costs.hpp"
 #include "mec/greedy.hpp"
 #include "mec/multiserver.hpp"
-#include "mec/profiles.hpp"
 #include "mec/offloader.hpp"
+#include "mec/profiles.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_script.hpp"
 #include "sim/resources.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff {
 namespace {

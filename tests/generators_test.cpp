@@ -1,11 +1,13 @@
-// Unit tests for graph generators: fixed shapes with analytic
-// properties, plus the NETGEN-style and call-graph workload generators.
+// Unit tests for graph generators: the NETGEN-style workload generator,
+// plus the fixed shapes and call-graph generator of tests/testlib that
+// the other suites take as inputs.
 #include <gtest/gtest.h>
 
 #include "common/contracts.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::graph {
 namespace {

@@ -21,6 +21,7 @@
 #include "mec/greedy.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::mec {
 namespace {

@@ -6,6 +6,7 @@
 #include "graph/generators.hpp"
 #include "kl/kernighan_lin.hpp"
 #include "mincut/stoer_wagner.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::kl {
 namespace {
@@ -31,7 +32,7 @@ TEST(KlRefine, NeverIncreasesCutWeight) {
     params.seed = seed;
     const WeightedGraph g = graph::netgen_style(params);
     const Bipartition initial = alternating_partition(g);
-    const KlResult r = kernighan_lin_refine(g, initial, {});
+    const KlResult r = kernighan_lin_refine(g, initial);
     EXPECT_LE(r.partition.cut_weight, initial.cut_weight + 1e-9);
     EXPECT_NEAR(initial.cut_weight - r.partition.cut_weight, r.total_gain,
                 1e-6);
@@ -42,7 +43,7 @@ TEST(KlRefine, PreservesPartitionSizes) {
   const WeightedGraph g = graph::barbell_graph(6, 1.0, 9.0);
   const Bipartition initial = alternating_partition(g);
   const std::size_t size0 = initial.size(0);
-  const KlResult r = kernighan_lin_refine(g, initial, {});
+  const KlResult r = kernighan_lin_refine(g, initial);
   EXPECT_EQ(r.partition.size(0), size0);
 }
 
@@ -51,16 +52,14 @@ TEST(KlRefine, FixesBadBarbellPartition) {
   // clique-vs-clique split whose cut is exactly the bridge.
   const WeightedGraph g = graph::barbell_graph(5, 1.0, 10.0);
   const Bipartition initial = alternating_partition(g);
-  KlOptions opts;
-  opts.exact_pair_selection = true;
-  const KlResult r = kernighan_lin_refine(g, initial, opts);
+  const KlResult r = kernighan_lin_refine(g, initial);
   EXPECT_DOUBLE_EQ(r.partition.cut_weight, 1.0);
 }
 
 TEST(KlRefine, ReportsPassCount) {
   const WeightedGraph g = graph::barbell_graph(4, 1.0, 8.0);
   const KlResult r =
-      kernighan_lin_refine(g, alternating_partition(g), {});
+      kernighan_lin_refine(g, alternating_partition(g));
   EXPECT_GE(r.passes, 1u);
   EXPECT_LE(r.passes, kMaxPasses);
 }
@@ -70,37 +69,16 @@ TEST(KlRefine, AlreadyOptimalStaysPut) {
   Bipartition optimal;
   optimal.side = {0, 0, 0, 0, 1, 1, 1, 1};
   optimal.cut_weight = graph::cut_weight(g, optimal.side);
-  const KlResult r = kernighan_lin_refine(g, optimal, {});
+  const KlResult r = kernighan_lin_refine(g, optimal);
   EXPECT_DOUBLE_EQ(r.partition.cut_weight, 1.0);
   EXPECT_DOUBLE_EQ(r.total_gain, 0.0);
-}
-
-TEST(KlRefine, CandidateModeCloseToExact) {
-  for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
-    graph::NetgenParams params;
-    params.nodes = 50;
-    params.edges = 200;
-    params.components = 1;
-    params.seed = seed;
-    const WeightedGraph g = graph::netgen_style(params);
-    const Bipartition initial = alternating_partition(g);
-    KlOptions exact;
-    exact.exact_pair_selection = true;
-    KlOptions approx;
-    approx.candidate_limit = 8;
-    const double cut_exact =
-        kernighan_lin_refine(g, initial, exact).partition.cut_weight;
-    const double cut_approx =
-        kernighan_lin_refine(g, initial, approx).partition.cut_weight;
-    EXPECT_LE(cut_approx, 1.5 * cut_exact + 10.0);
-  }
 }
 
 TEST(KlRefine, InvalidInitialPartitionThrows) {
   const WeightedGraph g = graph::path_graph(4);
   Bipartition bad;
   bad.side = {0, 1};  // wrong length
-  EXPECT_THROW(kernighan_lin_refine(g, bad, {}),
+  EXPECT_THROW(kernighan_lin_refine(g, bad),
                mecoff::PreconditionError);
 }
 
@@ -121,9 +99,7 @@ TEST(KlBipartitioner, WithinFactorOfGlobalOptimumOnBarbell) {
   // KL is balance-constrained, so on an even barbell the optimum
   // balanced cut IS the global min cut.
   const WeightedGraph g = graph::barbell_graph(6, 1.0, 10.0);
-  KlOptions opts;
-  opts.exact_pair_selection = true;
-  KernighanLinBipartitioner cutter(opts);
+  KernighanLinBipartitioner cutter;
   const Bipartition cut = cutter.bipartition(g);
   EXPECT_DOUBLE_EQ(cut.cut_weight, mincut::stoer_wagner(g).cut_weight);
 }

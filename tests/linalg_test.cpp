@@ -1,7 +1,7 @@
-// Unit tests for src/linalg: vector ops, dense/sparse matrices (the
-// CSR SpMV every eigensolve runs is held to its storage-order sum by
-// an exact oracle), and the Laplacian (including the paper's Theorem 2
-// identity).
+// Unit tests for src/linalg: vector ops, sparse matrices (the CSR SpMV
+// every eigensolve runs is held to its storage-order sum by an exact
+// oracle) and the Laplacian (including the paper's Theorem 2 identity),
+// plus the dense-matrix helpers of tests/testlib the oracles build on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +18,8 @@
 #include "linalg/laplacian.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector_ops.hpp"
+#include "testlib/linalg_oracles.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::linalg {
 namespace {
@@ -42,17 +44,6 @@ TEST(VectorOps, Axpy) {
   EXPECT_DOUBLE_EQ(y[1], 26.0);
 }
 
-TEST(VectorOps, NormalizeMakesUnitAndReturnsNorm) {
-  Vec x{0.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(normalize(x), 5.0);
-  EXPECT_NEAR(norm2(x), 1.0, 1e-15);
-}
-
-TEST(VectorOps, NormalizeZeroThrows) {
-  Vec x{0.0, 0.0};
-  EXPECT_THROW(normalize(x), mecoff::PreconditionError);
-}
-
 TEST(VectorOps, DeflateRemovesComponent) {
   Vec d{1.0, 0.0};
   Vec x{5.0, 7.0};
@@ -73,7 +64,7 @@ TEST(DenseMatrix, MultiplyVector) {
   m(0, 1) = 2;
   m(0, 2) = 3;
   m(1, 2) = 4;
-  const Vec y = m.multiply(Vec{1.0, 1.0, 1.0});
+  const Vec y = multiply(m, Vec{1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(y[0], 6.0);
   EXPECT_DOUBLE_EQ(y[1], 4.0);
 }
@@ -84,7 +75,7 @@ TEST(DenseMatrix, MultiplyMatrix) {
   a(0, 1) = 2;
   a(1, 0) = 3;
   a(1, 1) = 4;
-  const DenseMatrix c = a.multiply(a);
+  const DenseMatrix c = multiply(a, a);
   EXPECT_DOUBLE_EQ(c(0, 0), 7.0);
   EXPECT_DOUBLE_EQ(c(0, 1), 10.0);
   EXPECT_DOUBLE_EQ(c(1, 0), 15.0);
@@ -94,8 +85,8 @@ TEST(DenseMatrix, MultiplyMatrix) {
 TEST(DenseMatrix, TransposeAndSymmetry) {
   DenseMatrix m(2, 2);
   m(0, 1) = 5;
-  EXPECT_DOUBLE_EQ(m.symmetry_error(), 5.0);
-  const DenseMatrix t = m.transposed();
+  EXPECT_DOUBLE_EQ(symmetry_error(m), 5.0);
+  const DenseMatrix t = transposed(m);
   EXPECT_DOUBLE_EQ(t(1, 0), 5.0);
   EXPECT_DOUBLE_EQ(t(0, 1), 0.0);
 }
@@ -104,9 +95,14 @@ TEST(SparseMatrix, FromTripletsMergesDuplicates) {
   const SparseMatrix m = SparseMatrix::from_triplets(
       2, 2, {{0, 1, 2.0}, {0, 1, 3.0}, {1, 0, 1.0}});
   EXPECT_EQ(m.nonzeros(), 2u);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
+  // Column 1 of m is m·e₁, column 0 is m·e₀.
+  Vec y(2);
+  m.multiply_into(Vec{0.0, 1.0}, y);
+  EXPECT_DOUBLE_EQ(y[0], 5.0);
+  EXPECT_DOUBLE_EQ(y[1], 0.0);
+  m.multiply_into(Vec{1.0, 0.0}, y);
+  EXPECT_DOUBLE_EQ(y[0], 0.0);
+  EXPECT_DOUBLE_EQ(y[1], 1.0);
 }
 
 TEST(SparseMatrix, MultiplyMatchesDense) {
@@ -124,8 +120,9 @@ TEST(SparseMatrix, MultiplyMatchesDense) {
   const SparseMatrix sparse = SparseMatrix::from_triplets(n, n, triplets);
   Vec x(n);
   for (double& e : x) e = rng.uniform(-1.0, 1.0);
-  const Vec ys = sparse.multiply(x);
-  const Vec yd = dense.multiply(x);
+  Vec ys(n);
+  sparse.multiply_into(x, ys);
+  const Vec yd = multiply(dense, x);
   EXPECT_LT(max_abs_diff(ys, yd), 1e-12);
 }
 
@@ -218,25 +215,35 @@ TEST(SparseMatrix, GershgorinBoundsSpectralRadius) {
 TEST(Laplacian, RowsSumToZero) {
   const SparseMatrix lap =
       laplacian(graph::barbell_graph(4, 2.0, 7.0));
-  for (std::size_t r = 0; r < lap.rows(); ++r)
-    EXPECT_NEAR(lap.row_sum(r), 0.0, 1e-12);
+  const Vec ones(lap.cols(), 1.0);
+  Vec row_sums(lap.rows());
+  lap.multiply_into(ones, row_sums);
+  for (const double sum : row_sums) EXPECT_NEAR(sum, 0.0, 1e-12);
 }
 
 TEST(Laplacian, MatchesDenseVersion) {
   const graph::WeightedGraph g = graph::cycle_graph(6, 1.0, 2.5);
   const SparseMatrix sparse = laplacian(g);
   const DenseMatrix dense = dense_laplacian(g);
-  for (std::size_t r = 0; r < 6; ++r)
-    for (std::size_t c = 0; c < 6; ++c)
-      EXPECT_NEAR(sparse.at(r, c), dense(r, c), 1e-12);
-  EXPECT_DOUBLE_EQ(dense.symmetry_error(), 0.0);
+  // Column c of the sparse Laplacian is L·e_c.
+  Vec unit(6, 0.0);
+  Vec column(6);
+  for (std::size_t c = 0; c < 6; ++c) {
+    unit[c] = 1.0;
+    sparse.multiply_into(unit, column);
+    unit[c] = 0.0;
+    for (std::size_t r = 0; r < 6; ++r)
+      EXPECT_NEAR(column[r], dense(r, c), 1e-12);
+  }
+  EXPECT_DOUBLE_EQ(symmetry_error(dense), 0.0);
 }
 
 TEST(Laplacian, AnnihilatesConstantVector) {
   const graph::WeightedGraph g = graph::grid_graph(3, 3);
   const SparseMatrix lap = laplacian(g);
   const Vec ones(9, 1.0);
-  const Vec y = lap.multiply(ones);
+  Vec y(9);
+  lap.multiply_into(ones, y);
   for (const double v : y) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
@@ -268,7 +275,8 @@ TEST(Laplacian, QuadraticFormMatchesExplicitMultiply) {
   Rng rng(3);
   Vec q(g.num_nodes());
   for (double& v : q) v = rng.uniform(-2.0, 2.0);
-  const Vec lq = lap.multiply(q);
+  Vec lq(q.size());
+  lap.multiply_into(q, lq);
   EXPECT_NEAR(laplacian_quadratic_form(g, q), dot(q, lq), 1e-9);
 }
 

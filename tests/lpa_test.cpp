@@ -17,6 +17,7 @@
 #include "lpa/propagation.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/workloads.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::lpa {
 namespace {

@@ -1,5 +1,6 @@
-// Unit tests for the max-flow/min-cut baseline: Edmonds–Karp, Dinic,
-// Stoer–Wagner, and the best-of-k terminal bipartitioner.
+// Unit tests for the max-flow/min-cut baseline: Dinic (against the
+// Edmonds–Karp oracle in tests/testlib), Stoer–Wagner, and the best-of-k
+// terminal bipartitioner.
 #include <gtest/gtest.h>
 
 #include "common/contracts.hpp"
@@ -7,8 +8,9 @@
 #include "graph/generators.hpp"
 #include "mincut/bipartitioner.hpp"
 #include "mincut/dinic.hpp"
-#include "mincut/edmonds_karp.hpp"
 #include "mincut/stoer_wagner.hpp"
+#include "testlib/edmonds_karp.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::mincut {
 namespace {

@@ -4,6 +4,7 @@
 #include "common/contracts.hpp"
 #include "graph/generators.hpp"
 #include "mec/multiserver.hpp"
+#include "testlib/mec_oracles.hpp"
 
 namespace mecoff::mec {
 namespace {

@@ -589,6 +589,35 @@ TEST(HttpRobustness, PostBodyRoundTripsAndOversizeIsRejected) {
   server.stop();
 }
 
+TEST(HttpRobustness, ConflictingContentLengthsGet400) {
+  obs::serve::HttpServer server;
+  std::atomic<int> handled{0};
+  server.handle("/echo", [&handled](const obs::serve::HttpRequest& request) {
+    handled.fetch_add(1);
+    return obs::serve::HttpResponse{200, "text/plain", request.body, {}};
+  });
+  const Result<std::uint16_t> port = server.start(0);
+  ASSERT_TRUE(port.ok()) << port.error().message;
+
+  const int fd = connect_raw(port.value());
+  ASSERT_GE(fd, 0);
+  const std::string request =
+      "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n"
+      "Content-Length: 40\r\n\r\n";
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  std::string response;
+  char buffer[1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    response.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+  EXPECT_EQ(handled.load(), 0);
+  server.stop();
+}
+
 TEST(HttpRobustness, PostBodyArrivingInPiecesRoundTrips) {
   obs::serve::HttpServer server;
   std::atomic<int> handled{0};
@@ -698,6 +727,38 @@ TEST(HttpParser, MalformedContentLengthIsDistinctFromAbsent) {
                 absent, absent.find("\r\n\r\n"), head),
             HeadStatus::kOk);
   EXPECT_EQ(head.content_length, 0u);
+}
+
+TEST(HttpParser, ConflictingContentLengthsAreMalformed) {
+  // Two Content-Length lines that disagree make the framing invalid
+  // (RFC 9112 §6.3): whichever one sized the body, the other would
+  // misread the next request. A repeat of the same value is harmless.
+  using obs::serve::ContentLengthStatus;
+  using obs::serve::HeadStatus;
+  using obs::serve::ParsedHead;
+
+  const std::string conflicting =
+      "POST /solve HTTP/1.1\r\nContent-Length: 5\r\nHost: x\r\n"
+      "content-length: 40\r\n\r\n";
+  std::size_t declared = 0;
+  EXPECT_EQ(obs::serve::parse_content_length(
+                conflicting, conflicting.find("\r\n") + 2,
+                conflicting.find("\r\n\r\n"), declared),
+            ContentLengthStatus::kMalformed);
+  ParsedHead head;
+  EXPECT_EQ(obs::serve::parse_request_head(
+                conflicting, conflicting.find("\r\n\r\n"), head),
+            HeadStatus::kBadContentLength);
+
+  // The same value twice, even spelled with a leading zero, frames the
+  // body once.
+  const std::string repeated =
+      "POST /solve HTTP/1.1\r\nContent-Length: 5\r\n"
+      "Content-Length: 005\r\n\r\n";
+  ASSERT_EQ(obs::serve::parse_request_head(
+                repeated, repeated.find("\r\n\r\n"), head),
+            HeadStatus::kOk);
+  EXPECT_EQ(head.content_length, 5u);
 }
 
 TEST(HttpParser, EmptyRequestTargetIsABadRequestLine) {

@@ -455,15 +455,9 @@ TEST(ObsEquivalence, RegistryGaugesEqualSolveStatsExactly) {
   const mec::MecSystem system = obs_test_system(4);
   mec::PipelineOffloader::SolveStats stats;
   (void)solve_once(system, nullptr, &stats);
-  // Single-source timing contract: the gauges are written from the very
-  // doubles SolveStats holds, so equality is exact, not approximate.
+  // Single-source contract: the gauge is written from the very double
+  // SolveStats holds, so equality is exact, not approximate.
   const obs::MetricsSnapshot snap = MetricsRegistry::global().snapshot();
-  EXPECT_EQ(snap.gauges.at("mec.solve.compress_task_seconds"),
-            stats.compress_seconds);
-  EXPECT_EQ(snap.gauges.at("mec.solve.cut_task_seconds"), stats.cut_seconds);
-  EXPECT_EQ(snap.gauges.at("mec.solve.greedy_seconds"),
-            stats.greedy_seconds);
-  EXPECT_EQ(snap.gauges.at("mec.solve.total_seconds"), stats.total_seconds);
   EXPECT_EQ(snap.gauges.at("mec.solve.final_objective"),
             stats.final_objective);
 

@@ -8,6 +8,8 @@
 #include "graph/generators.hpp"
 #include "mec/costs.hpp"
 #include "mec/offloader.hpp"
+#include "testlib/mec_oracles.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::mec {
 namespace {

@@ -5,15 +5,16 @@
 
 #include <cmath>
 
-#include "appmodel/synthetic_apps.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
-#include "linalg/jacobi.hpp"
 #include "linalg/laplacian.hpp"
 #include "mec/costs.hpp"
 #include "mec/multiserver.hpp"
 #include "sim/executor.hpp"
 #include "spectral/fiedler.hpp"
+#include "testlib/linalg_oracles.hpp"
+#include "testlib/mec_oracles.hpp"
+#include "testlib/test_apps.hpp"
 
 namespace mecoff {
 namespace {

@@ -1,8 +1,11 @@
 // Tests for offloading-scheme serialization.
 #include <gtest/gtest.h>
 
-#include "graph/generators.hpp"
+#include <sstream>
+#include <string>
+
 #include "mec/scheme_io.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::mec {
 namespace {
@@ -14,16 +17,23 @@ OffloadingScheme sample_scheme() {
   return s;
 }
 
+/// The scheme as write_scheme renders it.
+std::string scheme_text(const OffloadingScheme& scheme) {
+  std::ostringstream out;
+  write_scheme(scheme, out);
+  return out.str();
+}
+
 TEST(SchemeIo, RoundTrip) {
   const OffloadingScheme original = sample_scheme();
-  const std::string text = to_scheme_text(original);
+  const std::string text = scheme_text(original);
   const Result<OffloadingScheme> parsed = parse_scheme_text(text);
   ASSERT_TRUE(parsed.ok()) << (parsed.ok() ? "" : parsed.error().message);
   EXPECT_EQ(parsed.value().placement, original.placement);
 }
 
 TEST(SchemeIo, TextIsHumanReadable) {
-  const std::string text = to_scheme_text(sample_scheme());
+  const std::string text = scheme_text(sample_scheme());
   EXPECT_NE(text.find("scheme users 2"), std::string::npos);
   EXPECT_NE(text.find("user 0 LRR"), std::string::npos);
   EXPECT_NE(text.find("user 1 RL"), std::string::npos);

@@ -65,7 +65,6 @@ TEST(FingerprintTest, DeterministicAndSensitiveToContent) {
   const Fingerprint a = fingerprint_request(app, params);
   const Fingerprint b = fingerprint_request(app, params);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a.to_hex().size(), 32u);
 
   // Any content perturbation must move the key: a node weight...
   EXPECT_NE(fingerprint_request(make_app(101.0), params), a);
@@ -1050,19 +1049,9 @@ TEST(SolveServiceTest, ConfigSeedCoversEverySolverSetting) {
        }},
       {"spectral.fiedler.tolerance",
        [](PipelineOptions& o) { o.spectral.fiedler.tolerance *= 10.0; }},
-      {"spectral.fiedler.seed",
-       [](PipelineOptions& o) { ++o.spectral.fiedler.seed; }},
       {"spectral.fiedler.max_iterations",
        [](PipelineOptions& o) { ++o.spectral.fiedler.max_iterations; }},
       {"maxflow.num_pairs", [](PipelineOptions& o) { ++o.maxflow.num_pairs; }},
-      {"maxflow.seed", [](PipelineOptions& o) { ++o.maxflow.seed; }},
-      {"kl.exact_pair_selection",
-       [](PipelineOptions& o) {
-         o.kl.exact_pair_selection = !o.kl.exact_pair_selection;
-       }},
-      {"kl.candidate_limit",
-       [](PipelineOptions& o) { ++o.kl.candidate_limit; }},
-      {"kl.seed", [](PipelineOptions& o) { ++o.kl.seed; }},
       {"greedy.energy_weight",
        [](PipelineOptions& o) { o.greedy.energy_weight *= 2.0; }},
       {"greedy.time_weight",

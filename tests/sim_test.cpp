@@ -54,29 +54,6 @@ TEST(Engine, PastSchedulingThrows) {
   engine.run();
 }
 
-TEST(Engine, RunUntilExecutesOnlyEventsInsideTheHorizon) {
-  SimEngine engine;
-  std::vector<int> order;
-  engine.schedule_at(1.0, [&] { order.push_back(1); });
-  engine.schedule_at(2.0, [&] { order.push_back(2); });
-  engine.schedule_at(7.0, [&] { order.push_back(7); });
-  EXPECT_DOUBLE_EQ(engine.run_until(5.0), 5.0);  // clock lands ON horizon
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(engine.pending(), 1u);  // the 7.0 event survives, unexecuted
-  // A later run picks up exactly where the horizon left off.
-  EXPECT_DOUBLE_EQ(engine.run_until(10.0), 10.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 7}));
-  EXPECT_EQ(engine.pending(), 0u);
-}
-
-TEST(Engine, RunUntilIncludesEventsExactlyAtTheHorizon) {
-  SimEngine engine;
-  int fired = 0;
-  engine.schedule_at(5.0, [&] { ++fired; });
-  engine.run_until(5.0);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(FifoResource, SingleJobNoWait) {
   SimEngine engine;
   FifoResource server(engine, 10.0);

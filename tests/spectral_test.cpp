@@ -12,6 +12,7 @@
 #include "spectral/bipartitioner.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/splitter.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff::spectral {
 namespace {

@@ -8,6 +8,7 @@
 #include "lpa/compressor.hpp"
 #include "lpa/propagation.hpp"
 #include "mec/profiles.hpp"
+#include "testlib/test_graphs.hpp"
 
 namespace mecoff {
 namespace {
